@@ -8,8 +8,11 @@
 #             self-tests), lint.sh, yanc-analyze with the runtime
 #             lock-coverage sweep (scripts/analyze.sh --coverage), a
 #             lockdep-OFF release build proving the wrappers compile
-#             away, then ASan/UBSan over the full suite and TSan over the
-#             concurrency suites via scripts/sanitize.sh.
+#             away, the benchmark's smoke mode on reactive_l2 and
+#             cluster_push (yancbench/run.py --smoke: each must report
+#             "correct": true and "failed": 0), then ASan/UBSan over the
+#             full suite and TSan over the concurrency suites via
+#             scripts/sanitize.sh.
 #   --fast  — static-only yanc-analyze, stop before the coverage sweep
 #             and sanitizer rebuilds.
 set -euo pipefail
@@ -80,6 +83,23 @@ cmake --build build-release -j "$(nproc)"
 # the release configuration too.
 ctest --test-dir build-release --output-on-failure -j "$(nproc)" \
   -R '(dbg_test|smoke_cluster_failover)'
+
+# The benchmark's gated workloads at tiny sizes: every output checked,
+# no op failed (yancbench/README.md).  Timings of a smoke run mean nothing.
+echo "=== yancbench smoke (reactive_l2, cluster_push) ==="
+for workload in reactive_l2 cluster_push; do
+  result=$(python3 yancbench/run.py --workload "$workload" --seed 1 \
+             --seconds 2 --trace 0 --smoke | tail -n 1)
+  if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "$result"; then
+    echo "yancbench smoke: $workload: $result"
+    exit 1
+  fi
+  echo "--- $workload: correct, 0 failed"
+done
 
 if [[ "$FAST" == 1 ]]; then
   echo "check.sh --fast: OK (sanitizers skipped)"

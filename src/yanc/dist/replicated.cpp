@@ -11,6 +11,42 @@ namespace yanc::dist {
 using vfs::Credentials;
 using vfs::NodeId;
 
+namespace {
+
+std::span<const std::uint8_t> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+void put_string(BufWriter& w, std::string_view s) {
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  w.bytes(as_bytes(s));
+}
+
+/// Reads a length-prefixed string as a view into `bytes`, the buffer `r`
+/// reads; empty once `r` is poisoned.
+std::string_view get_view(BufReader& r, std::span<const std::uint8_t> bytes) {
+  std::uint32_t len = r.u32();
+  std::size_t at = r.pos();
+  r.skip(len);
+  if (!r.ok()) return {};
+  return {reinterpret_cast<const char*>(bytes.data()) + at, len};
+}
+
+/// True when `path` lies strictly below the directory `dir` ("" = root).
+bool is_below(std::string_view path, std::string_view dir) {
+  return path.size() > dir.size() && path[dir.size()] == '/' &&
+         path.starts_with(dir);
+}
+
+std::pair<std::string, std::string> dir_and_leaf(const std::string& path) {
+  auto slash = path.rfind('/');
+  if (slash == std::string::npos || slash == 0)
+    return {"/", path.substr(slash == std::string::npos ? 0 : 1)};
+  return {path.substr(0, slash), path.substr(slash + 1)};
+}
+
+}  // namespace
+
 struct ReplicatedYancFs::Op {
   enum class Kind : std::uint8_t {
     mkdir,
@@ -33,8 +69,10 @@ struct ReplicatedYancFs::Op {
   std::uint64_t origin = 0;
   std::uint64_t sent_ns = 0;  // origin's virtual time at emit (lag metric)
   std::string path;
-  std::string aux;   // rename destination / symlink target / xattr name
-  std::string data;  // write payload / xattr value
+  std::string aux;  // rename destination / symlink target / xattr name
+  // Write payload / xattr value / snapshot, borrowed: from the mutating
+  // call that emits the op, or from the message bytes it was decoded from.
+  std::string_view data;
   std::uint64_t offset = 0;  // write offset / truncate size
   std::uint32_t mode = 0;
   std::uint32_t uid = 0;
@@ -51,14 +89,13 @@ struct ReplicatedYancFs::Op {
     w.u32(mode);
     w.u32(uid);
     w.u32(gid);
-    for (const std::string* s : {&path, &aux, &data}) {
-      w.u32(static_cast<std::uint32_t>(s->size()));
-      w.bytes({reinterpret_cast<const std::uint8_t*>(s->data()), s->size()});
-    }
+    put_string(w, path);
+    put_string(w, aux);
+    put_string(w, data);
     return w.take();
   }
 
-  static Result<Op> decode(const std::vector<std::uint8_t>& bytes) {
+  static Result<Op> decode(std::span<const std::uint8_t> bytes) {
     BufReader r(bytes);
     Op op;
     op.kind = static_cast<Kind>(r.u8());
@@ -70,11 +107,9 @@ struct ReplicatedYancFs::Op {
     op.mode = r.u32();
     op.uid = r.u32();
     op.gid = r.u32();
-    for (std::string* s : {&op.path, &op.aux, &op.data}) {
-      std::uint32_t len = r.u32();
-      auto raw = r.bytes(len);
-      s->assign(raw.begin(), raw.end());
-    }
+    op.path = get_view(r, bytes);
+    op.aux = get_view(r, bytes);
+    op.data = get_view(r, bytes);
     if (!r.ok()) return Errc::protocol_error;
     return op;
   }
@@ -83,89 +118,67 @@ struct ReplicatedYancFs::Op {
 // A Snapshot is one replica's view of its entire tree, exchanged during
 // anti-entropy: preorder entries (parents before children) with the
 // last-writer version each path was created/written at, plus the
-// tombstones of everything deleted.
+// tombstones of everything deleted.  Layout: u32 entry count, entries,
+// u32 tombstone count, tombstones.  The sender writes it straight from
+// its tree (send_anti_entropy); the receiver decodes views into the
+// message bytes, which outlive the merge.
 struct ReplicatedYancFs::Snapshot {
+  enum Type : std::uint8_t { dir = 0, file = 1, symlink = 2 };
   struct Entry {
-    std::uint8_t type = 0;  // 0 = dir, 1 = file, 2 = symlink
-    std::string path;
-    std::uint64_t ts = 0;
-    std::uint64_t origin = 0;
-    std::string data;  // file content / symlink target
+    std::uint8_t type = dir;
+    std::string_view path;
+    Version version;
+    std::string_view data;  // file content / symlink target
   };
   std::vector<Entry> entries;
-  std::vector<std::pair<std::string, Version>> tombstones;
+  std::vector<std::pair<std::string_view, Version>> tombstones;
 
-  std::vector<std::uint8_t> encode() const {
-    BufWriter w;
-    auto put_string = [&w](const std::string& s) {
-      w.u32(static_cast<std::uint32_t>(s.size()));
-      w.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-    };
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      w.u8(e.type);
-      w.u64(e.ts);
-      w.u64(e.origin);
-      put_string(e.path);
-      put_string(e.data);
-    }
-    w.u32(static_cast<std::uint32_t>(tombstones.size()));
-    for (const auto& [path, version] : tombstones) {
-      w.u64(version.first);
-      w.u64(version.second);
-      put_string(path);
-    }
-    return w.take();
+  static void put_entry(BufWriter& w, std::uint8_t type, std::string_view path,
+                        Version version, std::string_view data) {
+    w.u8(type);
+    w.u64(version.first);
+    w.u64(version.second);
+    put_string(w, path);
+    put_string(w, data);
   }
 
-  static Result<Snapshot> decode(const std::string& bytes) {
-    BufReader r({reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                 bytes.size()});
-    auto get_string = [&r]() {
-      std::uint32_t len = r.u32();
-      auto raw = r.bytes(len);
-      return std::string(raw.begin(), raw.end());
-    };
+  static void put_tombstone(BufWriter& w, std::string_view path,
+                            Version version) {
+    w.u64(version.first);
+    w.u64(version.second);
+    put_string(w, path);
+  }
+
+  static Result<Snapshot> decode(std::span<const std::uint8_t> bytes) {
+    // The smallest encodings bound what a corrupt count can reserve.
+    constexpr std::size_t kMinEntry = 1 + 8 + 8 + 4 + 4;
+    constexpr std::size_t kMinTombstone = 8 + 8 + 4;
+    BufReader r(bytes);
     Snapshot snap;
     std::uint32_t n = r.u32();
+    snap.entries.reserve(std::min<std::size_t>(n, r.remaining() / kMinEntry));
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
       Entry e;
       e.type = r.u8();
-      e.ts = r.u64();
-      e.origin = r.u64();
-      e.path = get_string();
-      e.data = get_string();
-      snap.entries.push_back(std::move(e));
+      e.version.first = r.u64();
+      e.version.second = r.u64();
+      e.path = get_view(r, bytes);
+      e.data = get_view(r, bytes);
+      snap.entries.push_back(e);
     }
     std::uint32_t t = r.u32();
+    snap.tombstones.reserve(
+        std::min<std::size_t>(t, r.remaining() / kMinTombstone));
     for (std::uint32_t i = 0; i < t && r.ok(); ++i) {
       Version version;
       version.first = r.u64();
       version.second = r.u64();
-      snap.tombstones.emplace_back(get_string(), version);
+      snap.tombstones.emplace_back(get_view(r, bytes), version);
     }
     if (!r.ok()) return Errc::protocol_error;
     return snap;
   }
 };
-
-namespace {
-
-std::pair<std::string, std::string> dir_and_leaf(const std::string& path) {
-  auto slash = path.rfind('/');
-  if (slash == std::string::npos || slash == 0)
-    return {"/", path.substr(slash == std::string::npos ? 0 : 1)};
-  return {path.substr(0, slash), path.substr(slash + 1)};
-}
-
-bool covers(const std::string& ancestor, const std::string& path) {
-  return path == ancestor ||
-         (path.size() > ancestor.size() && path.compare(0, ancestor.size(),
-                                                        ancestor) == 0 &&
-          path[ancestor.size()] == '/');
-}
-
-}  // namespace
 
 ReplicatedYancFs::ReplicatedYancFs(ReplicaOptions options)
     : options_(options) {}
@@ -205,12 +218,18 @@ Mode ReplicatedYancFs::mode_for(NodeId node) const {
   return options_.default_mode;
 }
 
-Result<NodeId> ReplicatedYancFs::resolve_local(const std::string& path) {
+Result<NodeId> ReplicatedYancFs::resolve_local(std::string_view path) {
   NodeId node = root();
-  for (const auto& comp : split_nonempty(path, '/')) {
-    auto next = lookup(node, comp);
-    if (!next) return next.error();
-    node = *next;
+  std::string comp;
+  for (std::size_t pos = 0; pos < path.size();) {
+    std::size_t end = std::min(path.find('/', pos), path.size());
+    if (end > pos) {
+      comp.assign(path.substr(pos, end - pos));
+      auto next = lookup(node, comp);
+      if (!next) return next.error();
+      node = *next;
+    }
+    pos = end + 1;
   }
   return node;
 }
@@ -262,7 +281,7 @@ void ReplicatedYancFs::handle_message(Transport::NodeId from,
   }
   lamport_ = std::max(lamport_, op->ts);
   if (op->kind == Op::Kind::anti_entropy) {
-    auto snap = Snapshot::decode(op->data);
+    auto snap = Snapshot::decode(as_bytes(op->data));
     if (snap)
       apply_anti_entropy(*snap);
     else
@@ -439,15 +458,22 @@ void ReplicatedYancFs::note_version(const Op& op) {
 }
 
 ReplicatedYancFs::Version ReplicatedYancFs::version_of(
-    const std::string& path) const {
+    std::string_view path) const {
   auto it = write_versions_.find(path);
   return it == write_versions_.end() ? Version{0, 0} : it->second;
 }
 
+void ReplicatedYancFs::set_version(std::string_view path, Version version) {
+  if (auto it = write_versions_.find(path); it != write_versions_.end())
+    it->second = version;
+  else
+    write_versions_.emplace(std::string(path), version);
+}
+
 ReplicatedYancFs::Version ReplicatedYancFs::newest_in_subtree(
-    const std::string& path) const {
+    std::string_view path) const {
   Version newest = version_of(path);
-  std::string prefix = path + "/";
+  std::string prefix = std::string(path) + "/";
   for (auto it = write_versions_.lower_bound(prefix);
        it != write_versions_.end() &&
        it->first.compare(0, prefix.size(), prefix) == 0;
@@ -456,23 +482,33 @@ ReplicatedYancFs::Version ReplicatedYancFs::newest_in_subtree(
   return newest;
 }
 
-bool ReplicatedYancFs::tombstoned(const std::string& path,
+bool ReplicatedYancFs::tombstoned(std::string_view path,
                                   Version version) const {
-  for (const auto& [dead, dead_version] : tombstones_)
-    if (covers(dead, path) && !(dead_version < version)) return true;
-  return false;
+  if (tombstones_.empty()) return false;
+  auto dead = [&](std::string_view prefix) {
+    auto it = tombstones_.find(prefix);
+    return it != tombstones_.end() && !(it->second < version);
+  };
+  // A tombstone covers the path itself and everything below it, so probe
+  // the path and each prefix that ends at a `/` ("/a/b": "", "/a", "/a/b").
+  for (auto slash = path.find('/'); slash != std::string_view::npos;
+       slash = path.find('/', slash + 1))
+    if (dead(path.substr(0, slash))) return true;
+  return dead(path);
 }
 
-void ReplicatedYancFs::record_tombstone(const std::string& path,
+void ReplicatedYancFs::record_tombstone(std::string_view path,
                                         Version version) {
-  auto [it, inserted] = tombstones_.try_emplace(path, version);
-  if (!inserted && it->second < version) it->second = version;
+  if (auto it = tombstones_.find(path); it == tombstones_.end())
+    tombstones_.emplace(std::string(path), version);
+  else if (it->second < version)
+    it->second = version;
   // The deletion supersedes any content knowledge it is newer than;
   // strictly newer writes survive (they out-rank the tombstone).
   if (auto wit = write_versions_.find(path);
       wit != write_versions_.end() && wit->second <= version)
     write_versions_.erase(wit);
-  std::string prefix = path + "/";
+  std::string prefix = std::string(path) + "/";
   for (auto wit = write_versions_.lower_bound(prefix);
        wit != write_versions_.end() &&
        wit->first.compare(0, prefix.size(), prefix) == 0;)
@@ -480,50 +516,60 @@ void ReplicatedYancFs::record_tombstone(const std::string& path,
                                  : std::next(wit);
 }
 
-void ReplicatedYancFs::snapshot_subtree(vfs::NodeId node,
-                                        const std::string& path,
-                                        Snapshot& snap) {
+void ReplicatedYancFs::count_repair() {
+  ++repairs_;
+  if (ae_repair_metric_) ae_repair_metric_->add();
+}
+
+void ReplicatedYancFs::snapshot_subtree(vfs::NodeId node, std::string& path,
+                                        BufWriter& out, std::uint32_t& count) {
   auto st = getattr(node);
   if (!st) return;
   if (!path.empty()) {
-    Snapshot::Entry entry;
-    entry.path = path;
-    auto version = version_of(path);
-    entry.ts = version.first;
-    entry.origin = version.second;
-    if (st->is_dir()) {
-      entry.type = 0;
-    } else if (st->is_symlink()) {
-      entry.type = 2;
-      if (auto target = readlink(node)) entry.data = *target;
-    } else {
-      entry.type = 1;
+    std::uint8_t type = Snapshot::dir;
+    std::string data;
+    if (st->is_symlink()) {
+      type = Snapshot::symlink;
+      if (auto target = readlink(node)) data = std::move(*target);
+    } else if (!st->is_dir()) {
+      type = Snapshot::file;
       if (auto content = read(node, 0, st->size, Credentials::root()))
-        entry.data = std::move(*content);
+        data = std::move(*content);
     }
-    snap.entries.push_back(std::move(entry));
+    Snapshot::put_entry(out, type, path, version_of(path), data);
+    ++count;
   }
   if (!st->is_dir()) return;
   auto children = readdir(node);
   if (!children) return;
-  for (const auto& child : *children)
-    snapshot_subtree(child.node,
-                     (path.empty() ? "" : path) + "/" + child.name, snap);
+  std::size_t len = path.size();
+  for (const auto& child : *children) {
+    path += '/';
+    path += child.name;
+    snapshot_subtree(child.node, path, out, count);
+    path.resize(len);
+  }
 }
 
 void ReplicatedYancFs::send_anti_entropy() {
   if (!transport_) return;
-  Snapshot snap;
-  snapshot_subtree(root(), "", snap);
-  for (const auto& [path, version] : tombstones_)
-    snap.tombstones.emplace_back(path, version);
+  // The entry count is known only after the walk: patch it in place.
+  BufWriter snap;
+  snap.u32(0);
+  std::uint32_t count = 0;
+  std::string path;
+  snapshot_subtree(root(), path, snap, count);
+  snap.patch_u16(0, static_cast<std::uint16_t>(count >> 16));
+  snap.patch_u16(2, static_cast<std::uint16_t>(count));
+  snap.u32(static_cast<std::uint32_t>(tombstones_.size()));
+  for (const auto& [dead, version] : tombstones_)
+    Snapshot::put_tombstone(snap, dead, version);
   Op op;
   op.kind = Op::Kind::anti_entropy;
   op.ts = ++lamport_;
   op.origin = self_;
   op.sent_ns = transport_->clock().now_ns();
-  auto bytes = snap.encode();
-  op.data.assign(bytes.begin(), bytes.end());
+  op.data = {reinterpret_cast<const char*>(snap.data().data()), snap.size()};
   if (ae_round_metric_) ae_round_metric_->add();
   transport_->broadcast(self_, op.encode());
 }
@@ -532,21 +578,66 @@ void ReplicatedYancFs::apply_anti_entropy(const Snapshot& snap) {
   applying_remote_ = true;
   // Deletions first: adopt tombstones we have not seen, and tear down any
   // local subtree the tombstone out-ranks.  A strictly newer local write
-  // survives — our own next broadcast re-teaches it to the cluster.
+  // survives, and the entries below re-teach it to replicas that lack it.
   for (const auto& [path, version] : snap.tombstones) {
     bool existed = resolve_local(path).ok();
     record_tombstone(path, version);
     if (existed && !(newest_in_subtree(path) > version)) {
-      remove_subtree_local(path);
-      ++repairs_;
-      if (ae_repair_metric_) ae_repair_metric_->add();
+      remove_subtree_local(std::string(path));
+      count_repair();
     }
   }
   // Then creations and content, parents before children (preorder).
+  // `dirs` is the chain of directories above the current entry, so each
+  // entry costs one lookup in its parent.  A tombstoned directory stays
+  // on the chain unresolved (kInvalidNode): it is recreated, without a
+  // version of its own, only when an entry below it outlives the
+  // tombstone and needs a parent.
+  struct Dir {
+    std::string_view path;
+    NodeId node;
+  };
+  std::vector<Dir> dirs{{"", root()}};
+  std::string leaf;
+  auto resolve_chain = [&]() -> NodeId {
+    std::size_t i = dirs.size();
+    while (dirs[i - 1].node == vfs::kInvalidNode) --i;  // root is resolved
+    for (; i < dirs.size(); ++i) {
+      leaf.assign(dirs[i].path.substr(dirs[i].path.rfind('/') + 1));
+      auto node = lookup(dirs[i - 1].node, leaf);
+      if (!node) {
+        node = mkdir(dirs[i - 1].node, leaf, 0755, Credentials{});
+        if (!node) return vfs::kInvalidNode;
+        count_repair();
+      }
+      dirs[i].node = *node;
+    }
+    return dirs.back().node;
+  };
   for (const auto& entry : snap.entries) {
-    Version version{entry.ts, entry.origin};
-    if (tombstoned(entry.path, version)) continue;
-    merge_entry_local(entry.type, entry.path, version, entry.data);
+    std::string_view path = entry.path;
+    while (dirs.size() > 1 && !is_below(path, dirs.back().path))
+      dirs.pop_back();
+    std::size_t slash = path.rfind('/');
+    std::string_view parent =
+        path.substr(0, slash == std::string_view::npos ? 0 : slash);
+    bool parent_on_chain = dirs.back().path == parent;
+    if (tombstoned(path, entry.version)) {
+      if (entry.type == Snapshot::dir && parent_on_chain)
+        dirs.push_back({path, vfs::kInvalidNode});
+      continue;
+    }
+    NodeId parent_node = vfs::kInvalidNode;
+    if (parent_on_chain)
+      parent_node = resolve_chain();
+    else if (auto found = resolve_local(parent))
+      parent_node = *found;  // the parent's own merge failed, or out of order
+    if (parent_node == vfs::kInvalidNode) continue;
+    leaf.assign(path.substr(slash + 1));
+    NodeId node = merge_entry_local(parent_node, leaf, entry.type, path,
+                                    entry.version, entry.data);
+    if (entry.type == Snapshot::dir && node != vfs::kInvalidNode)
+      dirs.push_back({path, node});
   }
   applying_remote_ = false;
 }
@@ -571,52 +662,45 @@ void ReplicatedYancFs::remove_subtree_local(const std::string& path) {
     (void)unlink(*parent, leaf, root_creds);
 }
 
-void ReplicatedYancFs::merge_entry_local(std::uint8_t type,
-                                         const std::string& path,
-                                         Version version,
-                                         const std::string& data) {
+NodeId ReplicatedYancFs::merge_entry_local(NodeId parent,
+                                           const std::string& leaf,
+                                           std::uint8_t type,
+                                           std::string_view path,
+                                           Version version,
+                                           std::string_view data) {
   Credentials root_creds;
   Version local = version_of(path);
-  if (auto node = resolve_local(path)) {
-    if (!(version > local)) return;  // ours is as new or newer
-    if (type == 1) {
+  if (auto node = lookup(parent, leaf)) {
+    if (!(version > local)) return *node;  // ours is as new or newer
+    if (type == Snapshot::file) {
       // Adopt the newer content wholesale (anti-entropy ships whole
       // files, not deltas).
-      if (truncate(*node, 0, root_creds)) return;
-      if (!data.empty() && !write(*node, 0, data, root_creds)) return;
-      ++repairs_;
-      if (ae_repair_metric_) ae_repair_metric_->add();
+      if (truncate(*node, 0, root_creds)) return *node;
+      if (!data.empty() && !write(*node, 0, data, root_creds)) return *node;
+      count_repair();
     }
-    write_versions_[path] = version;  // dirs/symlinks: version only
-    return;
+    set_version(path, version);  // dirs/symlinks: version only
+    return *node;
   }
-  // Missing locally: recreate it.  The parent exists already because
-  // snapshot entries arrive in preorder (and a missing parent means it
-  // was tombstoned, in which case this child was skipped too).
-  auto [dir, leaf] = dir_and_leaf(path);
-  auto parent = resolve_local(dir);
-  if (!parent) return;
-  bool created = false;
+  // Missing locally: recreate it.
+  Result<NodeId> created = Errc::not_found;
   switch (type) {
-    case 0:
-      created = mkdir(*parent, leaf, 0755, root_creds).ok();
+    case Snapshot::dir:
+      created = mkdir(parent, leaf, 0755, root_creds);
       break;
-    case 1: {
-      auto node = create(*parent, leaf, 0644, root_creds);
-      if (node) {
-        created = true;
-        if (!data.empty()) (void)write(*node, 0, data, root_creds);
-      }
+    case Snapshot::file:
+      created = create(parent, leaf, 0644, root_creds);
+      if (created && !data.empty())
+        (void)write(*created, 0, data, root_creds);
       break;
-    }
-    case 2:
-      created = symlink(*parent, leaf, data, root_creds).ok();
+    case Snapshot::symlink:
+      created = symlink(parent, leaf, std::string(data), root_creds);
       break;
   }
-  if (!created) return;
-  write_versions_[path] = std::max(local, version);
-  ++repairs_;
-  if (ae_repair_metric_) ae_repair_metric_->add();
+  if (!created) return vfs::kInvalidNode;
+  set_version(path, std::max(local, version));
+  count_repair();
+  return *created;
 }
 
 // --- mutating overrides -------------------------------------------------------
@@ -662,7 +746,7 @@ Result<std::uint64_t> ReplicatedYancFs::write(NodeId node,
       op.kind = Op::Kind::write;
       op.path = *path;
       op.offset = offset;
-      op.data = std::string(data);
+      op.data = data;
       emit(std::move(op));
     }
   }
@@ -702,7 +786,7 @@ Result<std::uint64_t> ReplicatedYancFs::replace(NodeId node,
       w.kind = Op::Kind::write;
       w.path = *path;
       w.offset = 0;
-      w.data = std::string(data);
+      w.data = data;
       emit(std::move(w));
     }
   }
@@ -810,7 +894,7 @@ Status ReplicatedYancFs::setxattr(NodeId node, const std::string& name,
       op.kind = Op::Kind::setxattr;
       op.path = *path;
       op.aux = name;
-      op.data = std::move(copy);
+      op.data = copy;
       emit(std::move(op));
     }
   }

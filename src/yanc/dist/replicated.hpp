@@ -20,9 +20,11 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 
 #include "yanc/dist/transport.hpp"
 #include "yanc/netfs/yancfs.hpp"
+#include "yanc/util/bytes.hpp"
 
 namespace yanc::dist {
 
@@ -126,23 +128,31 @@ class ReplicatedYancFs : public netfs::YancFs {
   /// Replicates an op after local success.
   void emit(Op op);
   Mode mode_for(vfs::NodeId node) const;
-  Result<vfs::NodeId> resolve_local(const std::string& path);
+  Result<vfs::NodeId> resolve_local(std::string_view path);
 
   using Version = std::pair<std::uint64_t, std::uint64_t>;  // (ts, origin)
-  Version version_of(const std::string& path) const;
-  Version newest_in_subtree(const std::string& path) const;
+  Version version_of(std::string_view path) const;
+  void set_version(std::string_view path, Version version);
+  Version newest_in_subtree(std::string_view path) const;
   /// True when `path` (or an ancestor) has a tombstone at least as new
-  /// as `version`.
-  bool tombstoned(const std::string& path, Version version) const;
-  void record_tombstone(const std::string& path, Version version);
+  /// as `version`: one tombstones_ probe per `/`-boundary prefix.
+  bool tombstoned(std::string_view path, Version version) const;
+  void record_tombstone(std::string_view path, Version version);
   /// Folds one (local or remote) op into write_versions_/tombstones_.
   void note_version(const Op& op);
-  void snapshot_subtree(vfs::NodeId node, const std::string& path,
-                        Snapshot& snap);
+  /// Appends the Snapshot entries of `node`'s subtree to `out` in
+  /// preorder; `path` is `node`'s path, extended and restored in place.
+  void snapshot_subtree(vfs::NodeId node, std::string& path, BufWriter& out,
+                        std::uint32_t& count);
   void apply_anti_entropy(const Snapshot& snap);
   void remove_subtree_local(const std::string& path);
-  void merge_entry_local(std::uint8_t type, const std::string& path,
-                         Version version, const std::string& data);
+  /// Merges one snapshot entry named `leaf` inside the local directory
+  /// `parent`; returns its local node, or kInvalidNode when it is missing
+  /// and could not be created.
+  vfs::NodeId merge_entry_local(vfs::NodeId parent, const std::string& leaf,
+                                std::uint8_t type, std::string_view path,
+                                Version version, std::string_view data);
+  void count_repair();
 
   ReplicaOptions options_;
   Transport* transport_ = nullptr;
@@ -152,10 +162,10 @@ class ReplicatedYancFs : public netfs::YancFs {
   std::uint64_t lamport_ = 0;
   // Last-writer-wins bookkeeping: path -> (ts, origin) of the newest
   // content write or node creation seen for that path.
-  std::map<std::string, Version> write_versions_;
+  std::map<std::string, Version, std::less<>> write_versions_;
   // Deletions survive as tombstones so anti-entropy never resurrects a
   // path a newer unlink/rmdir removed.  A tombstone covers its subtree.
-  std::map<std::string, Version> tombstones_;
+  std::map<std::string, Version, std::less<>> tombstones_;
   std::uint64_t local_ops_ = 0;
   std::uint64_t remote_ops_ = 0;
   std::uint64_t conflicts_ = 0;

@@ -79,9 +79,12 @@ struct OfDriver::Connection {
   // In-flight tracked requests, keyed by xid.
   std::map<std::uint32_t, PendingRequest> pending;
   std::uint32_t audit_xid = 0;  // outstanding audit flow-stats request
+  // Its reply, held until the poll's FS events are drained (poll()).
+  std::optional<ofp::StatsReply> audit_reply;
 
   struct FlowState {
     std::uint64_t pushed_version = 0;
+    std::uint64_t pushed_tick = 0;  // poll that queued pushed_version
     FlowSpec pushed;  // last spec sent to hardware
     std::shared_ptr<vfs::WatchHandle> version_watch;
     NodeId version_node = vfs::kInvalidNode;
@@ -370,12 +373,23 @@ std::size_t OfDriver::poll() {
   // be processed before the connection is reaped.
   for (auto& conn : connections_) work += pump_connection(*conn);
   work += drain_fs_events();
+  // Audit replies wait for the drain, so flows committed since the
+  // request are pushed, and known to be in flight, before the reply is
+  // compared with the FS.
+  for (auto& conn : connections_) {
+    if (!conn->audit_reply) continue;
+    ofp::StatsReply reply = std::move(*conn->audit_reply);
+    conn->audit_reply.reset();
+    audit_reconcile(*conn, reply);
+  }
   service_timers();
   // Ship every burst the poll accumulated (drains, audit repairs,
   // retries) — one vectored train per switch per quantum, unless
   // flush_interval holds a still-filling burst for a later poll.
   if (options_.batching)
     for (auto& conn : connections_) flush_egress(*conn);
+  // After the trains: the switch applies them before it answers.
+  send_due_audits();
 
   // Reap dead connections: mark the FS, drop watches.
   for (auto it = connections_.begin(); it != connections_.end();) {
@@ -747,6 +761,7 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   }
 
   state.pushed_version = spec->version;
+  state.pushed_tick = tick_;
   state.pushed = *spec;
 }
 
@@ -1168,23 +1183,31 @@ void OfDriver::service_timers() {
       }
       retry_request(conn, request);
     }
-    if (!conn.channel.connected()) continue;
+  }
+}
 
+void OfDriver::send_due_audits() {
+  if (!options_.audit_interval) return;
+  for (auto& connp : connections_) {
+    Connection& conn = *connp;
     // Periodic audit: barriers confirm ordering, not delivery of what
     // came before them on a lossy link; the audit compares the FS (the
     // record) against hardware (flow stats) and repairs the difference.
     // An audit still outstanding after a whole further interval is
     // presumed lost (request or reply eaten by the wire) and replaced —
-    // its xid must not wedge auditing for good.
-    if (options_.audit_interval && conn.state == Connection::State::ready &&
-        tick_ - conn.last_audit_tick >= options_.audit_interval) {
-      conn.last_audit_tick = tick_;
-      absorb_duplicate_dirs(conn);
-      ofp::StatsRequest flows;
-      flows.kind = ofp::StatsKind::flow;
-      conn.audit_xid = send(conn, flows);
-      if (conn.audit_xid) metrics_.audit_total->add();
-    }
+    // its xid must not wedge auditing for good.  A burst still held in
+    // egress would reach the switch after the request, so the audit
+    // waits for it: the reply must already contain every flow pushed.
+    if (!conn.channel.connected() || conn.superseded ||
+        conn.state != Connection::State::ready || conn.egress.mods != 0 ||
+        tick_ - conn.last_audit_tick < options_.audit_interval)
+      continue;
+    conn.last_audit_tick = tick_;
+    absorb_duplicate_dirs(conn);
+    ofp::StatsRequest flows;
+    flows.kind = ofp::StatsKind::flow;
+    conn.audit_xid = send(conn, flows);
+    if (conn.audit_xid) metrics_.audit_total->add();
   }
 }
 
@@ -1265,11 +1288,15 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
       }
     }
     if (found) continue;
+    auto it = conn.flows.find(e.name);
+    // Pushed after the request left: the reply cannot show it yet.
+    if (it != conn.flows.end() && it->second.pushed_version == spec->version &&
+        it->second.pushed_tick > conn.last_audit_tick)
+      continue;
     // Committed in the FS, absent from hardware: a flow_mod died on the
     // wire after its barrier survived.  Re-push from the record.
     metrics_.audit_repair_total->add();
     metrics_.resync_total->add();
-    auto it = conn.flows.find(e.name);
     if (it == conn.flows.end()) {
       watch_flow(conn, e.name);
       it = conn.flows.find(e.name);
@@ -1401,7 +1428,7 @@ void OfDriver::on_stats_reply(Connection& conn, const ofp::StatsReply& sr,
   if (sr.kind == ofp::StatsKind::flow && xid != 0 &&
       xid == conn.audit_xid) {
     conn.audit_xid = 0;
-    audit_reconcile(conn, sr);
+    conn.audit_reply = sr;
   }
   switch (sr.kind) {
     case ofp::StatsKind::desc:

@@ -195,8 +195,11 @@ class OfDriver {
   /// tracks whole trains through flush_egress instead.
   void track_commit(Connection& conn, std::vector<std::string> flows,
                     std::uint32_t retries);
-  /// Keepalives, request timeouts with exponential backoff, audits.
+  /// Keepalives, request timeouts with exponential backoff.
   void service_timers();
+  /// Sends each due flow-table audit; runs after the poll's trains are
+  /// flushed and skips a switch whose burst flush_interval holds back.
+  void send_due_audits();
   /// Handles one expired tracked request on `conn`: re-pushes every flow
   /// the lost train covered (a lost barrier vouches for none of them),
   /// annotating and re-staging any causal traces the train carried.

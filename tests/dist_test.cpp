@@ -388,6 +388,60 @@ TEST(DistributedController, FlowWrittenOnNodeAVisibleOnNodeB) {
 
 // --- anti-entropy: convergence despite genuinely lost messages -----------------
 
+// Drops every replication message until heal_links().
+void drop_all(Cluster& cluster) {
+  auto inj = std::make_shared<faults::Injector>(1);
+  faults::FaultPlan plan;
+  plan.drop = 1.0;
+  inj->set_plan(faults::Scope::transport, plan);
+  attach_faults(cluster.transport(), inj);
+}
+
+void heal_links(Cluster& cluster) {
+  attach_faults(cluster.transport(), nullptr);
+}
+
+Result<vfs::NodeId> resolve(ReplicatedYancFs& fs, const std::string& path) {
+  vfs::NodeId node = fs.root();
+  for (const auto& comp : split_nonempty(path, '/')) {
+    auto next = fs.lookup(node, comp);
+    if (!next) return next.error();
+    node = *next;
+  }
+  return node;
+}
+
+/// File content on one replica, "<missing>" when the path does not exist.
+std::string read_at(ReplicatedYancFs& fs, const std::string& path) {
+  auto node = resolve(fs, path);
+  if (!node) return "<missing>";
+  auto data = fs.read(*node, 0, 1 << 20, {});
+  return data ? *data : "<unreadable>";
+}
+
+/// Every node at or below `path` on one replica: "dir", "file:<bytes>" or
+/// "link:<target>", keyed by path.
+std::map<std::string, std::string> tree(ReplicatedYancFs& fs,
+                                        const std::string& path) {
+  std::map<std::string, std::string> out;
+  auto walk = [&](auto& self, vfs::NodeId node, const std::string& at) {
+    auto st = fs.getattr(node);
+    if (!st) return;
+    if (st->is_symlink()) {
+      out[at] = "link:" + fs.readlink(node).value_or("");
+    } else if (!st->is_dir()) {
+      out[at] = "file:" + fs.read(node, 0, st->size, {}).value_or("");
+    } else {
+      out[at] = "dir";
+      if (auto children = fs.readdir(node))
+        for (const auto& child : *children)
+          self(self, child.node, at + "/" + child.name);
+    }
+  };
+  if (auto node = resolve(fs, path)) walk(walk, *node, path);
+  return out;
+}
+
 // The partition model retransmits (TCP-style); the fault filter actually
 // loses messages.  Op-log replication cannot recover from that — the
 // anti-entropy pass must.
@@ -470,6 +524,168 @@ TEST(AntiEntropy, TombstonePreventsResurrection) {
   // Deleted everywhere, resurrected nowhere.
   EXPECT_FALSE(fs0->lookup(*switches0, "doomed").ok());
   EXPECT_FALSE(fs1->lookup(*switches1, "doomed").ok());
+}
+
+// A tombstone covers its path and what lies below it, not every path that
+// merely starts with the same characters.
+TEST(AntiEntropy, TombstoneStopsAtPathBoundary) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  drop_all(cluster);
+  auto switches0 = resolve(*fs0, "/switches");
+  for (const char* name : {"sw1", "sw10", "sw1x"})
+    ASSERT_TRUE(fs0->mkdir(*switches0, name, 0755, {}).ok());
+  // The tombstone is newer than both neighbours' creations.
+  ASSERT_FALSE(fs0->rmdir(*switches0, "sw1", {}));
+  scheduler.run_until_idle();
+  heal_links(cluster);
+
+  fs0->send_anti_entropy();
+  scheduler.run_until_idle();
+  EXPECT_FALSE(resolve(*fs1, "/switches/sw1").ok());
+  EXPECT_TRUE(resolve(*fs1, "/switches/sw10").ok());
+  EXPECT_TRUE(resolve(*fs1, "/switches/sw1x").ok());
+}
+
+// A directory's tombstone also out-ranks a peer's older copy of a file
+// inside it: merging that copy must not bring the directory back.
+TEST(AntiEntropy, DirectoryTombstoneSuppressesStaleFileBelow) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  auto switches0 = resolve(*fs0, "/switches");
+  ASSERT_TRUE(fs0->mkdir(*switches0, "sw1", 0755, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_TRUE(
+      fs1->write(*resolve(*fs1, "/switches/sw1/id"), 0, "0x42", {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_EQ(read_at(*fs0, "/switches/sw1/id"), "0x42");
+
+  // Node 0 deletes the switch after it saw node 1's write; node 1 never
+  // hears of the deletion and keeps its copy.
+  drop_all(cluster);
+  ASSERT_FALSE(fs0->rmdir(*switches0, "sw1", {}));
+  scheduler.run_until_idle();
+  heal_links(cluster);
+
+  fs1->send_anti_entropy();
+  scheduler.run_until_idle();
+  EXPECT_FALSE(resolve(*fs0, "/switches/sw1").ok());
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  EXPECT_FALSE(resolve(*fs0, "/switches/sw1").ok());
+  EXPECT_FALSE(resolve(*fs1, "/switches/sw1").ok());
+}
+
+// Recreating a file strictly after deleting it out-ranks its own
+// tombstone: the new file survives on both replicas.
+TEST(AntiEntropy, FileRecreatedAfterItsTombstoneSurvives) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  ASSERT_TRUE(fs0->mkdir(*resolve(*fs0, "/switches"), "sw1", 0755, {}).ok());
+  ASSERT_TRUE(
+      fs0->mkdir(*resolve(*fs0, "/switches/sw1/flows"), "f1", 0755, {}).ok());
+  auto flow0 = resolve(*fs0, "/switches/sw1/flows/f1");
+  auto field = fs0->create(*flow0, "match.tp_dst", 0644, {});
+  ASSERT_TRUE(field.ok());
+  ASSERT_TRUE(fs0->write(*field, 0, "22", {}).ok());
+  scheduler.run_until_idle();
+  const std::string path = "/switches/sw1/flows/f1/match.tp_dst";
+  ASSERT_EQ(read_at(*fs1, path), "22");
+
+  drop_all(cluster);
+  ASSERT_FALSE(fs0->unlink(*flow0, "match.tp_dst", {}));
+  field = fs0->create(*flow0, "match.tp_dst", 0644, {});
+  ASSERT_TRUE(field.ok());
+  ASSERT_TRUE(fs0->write(*field, 0, "80", {}).ok());
+  scheduler.run_until_idle();
+  heal_links(cluster);
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  EXPECT_EQ(read_at(*fs0, path), "80");
+  EXPECT_EQ(read_at(*fs1, path), "80");
+}
+
+// One round rebuilds a whole missing switch subtree: the switch
+// directory, flows/, a flow and every field file, byte for byte.
+TEST(AntiEntropy, MissingSwitchSubtreeRestoredInOneRound) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  auto vfs0 = std::make_shared<vfs::Vfs>();
+  ASSERT_FALSE(vfs0->mkdir("/net"));
+  ASSERT_FALSE(vfs0->mount("/net", fs0));
+
+  drop_all(cluster);
+  netfs::NetDir net0(vfs0);
+  ASSERT_FALSE(net0.add_switch("sw1"));
+  ASSERT_FALSE(vfs0->write_file("/net/switches/sw1/id", "0x1f"));
+  FlowSpec spec;
+  spec.priority = 7;
+  spec.match.tp_dst = 22;
+  spec.actions = {Action::output(2)};
+  ASSERT_FALSE(net0.switch_at("sw1").add_flow("ssh", spec));
+  scheduler.run_until_idle();
+  ASSERT_FALSE(resolve(*fs1, "/switches/sw1").ok());
+  heal_links(cluster);
+
+  cluster.anti_entropy_round();
+  scheduler.run_until_idle();
+  auto want = tree(*fs0, "/switches/sw1");
+  ASSERT_EQ(want["/switches/sw1/flows/ssh/match.tp_dst"], "file:22");
+  ASSERT_EQ(want["/switches/sw1/id"], "file:0x1f");
+  EXPECT_EQ(tree(*fs1, "/switches/sw1"), want);
+}
+
+// A write strictly newer than an ancestor's tombstone wins over the
+// deletion: the replica that removed the directory gets it back with the
+// write, and the writer keeps it.
+TEST(AntiEntropy, WriteNewerThanAncestorTombstoneConverges) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  auto switches0 = resolve(*fs0, "/switches");
+  ASSERT_TRUE(fs0->mkdir(*switches0, "x", 0755, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_TRUE(resolve(*fs1, "/switches/x").ok());
+
+  drop_all(cluster);
+  ASSERT_FALSE(fs0->rmdir(*switches0, "x", {}));
+  auto id1 = resolve(*fs1, "/switches/x/id");
+  ASSERT_TRUE(id1.ok());
+  for (int i = 1; i <= 5; ++i)
+    ASSERT_TRUE(fs1->write(*id1, 0, "0x" + std::to_string(i), {}).ok());
+  scheduler.run_until_idle();
+  heal_links(cluster);
+
+  for (int round = 0; round < 3; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  EXPECT_EQ(read_at(*fs1, "/switches/x/id"), "0x5");
+  EXPECT_EQ(read_at(*fs0, "/switches/x/id"), "0x5");
+  EXPECT_EQ(tree(*fs0, "/switches/x"), tree(*fs1, "/switches/x"));
 }
 
 }  // namespace

@@ -653,6 +653,60 @@ TEST(TextDriver, ExperimentalProtocolCoexists) {
   EXPECT_EQ((*events)[0].data, std::string("\x01\xff"));
 }
 
+// An audit that falls due in the poll that drains a commit burst must
+// reach the switch after that poll's FLOW_MOD train, and wait while
+// flush_interval holds the train back: otherwise the flow-stats reply
+// misses the burst and the audit re-pushes every flow of it.
+TEST(DriverAudit, AuditFollowsThePollsFlowModTrain) {
+  struct Case {
+    std::uint64_t audit_interval;
+    std::uint64_t flush_interval;
+  };
+  for (Case c : {Case{1, 0}, Case{3, 0}, Case{1, 2}}) {
+    SCOPED_TRACE("audit_interval=" + std::to_string(c.audit_interval) +
+                 " flush_interval=" + std::to_string(c.flush_interval));
+    auto vfs = std::make_shared<vfs::Vfs>();
+    ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+    net::Scheduler scheduler;
+    net::Network network(scheduler);
+    DriverOptions opts;
+    opts.audit_interval = c.audit_interval;
+    opts.flush_interval = c.flush_interval;
+    OfDriver driver(vfs, opts);
+    sw::SwitchOptions sopts;
+    sopts.datapath_id = 0x42;
+    sw::Switch s("dp42", sopts, network);
+    s.add_port(1, MacAddress::from_u64(1), "eth1");
+    s.connect(driver.listener().connect());
+    auto run = [&](int polls) {
+      for (int i = 0; i < polls; ++i) {
+        driver.poll();
+        s.pump();
+        scheduler.run_until_idle();
+      }
+    };
+    run(30);
+    netfs::NetDir net(vfs);
+    ASSERT_EQ(*net.switch_at("sw1").read_field("status"), "up");
+    auto* repairs = vfs->metrics()->counter("driver/of/audit_repair_total");
+    const auto repairs_before = repairs->value();
+    const auto mods_before = s.flow_mods_received();
+
+    for (int i = 0; i < 8; ++i) {
+      FlowSpec spec;
+      spec.match.tp_dst = static_cast<std::uint16_t>(1000 + i);
+      spec.actions = {Action::output(1)};
+      ASSERT_FALSE(net.switch_at("sw1").add_flow("f" + std::to_string(i),
+                                                 spec));
+    }
+    run(24);
+
+    EXPECT_EQ(s.table().size(), 8u);
+    EXPECT_EQ(s.flow_mods_received() - mods_before, 8u);
+    EXPECT_EQ(repairs->value() - repairs_before, 0u);
+  }
+}
+
 // --- failure domains (docs/ROBUSTNESS.md) --------------------------------------
 
 // A switch that stops answering keepalives is declared dead: status=down,
