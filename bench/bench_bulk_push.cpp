@@ -99,26 +99,25 @@ BENCHMARK(BM_BulkPush_Libyanc)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-// End to end through the real pipeline (ISSUE 5): YancFs writes -> watch
-// shard -> FLOW_MOD egress -> software switch, batching off (Arg 0) vs on
-// (Arg 1).  Each iteration commits a burst of flows, settles to hardware,
-// then removes them and settles again, so the table stays bounded and the
-// timing covers both directions of the commit protocol.  Producing the
-// burst (write_flow / remove_all) costs the same in both modes, so it
-// runs outside the timer; what is measured is the driver pipeline the
-// burst then flows through.  The batched pipeline's edge is structural —
-// one sparse flow read, one packed wire train, one barrier, and one
-// counter RMW per burst instead of per flow — and `mean_batch` (the
-// driver/of/batch_size mean) shows the train size actually achieved.
+// End to end through the real pipeline: YancFs writes -> watch shard ->
+// FLOW_MOD egress -> software switch, with every FLOW_MOD sealed in a
+// wire buffer of its own (Arg 0: max_batch = 1) vs packed trains (Arg 1:
+// the default max_batch).  Each iteration commits a burst of flows,
+// settles to hardware, then removes them and settles again, so the table
+// stays bounded and the timing covers both directions of the commit
+// protocol.  Producing the burst (write_flow / remove_all) costs the same
+// in both arms, so it runs outside the timer; what is measured is the
+// driver pipeline the burst then flows through.  `mean_batch` (the
+// driver/of/batch_size mean) shows the FLOW_MODs per train achieved.
 void BM_BulkPush_DriverPipeline(benchmark::State& state) {
-  const bool batching = state.range(0) != 0;
+  const bool packed = state.range(0) != 0;
   constexpr int kBurst = 64;
   auto v = std::make_shared<vfs::Vfs>();
   (void)netfs::mount_yanc_fs(*v);
   net::Scheduler scheduler;
   net::Network network(scheduler);
   driver::DriverOptions opts;
-  opts.batching = batching;
+  if (!packed) opts.max_batch = 1;
   // The periodic flow-table audit fires on tick counts, not on work, so
   // at benchmark iteration rates it lands mid-commit and re-pushes whole
   // bursts — seed-dependent noise, not pipeline cost.  Off for the

@@ -93,7 +93,7 @@ struct World {
       std::make_shared<faults::Injector>(1);
   std::unique_ptr<driver::OfDriver> driver;
   std::vector<std::unique_ptr<sw::Switch>> switches;
-  std::shared_ptr<obs::StatsFs> stats;
+  std::shared_ptr<vfs::SynthFs> stats;
 
   World() {
     (void)netfs::mount_yanc_fs(*vfs);

@@ -9,8 +9,10 @@
 #             lock-coverage sweep (scripts/analyze.sh --coverage), a
 #             lockdep-OFF release build proving the wrappers compile
 #             away, the benchmark's smoke mode on reactive_l2 and
-#             cluster_push (yancbench/run.py --smoke: each must report
-#             "correct": true and "failed": 0), then ASan/UBSan over the
+#             cluster_push (yancbench/run.py --smoke) plus one traced
+#             read_monitor run at its full shape (4 reader threads, the
+#             only workload that reads /yanc/.stats) — each must report
+#             "correct": true and "failed": 0 — then ASan/UBSan over the
 #             full suite and TSan over the concurrency suites via
 #             scripts/sanitize.sh.
 #   --fast  — static-only yanc-analyze, stop before the coverage sweep
@@ -86,10 +88,15 @@ ctest --test-dir build-release --output-on-failure -j "$(nproc)" \
 
 # The benchmark's gated workloads at tiny sizes: every output checked,
 # no op failed (yancbench/README.md).  Timings of a smoke run mean nothing.
-echo "=== yancbench smoke (reactive_l2, cluster_push) ==="
-for workload in reactive_l2 cluster_push; do
+# read_monitor runs at its full shape instead: its smoke shape has two
+# threads, and its /yanc/.stats reads must hold up against four (one
+# traced run: fixed rounds, so it stays short).
+echo "=== yancbench smoke (reactive_l2, cluster_push, read_monitor) ==="
+for workload in reactive_l2 cluster_push read_monitor; do
+  mode=(--trace 0 --smoke)
+  [[ "$workload" == read_monitor ]] && mode=(--trace 1)
   result=$(python3 yancbench/run.py --workload "$workload" --seed 1 \
-             --seconds 2 --trace 0 --smoke | tail -n 1)
+             --seconds 2 "${mode[@]}" | tail -n 1)
   if ! python3 -c '
 import json, sys
 r = json.loads(sys.argv[1])
@@ -110,6 +117,6 @@ echo "=== asan+ubsan ==="
 scripts/sanitize.sh asan
 
 echo "=== tsan (concurrency suites + lockdep) ==="
-scripts/sanitize.sh tsan build-tsan -R '(vfs|netfs|dbg)_test'
+scripts/sanitize.sh tsan build-tsan -R '(vfs|netfs|obs|faults|dbg)_test'
 
 echo "check.sh: all gates passed"

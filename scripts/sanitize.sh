@@ -6,9 +6,9 @@
 #
 #   asan  — ASan+UBSan over the full test suite (default dir: build-asan)
 #   tsan  — ThreadSanitizer over the concurrency-sensitive suites
-#           (vfs_test, netfs_test; default dir: build-tsan).  Extra
-#           ctest args after the build dir are passed through, e.g.
-#           scripts/sanitize.sh tsan build-tsan -R vfs_test
+#           (vfs_test, netfs_test, obs_test, faults_test; default dir:
+#           build-tsan).  Extra ctest args after the build dir are passed
+#           through, e.g. scripts/sanitize.sh tsan build-tsan -R vfs_test
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +29,8 @@ if [[ "$MODE" == tsan ]]; then
   if [[ $# -gt 0 ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
   else
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -R '(vfs|netfs)_test'
+    ctest --test-dir "$BUILD_DIR" --output-on-failure \
+      -R '(vfs|netfs|obs|faults)_test'
   fi
 else
   BUILD_DIR="${1:-build-asan}"; shift || true

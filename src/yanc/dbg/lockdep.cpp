@@ -19,8 +19,7 @@ const char* rank_name(Rank r) noexcept {
     case Rank::vfs_emit: return "vfs_emit";
     case Rank::watch_registry: return "watch_registry";
     case Rank::watch_queue: return "watch_queue";
-    case Rank::stats_fs: return "stats_fs";
-    case Rank::faults_fs: return "faults_fs";
+    case Rank::synth_fs: return "synth_fs";
     case Rank::faults_injector: return "faults_injector";
     case Rank::obs_metrics: return "obs_metrics";
     case Rank::obs_trace: return "obs_trace";
@@ -30,7 +29,6 @@ const char* rank_name(Rank r) noexcept {
     case Rank::packet_pool: return "packet_pool";
     case Rank::dist_transport: return "dist_transport";
     case Rank::driver: return "driver";
-    case Rank::trace_fs: return "trace_fs";
     case Rank::cluster_manager: return "cluster_manager";
   }
   return "unknown_rank";

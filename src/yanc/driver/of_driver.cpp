@@ -47,7 +47,7 @@ struct OfDriver::Connection {
   // a natural unit — one burst, one switch, one wire train.
   vfs::WatchQueuePtr fs_queue;
 
-  // Egress burst (batching mode): FLOW_MODs queued since the last flush.
+  // Egress burst: FLOW_MODs queued since the last flush.
   // Sealed buffers each pack up to max_batch messages; the whole burst
   // leaves in one vectored send_batch capped by a single barrier.
   struct Egress {
@@ -188,8 +188,7 @@ OfDriver::OfDriver(std::shared_ptr<vfs::Vfs> vfs, DriverOptions options)
   metrics_.watch_drops = reg.counter("netfs/watch_drop_total");
   metrics_.watch_coalesced = reg.counter("watch/coalesced_total");
   // Knobs surface read-only under /yanc/.stats so a shell can confirm
-  // what pipeline a running driver is on.
-  reg.gauge("driver/of/batching")->set(options_.batching ? 1 : 0);
+  // what a running driver is configured with.
   reg.gauge("driver/of/max_batch")
       ->set(static_cast<std::int64_t>(options_.max_batch));
   reg.gauge("driver/of/flush_interval")
@@ -215,11 +214,10 @@ Result<std::string> OfDriver::switch_name(std::uint64_t dpid) const {
 
 std::uint32_t OfDriver::send(Connection& conn, const ofp::Message& message) {
   // Cluster self-fence: a node that does not own this dpid must not
-  // mutate it.  send_flow_mod gates the batched path before queueing;
-  // this catches the direct sends (PACKET_OUT, PORT_MOD, unbatched mods).
+  // mutate it.  send_flow_mod gates FLOW_MODs before queueing; this
+  // catches the direct sends (PACKET_OUT, PORT_MOD).
   if (options_.egress_gate && !options_.egress_gate(conn.dpid) &&
-      (std::holds_alternative<ofp::FlowMod>(message) ||
-       std::holds_alternative<ofp::PacketOut>(message) ||
+      (std::holds_alternative<ofp::PacketOut>(message) ||
        std::holds_alternative<ofp::PortMod>(message))) {
     metrics_.egress_gated_total->add();
     return 0;
@@ -239,9 +237,7 @@ std::uint32_t OfDriver::send(Connection& conn, const ofp::Message& message) {
     return 0;
   }
   metrics_.msg_out_total->add();
-  if (std::holds_alternative<ofp::FlowMod>(message))
-    metrics_.flow_mod_total->add();
-  else if (std::holds_alternative<ofp::PacketOut>(message))
+  if (std::holds_alternative<ofp::PacketOut>(message))
     metrics_.packet_out_total->add();
   return xid;
 }
@@ -253,23 +249,6 @@ void OfDriver::send_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
     metrics_.egress_gated_total->add();
     return;
   }
-  if (options_.batching) {
-    queue_flow_mod(conn, fm);
-    return;
-  }
-  std::uint32_t xid = send(conn, fm);
-  if (xid == 0) return;
-  // Stage the causal context under the message's xid: the switch claims
-  // it on receipt, and the next tracked barrier (track_commit) adopts the
-  // staged copy so its ack — or its loss — closes the trace.
-  if (auto ref = obs::current_trace()) {
-    obs::tracer().wire_put(conn.dpid, xid, ref);
-    conn.egress.traces.push_back(ref);
-    conn.egress.xids.push_back(xid);
-  }
-}
-
-void OfDriver::queue_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
   auto& eg = conn.egress;
   if (eg.mods == 0 && eg.bufs.empty()) eg.first_tick = tick_;
   if (!eg.enc) eg.enc.emplace(options_.version);
@@ -281,6 +260,9 @@ void OfDriver::queue_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
     return;
   }
   ++eg.mods;
+  // Stage the causal context under the message's xid: the switch claims
+  // it on receipt, and the train's barrier adopts the staged copy so its
+  // ack — or its loss — closes the trace.
   if (auto ref = obs::current_trace()) {
     obs::tracer().wire_put(conn.dpid, xid, ref);
     eg.traces.push_back(ref);
@@ -288,13 +270,6 @@ void OfDriver::queue_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
   }
   if (eg.enc->count() >= options_.max_batch)
     eg.bufs.push_back(eg.enc->take());  // seal; enc is empty and reusable
-}
-
-void OfDriver::note_flow_mod_counter(Connection& conn) {
-  if (options_.batching)
-    ++conn.egress.counter_delta;  // one FS read-modify-write per burst
-  else
-    bump_counter(conn.path + "/counters/flow_mods");
 }
 
 void OfDriver::flush_egress(Connection& conn) {
@@ -386,8 +361,7 @@ std::size_t OfDriver::poll() {
   // Ship every burst the poll accumulated (drains, audit repairs,
   // retries) — one vectored train per switch per quantum, unless
   // flush_interval holds a still-filling burst for a later poll.
-  if (options_.batching)
-    for (auto& conn : connections_) flush_egress(*conn);
+  for (auto& conn : connections_) flush_egress(*conn);
   // After the trains: the switch applies them before it answers.
   send_due_audits();
 
@@ -417,12 +391,11 @@ std::size_t OfDriver::accept_new() {
     conn->last_audit_tick = tick_;
     conn->fs_queue =
         std::make_shared<vfs::WatchQueue>(options_.fs_queue_capacity);
-    conn->fs_queue->set_coalescing(options_.batching &&
-                                   options_.coalesce_watch_events);
+    conn->fs_queue->set_coalescing(true);
     conn->fs_queue->bind_metrics(metrics_.watch_depth, metrics_.watch_drops,
                                  metrics_.watch_coalesced);
     send(*conn, ofp::Hello{});
-    track_commit(*conn, {}, 0);  // tracked FeaturesRequest
+    request_features(*conn, 0);
     connections_.push_back(std::move(conn));
     ++accepted;
   }
@@ -720,10 +693,7 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   auto& state = state_it->second;
 
   std::string flow_dir = conn.path + "/flows/" + flow_name;
-  // The batch consumer amortizes the read too: one readdir replaces the
-  // ~20 negative probes of the field-by-field path (docs/PERFORMANCE.md).
-  auto spec = options_.batching ? netfs::read_flow_sparse(*vfs_, flow_dir)
-                                : netfs::read_flow(*vfs_, flow_dir);
+  auto spec = netfs::read_flow(*vfs_, flow_dir);
   if (!spec) {
     log_error("driver", "unreadable flow " + flow_dir + ": " +
                             spec.error().message());
@@ -749,16 +719,12 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   add.spec = *spec;
   add.flags = ofp::kFlagSendFlowRemoved;
   send_flow_mod(conn, add);
-  note_flow_mod_counter(conn);
+  ++conn.egress.counter_delta;
   // A barrier covers the commit; until its reply arrives the flow_mod is
-  // not assumed to have survived the wire.  Batching defers the barrier
-  // to the burst's flush — one barrier vouches for the whole train.
-  if (options_.batching) {
-    conn.egress.flows.push_back(flow_name);
-    conn.egress.retries = std::max(conn.egress.retries, retries);
-  } else {
-    track_commit(conn, {flow_name}, retries);
-  }
+  // not assumed to have survived the wire.  The barrier goes out at the
+  // burst's flush — one barrier vouches for the whole train.
+  conn.egress.flows.push_back(flow_name);
+  conn.egress.retries = std::max(conn.egress.retries, retries);
 
   state.pushed_version = spec->version;
   state.pushed_tick = tick_;
@@ -771,16 +737,13 @@ std::size_t OfDriver::drain_fs_events() {
   // without touching sw2's queue, and an overflow rescans only its own
   // switch.  Iterate by index: handlers (pktout, audits) never add
   // connections, but reap-safety is poll()'s job, not drain's.
-  for (auto& conn : connections_)
-    handled += options_.batching ? drain_shard_batched(*conn)
-                                 : drain_shard(*conn);
+  for (auto& conn : connections_) handled += drain_shard(*conn);
   return handled;
 }
 
-// Shared by both drain paths: everything except flow pushes.  Returns
-// true when it consumed the event; flow-commit events (flows_dir,
-// flow_version) are left for the caller, which is where the two
-// pipelines differ.
+// Everything except flow pushes.  Returns true when it consumed the
+// event; flow-commit events (flows_dir, flow_version) are left for the
+// caller, which defers them to the end of the burst.
 bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
                                 const WatchContext& ctx,
                                 std::set<NodeId>& seen_level_triggered) {
@@ -836,7 +799,7 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
   return true;
 }
 
-// Handles a flows_dir deletion; shared by both drain paths.
+// Handles a flows_dir deletion.
 void OfDriver::handle_flow_deleted(Connection& conn,
                                    const std::string& name) {
   auto it = conn.flows.find(name);
@@ -847,51 +810,13 @@ void OfDriver::handle_flow_deleted(Connection& conn,
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = it->second.pushed;
     send_flow_mod(conn, del);
-    note_flow_mod_counter(conn);
+    ++conn.egress.counter_delta;
   }
   watch_contexts_.erase(it->second.version_node);
   conn.flows.erase(it);
 }
 
 std::size_t OfDriver::drain_shard(Connection& conn) {
-  std::size_t handled = 0;
-  // Level-triggered contexts (flow versions, port configs, packet-out
-  // send flags) are read-current-state handlers: several queued MODIFY
-  // events for the same node collapse into one action per drain.
-  std::set<NodeId> seen_level_triggered;
-  while (auto event = conn.fs_queue->try_pop()) {
-    ++handled;
-    if (event->is(vfs::event::overflow)) {
-      // This shard overflowed: rescan this switch (only this switch).
-      log_error("driver", conn.name + ": watch queue overflow; rescanning");
-      if (conn.state == Connection::State::ready) rescan_flows(conn);
-      continue;
-    }
-    auto ctx_it = watch_contexts_.find(event->node);
-    if (ctx_it == watch_contexts_.end()) continue;
-    WatchContext ctx = ctx_it->second;
-    if (handle_aux_event(conn, *event, ctx, seen_level_triggered)) continue;
-
-    if (ctx.kind == WatchContext::Kind::flows_dir) {
-      if (event->is(vfs::event::created)) {
-        watch_flow(conn, event->name);
-        CommitTrace trace(event->trace, event->trace_ts_ns);
-        push_flow(conn, event->name);  // may already be committed
-      } else if (event->is(vfs::event::deleted)) {
-        CommitTrace trace(event->trace, event->trace_ts_ns);
-        handle_flow_deleted(conn, event->name);
-      }
-    } else {  // flow_version
-      if (seen_level_triggered.insert(event->node).second) {
-        CommitTrace trace(event->trace, event->trace_ts_ns);
-        push_flow(conn, ctx.name);
-      }
-    }
-  }
-  return handled;
-}
-
-std::size_t OfDriver::drain_shard_batched(Connection& conn) {
   std::size_t handled = 0;
   std::set<NodeId> seen_level_triggered;
   // A burst's commit events dedup to one read+push per flow: a create
@@ -1004,7 +929,7 @@ void OfDriver::rescan_flows(Connection& conn) {
         del.command = ofp::FlowMod::Command::remove_strict;
         del.spec = it->second.pushed;
         send_flow_mod(conn, del);
-        note_flow_mod_counter(conn);
+        ++conn.egress.counter_delta;
       }
       watch_contexts_.erase(it->second.version_node);
       conn.flows.erase(it);
@@ -1025,7 +950,7 @@ void OfDriver::rescan_flows(Connection& conn) {
       del.command = ofp::FlowMod::Command::remove_strict;
       del.spec = it->second.pushed;
       send_flow_mod(conn, del);
-      note_flow_mod_counter(conn);
+      ++conn.egress.counter_delta;
     }
     watch_contexts_.erase(it->second.version_node);
     it = conn.flows.erase(it);
@@ -1063,12 +988,8 @@ void OfDriver::mark_down(Connection& conn) {
   (void)vfs_->write_file(conn.path + "/connected", "0");
 }
 
-void OfDriver::track_commit(Connection& conn, std::vector<std::string> flows,
-                            std::uint32_t retries) {
-  std::uint32_t xid =
-      flows.empty()
-          ? send(conn, ofp::FeaturesRequest{})
-          : send(conn, ofp::BarrierRequest{});
+void OfDriver::request_features(Connection& conn, std::uint32_t retries) {
+  std::uint32_t xid = send(conn, ofp::FeaturesRequest{});
   if (!xid) return;
   // Bounded exponential backoff: timeout doubles per retry (shift capped
   // so the arithmetic can't overflow).
@@ -1076,20 +997,8 @@ void OfDriver::track_commit(Connection& conn, std::vector<std::string> flows,
                        << std::min<std::uint32_t>(retries, 16);
   auto& req = conn.pending[xid];
   req = PendingRequest{};
-  req.flows = std::move(flows);
   req.deadline = tick_ + wait;
   req.retries = retries;
-  // Adopt contexts staged by send_flow_mod since the last tracked request
-  // (per-event pipeline: the barrier right after each push).  A preceding
-  // untracked delete's context rides along too — correctly, since this
-  // barrier vouches for everything sent before it.
-  if (!conn.egress.traces.empty()) {
-    req.traces = std::move(conn.egress.traces);
-    req.xids = std::move(conn.egress.xids);
-    req.sent_ns = obs::Tracer::now_ns();
-    conn.egress.traces.clear();
-    conn.egress.xids.clear();
-  }
 }
 
 void OfDriver::retry_request(Connection& conn,
@@ -1104,25 +1013,22 @@ void OfDriver::retry_request(Connection& conn,
   if (request.flows.empty()) {
     // Handshake lost on the wire: ask again.
     if (conn.state == Connection::State::handshaking)
-      track_commit(conn, {}, retries);
+      request_features(conn, retries);
     return;
   }
-  // Re-stage the traces *before* re-pushing: non-batching's track_commit
-  // (called inside push_flow) and batching's flush both adopt the staged
-  // list, so the retry train's tracked request inherits them either way.
+  // Re-stage the traces: the retry train's barrier adopts the staged list
+  // at flush, so the eventual ack still closes every original trace.
   conn.egress.traces.insert(conn.egress.traces.end(), request.traces.begin(),
                             request.traces.end());
   // The lost barrier vouched for every commit on its train: re-push them
-  // all.  (Batching gathers the re-pushes into one new train at flush.)
+  // all, gathered into one new train at flush.
   for (const auto& flow_name : request.flows) {
     auto it = conn.flows.find(flow_name);
     if (it == conn.flows.end()) continue;  // deleted; audit covers it
     it->second.pushed_version = 0;         // force the re-send
     push_flow(conn, flow_name, retries);
   }
-  if (!options_.batching) return;
-  // The per-flow track_commit path is bypassed when batching; make sure
-  // the retry count rides the next train even if push_flow skipped work.
+  // The retry count rides the next train even if push_flow skipped work.
   conn.egress.retries = std::max(conn.egress.retries, retries);
 }
 

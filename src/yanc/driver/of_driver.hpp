@@ -64,23 +64,19 @@ struct DriverOptions {
   /// dropped FLOW_MOD whose barrier still got through).  0 disables.
   std::uint64_t audit_interval = 512;
 
-  // Batched event pipeline knobs (docs/PERFORMANCE.md "Batching").
-  // Mirrored read-only under /yanc/.stats as driver/of/{batching,
-  // max_batch,flush_interval} gauges.
-  /// On: per-switch watch shards drain in batches, a commit burst leaves
-  /// as one packed FLOW_MOD train capped by a single barrier, and flow
-  /// reads go through the sparse (readdir-first) path.  Off: the
-  /// per-event pipeline — one read, one FLOW_MOD, one barrier per flow.
-  bool batching = true;
+  // Event pipeline knobs (docs/PERFORMANCE.md "Batching").  Per-switch
+  // watch shards drain in batches, adjacent same-path modify events
+  // coalesce at the shard queue, and a commit burst leaves as one
+  // vectored FLOW_MOD train capped by a single barrier.  Mirrored
+  // read-only under /yanc/.stats as driver/of/{max_batch,flush_interval}
+  // gauges.
   /// Events drained per batch; also the max messages packed per wire
   /// buffer (a longer burst spans several buffers in one vectored send).
+  /// 1 seals every FLOW_MOD in a buffer of its own.
   std::size_t max_batch = 256;
   /// Ticks a non-empty egress burst may keep accumulating before it is
   /// flushed.  0 flushes at the end of every poll (lowest latency).
   std::uint64_t flush_interval = 0;
-  /// Coalesce adjacent same-path modify events at the shard queues
-  /// (effective only while `batching` is on, so off means off).
-  bool coalesce_watch_events = true;
 
   /// Cluster self-fencing valve (docs/ROBUSTNESS.md "Cluster failover"):
   /// when set, state-mutating egress (FLOW_MOD, PACKET_OUT, PORT_MOD) for
@@ -138,14 +134,11 @@ class OfDriver {
   std::size_t accept_new();
   std::size_t pump_connection(Connection& conn);
   std::size_t drain_fs_events();
-  /// Per-event shard drain (batching off): the pre-batching pipeline.
+  /// Shard drain: pops events max_batch at a time, dedups a burst's
+  /// commits to one read+push per flow, queues the FLOW_MODs.
   std::size_t drain_shard(Connection& conn);
-  /// Batched shard drain: pops events max_batch at a time, dedups a
-  /// burst's commits to one read+push per flow, queues the FLOW_MODs.
-  std::size_t drain_shard_batched(Connection& conn);
-  /// Non-flow event dispatch shared by both drain paths (ports, packet
-  /// out).  Returns false for flow-commit events, which the two drain
-  /// paths handle differently.
+  /// Non-flow event dispatch (ports, packet out).  Returns false for
+  /// flow-commit events, which drain_shard defers to the burst's end.
   bool handle_aux_event(Connection& conn, const vfs::Event& event,
                         const WatchContext& ctx,
                         std::set<vfs::NodeId>& seen_level_triggered);
@@ -169,32 +162,28 @@ class OfDriver {
                  std::uint32_t retries = 0);
   void send_packet_out_dir(Connection& conn, const std::string& name);
   void bump_counter(const std::string& path, std::uint64_t delta = 1);
-  /// Encodes and transmits; returns the xid used, or 0 when the message
-  /// could not be encoded or the peer is gone (counted in send_fail_total).
+  /// Encodes and transmits any message but a FLOW_MOD (those go through
+  /// send_flow_mod); returns the xid used, or 0 when the message could
+  /// not be encoded or the peer is gone (counted in send_fail_total).
   std::uint32_t send(Connection& conn, const ofp::Message& message);
-  /// FLOW_MOD egress valve: queues into the connection's burst when
-  /// batching, sends immediately otherwise.  Every FLOW_MOD goes through
-  /// here so deletes and adds of one burst keep their relative order.
+  /// FLOW_MOD egress valve: appends `fm` to the connection's burst,
+  /// sealing the current buffer at max_batch.  Every FLOW_MOD goes
+  /// through here so deletes and adds of one burst keep their relative
+  /// order.
   void send_flow_mod(Connection& conn, const ofp::FlowMod& fm);
-  /// Appends `fm` to the burst, sealing the current buffer at max_batch.
-  void queue_flow_mod(Connection& conn, const ofp::FlowMod& fm);
   /// Ships the accumulated burst: seals the open buffer, appends one
   /// barrier covering every commit in the train, vectored-sends the
-  /// buffers, records driver/of/batch_size, arms the retry timer.
+  /// buffers, bumps counters/flow_mods once for the burst, records
+  /// driver/of/batch_size, arms the retry timer.
   void flush_egress(Connection& conn);
-  /// counters/flow_mods bump — deferred to the flush when batching (one
-  /// FS read-modify-write per burst instead of per flow).
-  void note_flow_mod_counter(Connection& conn);
 
   // --- failure domains (docs/ROBUSTNESS.md) ---------------------------
   /// Writes status=down + connected=0 for the switch, once, unless a
   /// newer connection for the same dpid has taken over the directory.
   void mark_down(Connection& conn);
-  /// Sends a tracked request covering the commits of `flows` (empty list
-  /// = the features handshake); arms the retry timer.  Batching mode
-  /// tracks whole trains through flush_egress instead.
-  void track_commit(Connection& conn, std::vector<std::string> flows,
-                    std::uint32_t retries);
+  /// Sends the tracked features handshake; arms the retry timer.  Commit
+  /// trains are tracked by their barrier in flush_egress.
+  void request_features(Connection& conn, std::uint32_t retries);
   /// Keepalives, request timeouts with exponential backoff.
   void service_timers();
   /// Sends each due flow-table audit; runs after the poll's trains are

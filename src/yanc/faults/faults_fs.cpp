@@ -4,198 +4,33 @@
 
 namespace yanc::faults {
 
-using vfs::Credentials;
-using vfs::NodeId;
-
-FaultsFs::FaultsFs(std::shared_ptr<Injector> injector)
-    : injector_(std::move(injector)) {}
-
-std::string FaultsFs::content_of(NodeId node) const {
-  switch (node) {
-    case kChannelPolicy:
-      return injector_->plan(Scope::channel).format() + "\n";
-    case kTransportPolicy:
-      return injector_->plan(Scope::transport).format() + "\n";
-    case kSeed:
-      return std::to_string(injector_->seed()) + "\n";
-    default:
-      return {};
-  }
-}
-
-Result<NodeId> FaultsFs::lookup(NodeId parent, const std::string& name) {
-  if (is_file(parent)) return Errc::not_dir;
-  if (parent == kRoot) {
-    if (name == "channel") return kChannelDir;
-    if (name == "transport") return kTransportDir;
-    if (name == "seed") return kSeed;
-  } else if (parent == kChannelDir) {
-    if (name == "policy") return kChannelPolicy;
-  } else if (parent == kTransportDir) {
-    if (name == "policy") return kTransportPolicy;
-  }
-  return Errc::not_found;
-}
-
-Result<vfs::Stat> FaultsFs::getattr(NodeId node) {
-  if (!is_dir(node) && !is_file(node)) return Errc::not_found;
-  vfs::Stat st;
-  st.ino = node;
-  st.type = is_dir(node) ? vfs::FileType::directory : vfs::FileType::regular;
-  st.mode = is_dir(node) ? 0755 : 0644;
-  st.nlink = 1;
-  st.size = is_dir(node) ? 1 : content_of(node).size();
-  st.version = injector_->generation();
-  return st;
-}
-
-Result<std::vector<vfs::DirEntry>> FaultsFs::readdir(NodeId dir) {
-  if (is_file(dir)) return Errc::not_dir;
-  std::vector<vfs::DirEntry> out;
-  if (dir == kRoot) {
-    out.push_back({"channel", kChannelDir, vfs::FileType::directory});
-    out.push_back({"seed", kSeed, vfs::FileType::regular});
-    out.push_back({"transport", kTransportDir, vfs::FileType::directory});
-  } else if (dir == kChannelDir) {
-    out.push_back({"policy", kChannelPolicy, vfs::FileType::regular});
-  } else if (dir == kTransportDir) {
-    out.push_back({"policy", kTransportPolicy, vfs::FileType::regular});
-  } else {
-    return Errc::not_found;
-  }
-  return out;
-}
-
-Result<std::string> FaultsFs::readlink(NodeId) {
-  return Errc::invalid_argument;
-}
-
-Result<std::string> FaultsFs::read(NodeId node, std::uint64_t offset,
-                                   std::uint64_t size, const Credentials&) {
-  if (is_dir(node)) return Errc::is_dir;
-  if (!is_file(node)) return Errc::not_found;
-  std::string content = content_of(node);
-  if (offset >= content.size()) return std::string();
-  return content.substr(offset, size);
-}
-
-Result<std::vector<std::uint8_t>> FaultsFs::getxattr(NodeId,
-                                                     const std::string&) {
-  return Errc::not_found;
-}
-
-Result<std::vector<std::string>> FaultsFs::listxattr(NodeId) {
-  return std::vector<std::string>{};
-}
-
-Status FaultsFs::access(NodeId node, std::uint8_t want, const Credentials&) {
-  if (!is_dir(node) && !is_file(node)) return Errc::not_found;
-  if ((want & 2) && is_dir(node)) return Errc::access_denied;
-  return ok_status();
-}
-
-Status FaultsFs::apply_write(NodeId node, std::string_view text) {
-  if (node == kSeed) {
-    auto seed = parse_u64(trim(text));
-    if (!seed) return make_error_code(Errc::invalid_argument);
-    injector_->reseed(*seed);
-  } else {
-    auto plan = FaultPlan::parse(text);
-    if (!plan) return plan.error();
-    injector_->set_plan(
-        node == kChannelPolicy ? Scope::channel : Scope::transport, *plan);
-  }
-  dbg::LockGuard lock(mu_);
-  watches_.emit(node, vfs::event::modified);
-  watches_.emit(node == kSeed ? kRoot
-                              : (node == kChannelPolicy ? kChannelDir
-                                                        : kTransportDir),
-                vfs::event::modified, node == kSeed ? "seed" : "policy");
-  return ok_status();
-}
-
-Result<std::uint64_t> FaultsFs::write(NodeId node, std::uint64_t offset,
-                                      std::string_view data,
-                                      const Credentials&) {
-  if (is_dir(node)) return Errc::is_dir;
-  if (!is_file(node)) return Errc::not_found;
-  // Control files are whole-value writes (echo > file); partial or
-  // offset writes have no sensible parse.
-  if (offset != 0) return Errc::invalid_argument;
-  if (auto ec = apply_write(node, data)) return ec;
-  return static_cast<std::uint64_t>(data.size());
-}
-
-Status FaultsFs::truncate(NodeId node, std::uint64_t size,
-                          const Credentials&) {
-  if (is_dir(node)) return Errc::is_dir;
-  if (!is_file(node)) return Errc::not_found;
-  // O_TRUNC on open: accepted as a no-op so `echo x > policy` works; the
-  // value only changes when the new content arrives in write().
-  return size == 0 ? ok_status() : make_error_code(Errc::invalid_argument);
-}
-
-Result<NodeId> FaultsFs::mkdir(NodeId, const std::string&, std::uint32_t,
-                               const Credentials&) {
-  return Errc::not_permitted;
-}
-Result<NodeId> FaultsFs::create(NodeId, const std::string&, std::uint32_t,
-                                const Credentials&) {
-  return Errc::not_permitted;
-}
-Result<NodeId> FaultsFs::symlink(NodeId, const std::string&,
-                                 const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::link(NodeId, NodeId, const std::string&,
-                      const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::unlink(NodeId, const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::rmdir(NodeId, const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::rename(NodeId, const std::string&, NodeId,
-                        const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::chmod(NodeId, std::uint32_t, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::chown(NodeId, vfs::Uid, vfs::Gid, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::setxattr(NodeId, const std::string&,
-                          std::vector<std::uint8_t>, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status FaultsFs::removexattr(NodeId, const std::string&,
-                             const Credentials&) {
-  return Errc::not_permitted;
-}
-
-Result<vfs::WatchRegistry::WatchId> FaultsFs::watch(NodeId node,
-                                                    std::uint32_t mask,
-                                                    vfs::WatchQueuePtr queue) {
-  if (!is_dir(node) && !is_file(node)) return Errc::not_found;
-  dbg::LockGuard lock(mu_);
-  return watches_.add(node, mask, std::move(queue));
-}
-
-void FaultsFs::unwatch(vfs::WatchRegistry::WatchId id) {
-  dbg::LockGuard lock(mu_);
-  watches_.remove(id);
-}
-
-Result<std::shared_ptr<FaultsFs>> mount_faults_fs(
+Result<std::shared_ptr<vfs::SynthFs>> mount_faults_fs(
     vfs::Vfs& vfs, std::shared_ptr<Injector> injector,
     const std::string& mount_path) {
   if (!injector) return Errc::invalid_argument;
   injector->bind_metrics(*vfs.metrics());
-  if (auto ec = vfs.mkdir_p(mount_path, 0755, Credentials::root())) return ec;
-  auto fs = std::make_shared<FaultsFs>(std::move(injector));
+  if (auto ec = vfs.mkdir_p(mount_path, 0755, vfs::Credentials::root()))
+    return ec;
+  auto fs = std::make_shared<vfs::SynthFs>();
+  for (auto [scope, path] : {std::pair{Scope::channel, "channel/policy"},
+                             std::pair{Scope::transport, "transport/policy"}})
+    fs->add_file(
+        path,
+        [injector, scope] { return injector->plan(scope).format() + "\n"; },
+        [injector, scope](std::string_view text) -> Status {
+          auto plan = FaultPlan::parse(text);
+          if (!plan) return plan.error();
+          injector->set_plan(scope, *plan);
+          return ok_status();
+        });
+  fs->add_file(
+      "seed", [injector] { return std::to_string(injector->seed()) + "\n"; },
+      [injector](std::string_view text) -> Status {
+        auto seed = parse_u64(trim(text));
+        if (!seed) return make_error_code(Errc::invalid_argument);
+        injector->reseed(*seed);
+        return ok_status();
+      });
   if (auto ec = vfs.mount(mount_path, fs)) return ec;
   return fs;
 }

@@ -1,4 +1,4 @@
-// FaultsFs: the fault injector's control knobs as a writable file system.
+// /yanc/.faults: the fault injector's control knobs as writable files.
 //
 // The yanc way to configure anything is a file write, so fault injection
 // is driven from the shell like everything else:
@@ -19,101 +19,15 @@
 #include <memory>
 
 #include "yanc/faults/injector.hpp"
-#include "yanc/vfs/filesystem.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 #include "yanc/vfs/vfs.hpp"
 
 namespace yanc::faults {
 
-class FaultsFs : public vfs::Filesystem {
- public:
-  explicit FaultsFs(std::shared_ptr<Injector> injector);
-
-  vfs::NodeId root() const override { return kRoot; }
-
-  // --- namespace ----------------------------------------------------------
-  Result<vfs::NodeId> lookup(vfs::NodeId parent,
-                             const std::string& name) override;
-  Result<vfs::Stat> getattr(vfs::NodeId node) override;
-  Result<std::vector<vfs::DirEntry>> readdir(vfs::NodeId dir) override;
-  Result<std::string> readlink(vfs::NodeId node) override;
-  Result<std::string> read(vfs::NodeId node, std::uint64_t offset,
-                           std::uint64_t size,
-                           const vfs::Credentials& creds) override;
-  Result<std::vector<std::uint8_t>> getxattr(vfs::NodeId node,
-                                             const std::string& name) override;
-  Result<std::vector<std::string>> listxattr(vfs::NodeId node) override;
-  Status access(vfs::NodeId node, std::uint8_t want,
-                const vfs::Credentials& creds) override;
-
-  // --- control writes -----------------------------------------------------
-  Result<std::uint64_t> write(vfs::NodeId node, std::uint64_t offset,
-                              std::string_view data,
-                              const vfs::Credentials& creds) override;
-  Status truncate(vfs::NodeId node, std::uint64_t size,
-                  const vfs::Credentials& creds) override;
-
-  // --- namespace mutations: the tree is fixed -----------------------------
-  Result<vfs::NodeId> mkdir(vfs::NodeId, const std::string&, std::uint32_t,
-                            const vfs::Credentials&) override;
-  Result<vfs::NodeId> create(vfs::NodeId, const std::string&, std::uint32_t,
-                             const vfs::Credentials&) override;
-  Result<vfs::NodeId> symlink(vfs::NodeId, const std::string&,
-                              const std::string&,
-                              const vfs::Credentials&) override;
-  Status link(vfs::NodeId, vfs::NodeId, const std::string&,
-              const vfs::Credentials&) override;
-  Status unlink(vfs::NodeId, const std::string&,
-                const vfs::Credentials&) override;
-  Status rmdir(vfs::NodeId, const std::string&,
-               const vfs::Credentials&) override;
-  Status rename(vfs::NodeId, const std::string&, vfs::NodeId,
-                const std::string&, const vfs::Credentials&) override;
-  Status chmod(vfs::NodeId, std::uint32_t, const vfs::Credentials&) override;
-  Status chown(vfs::NodeId, vfs::Uid, vfs::Gid,
-               const vfs::Credentials&) override;
-  Status setxattr(vfs::NodeId, const std::string&,
-                  std::vector<std::uint8_t>, const vfs::Credentials&) override;
-  Status removexattr(vfs::NodeId, const std::string&,
-                     const vfs::Credentials&) override;
-
-  // --- monitoring ---------------------------------------------------------
-  Result<vfs::WatchRegistry::WatchId> watch(vfs::NodeId node,
-                                            std::uint32_t mask,
-                                            vfs::WatchQueuePtr queue) override;
-  void unwatch(vfs::WatchRegistry::WatchId id) override;
-
-  const std::shared_ptr<Injector>& injector() const noexcept {
-    return injector_;
-  }
-
- private:
-  // The whole tree is six fixed nodes.
-  static constexpr vfs::NodeId kRoot = 1;
-  static constexpr vfs::NodeId kChannelDir = 2;
-  static constexpr vfs::NodeId kTransportDir = 3;
-  static constexpr vfs::NodeId kChannelPolicy = 4;
-  static constexpr vfs::NodeId kTransportPolicy = 5;
-  static constexpr vfs::NodeId kSeed = 6;
-
-  static bool is_dir(vfs::NodeId node) {
-    return node == kRoot || node == kChannelDir || node == kTransportDir;
-  }
-  static bool is_file(vfs::NodeId node) {
-    return node == kChannelPolicy || node == kTransportPolicy ||
-           node == kSeed;
-  }
-  std::string content_of(vfs::NodeId node) const;
-  Status apply_write(vfs::NodeId node, std::string_view text);
-
-  std::shared_ptr<Injector> injector_;
-  dbg::Mutex<dbg::Rank::faults_fs> mu_;
-  vfs::WatchRegistry watches_;
-};
-
-/// Creates a FaultsFs over `injector`, binds its counters into `vfs`'s
-/// metrics registry, and mounts it at `mount_path` (creating the mount
-/// point).  Sibling of obs::mount_stats_fs.
-Result<std::shared_ptr<FaultsFs>> mount_faults_fs(
+/// Declares the knob tree over `injector`, binds its counters into
+/// `vfs`'s metrics registry, and mounts it at `mount_path` (creating the
+/// mount point).  Sibling of obs::mount_stats_fs.
+Result<std::shared_ptr<vfs::SynthFs>> mount_faults_fs(
     vfs::Vfs& vfs, std::shared_ptr<Injector> injector,
     const std::string& mount_path = "/yanc/.faults");
 

@@ -7,7 +7,6 @@ namespace yanc::faults {
 void Injector::reseed(std::uint64_t seed) {
   dbg::LockGuard lock(mu_);
   rng_.reseed(seed);
-  ++generation_;
 }
 
 std::uint64_t Injector::seed() const {
@@ -23,12 +22,6 @@ FaultPlan Injector::plan(Scope scope) const {
 void Injector::set_plan(Scope scope, FaultPlan plan) {
   dbg::LockGuard lock(mu_);
   plans_[static_cast<int>(scope)] = plan;
-  ++generation_;
-}
-
-std::uint64_t Injector::generation() const {
-  dbg::LockGuard lock(mu_);
-  return generation_;
 }
 
 void Injector::bind_metrics(obs::Registry& registry) {

@@ -45,8 +45,6 @@ class Injector {
 
   FaultPlan plan(Scope scope) const;
   void set_plan(Scope scope, FaultPlan plan);
-  /// Bumps every time a plan or the seed changes (FaultsFs cache key).
-  std::uint64_t generation() const;
 
   /// Registers faults/{drop,duplicate,reorder,corrupt,delay,disconnect}_total.
   void bind_metrics(obs::Registry& registry);
@@ -61,7 +59,6 @@ class Injector {
   mutable dbg::Mutex<dbg::Rank::faults_injector> mu_;
   util::Rng rng_;
   FaultPlan plans_[2];
-  std::uint64_t generation_ = 0;
 
   struct Counters {
     obs::Counter* drop = nullptr;

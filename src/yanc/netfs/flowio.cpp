@@ -30,19 +30,17 @@ std::optional<std::string> read_field(Vfs& vfs, const std::string& dir,
   return std::string(trimmed);
 }
 
-// Field access for the two read_flow variants.  The dense reader probes
-// every file (each absent field is a negative VFS lookup); the sparse
-// reader consults a readdir() snapshot first, so absent fields cost a
-// set lookup instead of a path resolution.  Either way the value read is
-// read_field's, so both variants parse byte-identical inputs.
+// Field access for read_flow: a readdir() snapshot is consulted first,
+// so each of the ~20 fields a typically sparse flow leaves absent costs a
+// set lookup instead of a negative path resolution.
 struct FieldReader {
   Vfs& vfs;
   const std::string& dir;
   const Credentials& creds;
-  const std::set<std::string, std::less<>>* present = nullptr;
+  const std::set<std::string, std::less<>>& present;
 
   std::optional<std::string> operator()(const char* name) const {
-    if (present && !present->count(name)) return std::nullopt;
+    if (!present.count(name)) return std::nullopt;
     return read_field(vfs, dir, name, creds);
   }
 };
@@ -203,20 +201,13 @@ Result<FlowSpec> read_flow_impl(const FieldReader& field) {
 
 Result<FlowSpec> read_flow(Vfs& vfs, const std::string& dir,
                            const Credentials& creds) {
-  if (auto st = vfs.stat(dir, creds); !st)
-    return st.error();
-  return read_flow_impl(FieldReader{vfs, dir, creds, nullptr});
-}
-
-Result<FlowSpec> read_flow_sparse(Vfs& vfs, const std::string& dir,
-                                  const Credentials& creds) {
-  // The listing doubles as the existence check stat() performs on the
-  // dense path, so a deleted flow still reports not_found here.
+  // The listing doubles as the existence check: a deleted flow reports
+  // not_found.
   auto entries = vfs.readdir(dir, creds);
   if (!entries) return entries.error();
   std::set<std::string, std::less<>> present;
   for (auto& e : *entries) present.insert(std::move(e.name));
-  return read_flow_impl(FieldReader{vfs, dir, creds, &present});
+  return read_flow_impl(FieldReader{vfs, dir, creds, present});
 }
 
 Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,

@@ -19,17 +19,11 @@
 namespace yanc::netfs {
 
 /// Reads a committed flow directory into a FlowSpec (including `version`).
+/// Lists the directory once and reads only the files the listing
+/// contains, so the ~20 absent-field probes of a typically sparse flow
+/// are set lookups, not path resolutions.
 Result<flow::FlowSpec> read_flow(vfs::Vfs& vfs, const std::string& flow_dir,
                                  const vfs::Credentials& creds = {});
-
-/// Like read_flow, but lists the directory once and reads only the files
-/// the listing contains, so the ~20 absent-field probes of a typically
-/// sparse flow become set lookups.  Returns the same FlowSpec as
-/// read_flow for any directory state; used by the driver's batched
-/// pipeline (docs/PERFORMANCE.md "Batching").
-Result<flow::FlowSpec> read_flow_sparse(vfs::Vfs& vfs,
-                                        const std::string& flow_dir,
-                                        const vfs::Credentials& creds = {});
 
 /// Writes `spec` into `flow_dir`, creating the directory if needed,
 /// removing match/action files the spec no longer carries, and — when

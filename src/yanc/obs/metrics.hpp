@@ -3,8 +3,8 @@
 //
 // The paper's thesis is that *all* controller state should be observable
 // through the file system; this registry is the in-memory half of that
-// story, and StatsFs (stats_fs.hpp) is the procfs-style subtree that
-// materializes it at /yanc/.stats.
+// story, and mount_stats_fs (stats_fs.hpp) materializes it as the
+// procfs-style subtree /yanc/.stats.
 //
 // Usage contract:
 //   * registration (`registry.counter("vfs/lookup_total")`) takes a mutex
@@ -14,9 +14,10 @@
 //   * updates through handles are single relaxed atomic ops; concurrent
 //     writers never block each other or readers.
 //   * metric names are '/'-separated paths ("subsystem/metric_total");
-//     StatsFs turns each segment into a directory level.  Counters end in
-//     `_total`, gauges describe a level (`_depth`, `_bytes`), histograms
-//     end in their unit (`_ns`) and export `<name>_{count,p50,p90,p99}`.
+//     /yanc/.stats turns each segment into a directory level.  Counters
+//     end in `_total`, gauges describe a level (`_depth`, `_bytes`),
+//     histograms end in their unit (`_ns`) and export
+//     `<name>_{count,p50,p90,p99}`.
 #pragma once
 
 #include <array>
@@ -117,7 +118,7 @@ class Histogram {
 
 enum class MetricKind : std::uint8_t { counter, gauge, histogram };
 
-/// One exported (path, value) pair — what StatsFs turns into a file.
+/// One exported (path, value) pair — what /yanc/.stats turns into a file.
 struct ExportedValue {
   std::string path;  // e.g. "vfs/lookup_total", "vfs/op_ns_p99"
   std::string value;
@@ -141,8 +142,8 @@ class Registry {
   bool contains(std::string_view name) const;
   std::size_t size() const;
 
-  /// Bumped on every registration; lets StatsFs cache its tree until the
-  /// name set actually changes.
+  /// Bumped on every registration; lets /yanc/.stats keep its tree until
+  /// the name set actually changes.
   std::uint64_t generation() const noexcept {
     return generation_.load(std::memory_order_acquire);
   }
@@ -152,7 +153,7 @@ class Registry {
   std::vector<ExportedValue> export_values() const;
 
   /// Export paths only (values are formatted on demand by value_of) —
-  /// this is what StatsFs builds its directory tree from.
+  /// this is what /yanc/.stats builds its directory tree from.
   std::vector<std::string> export_paths() const;
 
   /// Current formatted value of one exported path ("vfs/op_ns_p99"),

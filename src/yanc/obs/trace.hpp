@@ -3,7 +3,7 @@
 // Subsystems record what happened and when against the simulation's
 // VirtualClock (or any other nanosecond timestamp source); the ring keeps
 // the most recent `capacity` records and counts what it had to drop.
-// StatsFs exposes the ring as the `/yanc/.stats/trace` file, so
+// mount_stats_fs exposes the ring as the `/yanc/.stats/trace` file, so
 // `cat /yanc/.stats/trace` answers "what did the controller just do" the
 // same way the rest of the paper's state model answers "what is the
 // controller's state".
@@ -11,7 +11,7 @@
 // Records optionally carry causal linkage (trace_id / span_id /
 // parent_span_id, plus the queue-wait preceding the span's service time):
 // the Tracer (yanc/obs/tracer.hpp) threads these through the pipeline and
-// TraceFs reconstructs per-trace span trees from them.  Legacy records
+// /yanc/.trace reconstructs per-trace span trees from them.  Legacy records
 // leave the linkage fields zero and render exactly as before.
 #pragma once
 

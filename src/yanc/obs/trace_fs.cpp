@@ -1,15 +1,13 @@
 #include "yanc/obs/trace_fs.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 
 #include "yanc/util/strings.hpp"
 
 namespace yanc::obs {
-
-using vfs::Credentials;
-using vfs::NodeId;
 
 namespace {
 
@@ -157,140 +155,9 @@ std::string render_chrome_json(const std::vector<TraceEvent>& events) {
   return out;
 }
 
-}  // namespace
-
-TraceFs::TraceFs(Tracer* t) : tracer_(t ? t : &tracer()) {}
-
-std::string TraceFs::content_of(NodeId node) const {
-  switch (node) {
-    case kCtl:
-      // Reading ctl shows the accepted grammar (self-documenting knob).
-      return "# start | stop | clear | sample_every=N | capacity=N |"
-             " trigger=dur_ns>DUR | trigger=off\n";
-    case kStatus: {
-      std::string out;
-      out += "enabled " + std::to_string(tracer_->enabled() ? 1 : 0) + "\n";
-      out += "sample_every " + std::to_string(tracer_->sample_every()) + "\n";
-      out += "trigger_ns " + std::to_string(tracer_->trigger_ns()) + "\n";
-      out += "capacity " + std::to_string(tracer_->ring().capacity()) + "\n";
-      out +=
-          "events " + std::to_string(tracer_->ring().snapshot().size()) + "\n";
-      out += "inflight " + std::to_string(tracer_->inflight()) + "\n";
-      return out;
-    }
-    case kExport:
-      return render_chrome_json(tracer_->ring().snapshot());
-    default: {
-      std::uint64_t trace_id = trace_for_node(node);
-      if (trace_id == 0) return {};
-      return render_trace(tracer_->ring().snapshot(), trace_id);
-    }
-  }
-}
-
-NodeId TraceFs::node_for_trace(std::uint64_t trace_id) {
-  dbg::LockGuard lock(mu_);
-  auto it = trace_nodes_.find(trace_id);
-  if (it != trace_nodes_.end()) return it->second;
-  NodeId node = next_dynamic_++;
-  trace_nodes_.emplace(trace_id, node);
-  node_traces_.emplace(node, trace_id);
-  return node;
-}
-
-std::uint64_t TraceFs::trace_for_node(NodeId node) const {
-  dbg::LockGuard lock(mu_);
-  auto it = node_traces_.find(node);
-  return it == node_traces_.end() ? 0 : it->second;
-}
-
-Result<NodeId> TraceFs::lookup(NodeId parent, const std::string& name) {
-  if (parent == kRoot) {
-    if (name == "ctl") return kCtl;
-    if (name == "status") return kStatus;
-    if (name == "export.json") return kExport;
-    if (name == "by-id") return kByIdDir;
-    return Errc::not_found;
-  }
-  if (parent == kByIdDir) {
-    auto id = parse_u64(name);
-    if (!id || *id == 0) return Errc::not_found;
-    for (const auto& e : tracer_->ring().snapshot())
-      if (e.trace_id == *id) return node_for_trace(*id);
-    return Errc::not_found;
-  }
-  return is_fixed_file(parent) || trace_for_node(parent) ? Errc::not_dir
-                                                         : Errc::not_found;
-}
-
-Result<vfs::Stat> TraceFs::getattr(NodeId node) {
-  bool file = is_fixed_file(node) || trace_for_node(node) != 0;
-  if (!is_dir(node) && !file) return Errc::not_found;
-  vfs::Stat st;
-  st.ino = node;
-  st.type = is_dir(node) ? vfs::FileType::directory : vfs::FileType::regular;
-  st.mode = is_dir(node) ? 0755 : (node == kCtl ? 0644 : 0444);
-  st.nlink = 1;
-  st.size = is_dir(node) ? 1 : content_of(node).size();
-  st.version = 1;
-  return st;
-}
-
-Result<std::vector<vfs::DirEntry>> TraceFs::readdir(NodeId dir) {
-  std::vector<vfs::DirEntry> out;
-  if (dir == kRoot) {
-    out.push_back({"by-id", kByIdDir, vfs::FileType::directory});
-    out.push_back({"ctl", kCtl, vfs::FileType::regular});
-    out.push_back({"export.json", kExport, vfs::FileType::regular});
-    out.push_back({"status", kStatus, vfs::FileType::regular});
-    return out;
-  }
-  if (dir == kByIdDir) {
-    std::set<std::uint64_t> ids;
-    for (const auto& e : tracer_->ring().snapshot())
-      if (e.trace_id != 0) ids.insert(e.trace_id);
-    for (std::uint64_t id : ids)
-      out.push_back({std::to_string(id), node_for_trace(id),
-                     vfs::FileType::regular});
-    return out;
-  }
-  if (is_fixed_file(dir) || trace_for_node(dir)) return Errc::not_dir;
-  return Errc::not_found;
-}
-
-Result<std::string> TraceFs::readlink(NodeId) {
-  return Errc::invalid_argument;
-}
-
-Result<std::string> TraceFs::read(NodeId node, std::uint64_t offset,
-                                  std::uint64_t size, const Credentials&) {
-  if (is_dir(node)) return Errc::is_dir;
-  if (!is_fixed_file(node) && trace_for_node(node) == 0)
-    return Errc::not_found;
-  std::string content = content_of(node);
-  if (offset >= content.size()) return std::string();
-  return content.substr(offset, size);
-}
-
-Result<std::vector<std::uint8_t>> TraceFs::getxattr(NodeId,
-                                                    const std::string&) {
-  return Errc::not_found;
-}
-
-Result<std::vector<std::string>> TraceFs::listxattr(NodeId) {
-  return std::vector<std::string>{};
-}
-
-Status TraceFs::access(NodeId node, std::uint8_t want, const Credentials&) {
-  bool file = is_fixed_file(node) || trace_for_node(node) != 0;
-  if (!is_dir(node) && !file) return Errc::not_found;
-  if ((want & 2) && node != kCtl) return Errc::access_denied;
-  return ok_status();
-}
-
-Status TraceFs::apply_ctl(std::string_view text) {
-  // Parse every token before applying any (echo of FaultsFs: an invalid
-  // line is EINVAL and changes nothing).
+/// Applies one ctl line.  Every token is parsed before any is applied
+/// (an invalid line is EINVAL and changes nothing).
+Status apply_ctl(Tracer& tracer, std::string_view text) {
   struct Pending {
     bool start = false, stop = false, clear = false;
     std::optional<std::uint32_t> sample_every;
@@ -332,106 +199,65 @@ Status TraceFs::apply_ctl(std::string_view text) {
   if (pending.start && pending.stop)
     return make_error_code(Errc::invalid_argument);
 
-  if (pending.clear) {
-    tracer_->clear();
-    dbg::LockGuard lock(mu_);
-    trace_nodes_.clear();
-    node_traces_.clear();
-  }
-  if (pending.capacity) tracer_->set_capacity(*pending.capacity);
-  if (pending.sample_every) tracer_->set_sample_every(*pending.sample_every);
-  if (pending.trigger_ns) tracer_->set_trigger_ns(*pending.trigger_ns);
-  if (pending.stop) tracer_->stop();
-  if (pending.start) tracer_->start();
-
-  dbg::LockGuard lock(mu_);
-  watches_.emit(kCtl, vfs::event::modified);
-  watches_.emit(kStatus, vfs::event::modified);
-  watches_.emit(kRoot, vfs::event::modified, "ctl");
+  if (pending.clear) tracer.clear();
+  if (pending.capacity) tracer.set_capacity(*pending.capacity);
+  if (pending.sample_every) tracer.set_sample_every(*pending.sample_every);
+  if (pending.trigger_ns) tracer.set_trigger_ns(*pending.trigger_ns);
+  if (pending.stop) tracer.stop();
+  if (pending.start) tracer.start();
   return ok_status();
 }
 
-Result<std::uint64_t> TraceFs::write(NodeId node, std::uint64_t offset,
-                                     std::string_view data,
-                                     const Credentials&) {
-  if (is_dir(node)) return Errc::is_dir;
-  if (!is_fixed_file(node) && trace_for_node(node) == 0)
-    return Errc::not_found;
-  if (node != kCtl) return Errc::access_denied;
-  // Control writes are whole-value (echo > ctl); offset writes have no
-  // sensible parse.
-  if (offset != 0) return Errc::invalid_argument;
-  if (auto ec = apply_ctl(data)) return ec;
-  return static_cast<std::uint64_t>(data.size());
+}  // namespace
+
+std::shared_ptr<vfs::SynthFs> make_trace_fs(Tracer& tracer) {
+  Tracer* t = &tracer;
+  auto fs = std::make_shared<vfs::SynthFs>();
+  fs->add_file(
+      "ctl",
+      [] {
+        // Reading ctl shows the accepted grammar (self-documenting knob).
+        return std::string(
+            "# start | stop | clear | sample_every=N | capacity=N |"
+            " trigger=dur_ns>DUR | trigger=off\n");
+      },
+      [t](std::string_view text) { return apply_ctl(*t, text); });
+  fs->add_file("status", [t] {
+    std::string out;
+    out += "enabled " + std::to_string(t->enabled() ? 1 : 0) + "\n";
+    out += "sample_every " + std::to_string(t->sample_every()) + "\n";
+    out += "trigger_ns " + std::to_string(t->trigger_ns()) + "\n";
+    out += "capacity " + std::to_string(t->ring().capacity()) + "\n";
+    out += "events " + std::to_string(t->ring().snapshot().size()) + "\n";
+    out += "inflight " + std::to_string(t->inflight()) + "\n";
+    return out;
+  });
+  fs->add_file("export.json",
+               [t] { return render_chrome_json(t->ring().snapshot()); });
+  fs->add_list(
+      "by-id",
+      [t] {
+        std::set<std::uint64_t> ids;
+        for (const auto& e : t->ring().snapshot())
+          if (e.trace_id != 0) ids.insert(e.trace_id);
+        std::vector<std::string> names;
+        names.reserve(ids.size());
+        for (std::uint64_t id : ids) names.push_back(std::to_string(id));
+        return names;
+      },
+      [t](const std::string& name) {
+        auto id = parse_u64(name);
+        return id ? render_trace(t->ring().snapshot(), *id) : std::string();
+      });
+  return fs;
 }
 
-Status TraceFs::truncate(NodeId node, std::uint64_t size, const Credentials&) {
-  if (is_dir(node)) return Errc::is_dir;
-  if (!is_fixed_file(node) && trace_for_node(node) == 0)
-    return Errc::not_found;
-  if (node != kCtl) return Errc::access_denied;
-  // O_TRUNC on open: accepted as a no-op so `echo start > ctl` works.
-  return size == 0 ? ok_status() : make_error_code(Errc::invalid_argument);
-}
-
-Result<NodeId> TraceFs::mkdir(NodeId, const std::string&, std::uint32_t,
-                              const Credentials&) {
-  return Errc::not_permitted;
-}
-Result<NodeId> TraceFs::create(NodeId, const std::string&, std::uint32_t,
-                               const Credentials&) {
-  return Errc::not_permitted;
-}
-Result<NodeId> TraceFs::symlink(NodeId, const std::string&, const std::string&,
-                                const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::link(NodeId, NodeId, const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::unlink(NodeId, const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::rmdir(NodeId, const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::rename(NodeId, const std::string&, NodeId, const std::string&,
-                       const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::chmod(NodeId, std::uint32_t, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::chown(NodeId, vfs::Uid, vfs::Gid, const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::setxattr(NodeId, const std::string&, std::vector<std::uint8_t>,
-                         const Credentials&) {
-  return Errc::not_permitted;
-}
-Status TraceFs::removexattr(NodeId, const std::string&, const Credentials&) {
-  return Errc::not_permitted;
-}
-
-Result<vfs::WatchRegistry::WatchId> TraceFs::watch(NodeId node,
-                                                   std::uint32_t mask,
-                                                   vfs::WatchQueuePtr queue) {
-  if (!is_dir(node) && !is_fixed_file(node) && trace_for_node(node) == 0)
-    return Errc::not_found;
-  dbg::LockGuard lock(mu_);
-  return watches_.add(node, mask, std::move(queue));
-}
-
-void TraceFs::unwatch(vfs::WatchRegistry::WatchId id) {
-  dbg::LockGuard lock(mu_);
-  watches_.remove(id);
-}
-
-Result<std::shared_ptr<TraceFs>> mount_trace_fs(vfs::Vfs& vfs,
-                                                const std::string& mount_path) {
+Result<std::shared_ptr<vfs::SynthFs>> mount_trace_fs(
+    vfs::Vfs& vfs, const std::string& mount_path) {
   tracer().bind_metrics(vfs.metrics());
-  if (auto ec = vfs.mkdir_p(mount_path, 0755, Credentials::root())) return ec;
-  auto fs = std::make_shared<TraceFs>();
+  if (auto ec = vfs.mkdir_p(mount_path, 0755, vfs::Credentials::root()))
+    return ec;
+  auto fs = make_trace_fs(tracer());
   if (auto ec = vfs.mount(mount_path, fs)) return ec;
   return fs;
 }

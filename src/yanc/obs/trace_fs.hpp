@@ -1,4 +1,4 @@
-// TraceFs: causal-trace capture and export as a file system.
+// /yanc/.trace: causal-trace capture and export as a file system.
 //
 // The yanc way to control anything is a file write, so tracing is driven
 // from the shell like everything else:
@@ -12,114 +12,28 @@
 //   $ cat /yanc/.trace/export.json                # Chrome trace_event JSON
 //
 // Writes parse-then-apply: an invalid ctl line fails with EINVAL and
-// changes nothing.  Mounted at /yanc/.trace, a sibling of /yanc/.stats
-// (where the per-stage pipeline/<stage>/{queue_ns,service_ns} histograms
-// this subtree's tracer feeds are visible) and /yanc/.faults.
+// changes nothing.  `by-id` lists the ids in the ring in numeric order.
+// Mounted at /yanc/.trace, a sibling of /yanc/.stats (where the
+// per-stage pipeline/<stage>/{queue_ns,service_ns} histograms this
+// subtree's tracer feeds are visible) and /yanc/.faults.
 #pragma once
 
 #include <memory>
 
 #include "yanc/obs/tracer.hpp"
-#include "yanc/vfs/filesystem.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 #include "yanc/vfs/vfs.hpp"
 
 namespace yanc::obs {
 
-class TraceFs : public vfs::Filesystem {
- public:
-  /// Serves `tracer` (defaults to the process tracer; tests inject their
-  /// own so runs stay isolated).
-  explicit TraceFs(Tracer* tracer = nullptr);
+/// The /yanc/.trace tree over `tracer` (tests pass their own so runs stay
+/// isolated), ready to mount.
+std::shared_ptr<vfs::SynthFs> make_trace_fs(Tracer& tracer);
 
-  vfs::NodeId root() const override { return kRoot; }
-
-  // --- namespace ----------------------------------------------------------
-  Result<vfs::NodeId> lookup(vfs::NodeId parent,
-                             const std::string& name) override;
-  Result<vfs::Stat> getattr(vfs::NodeId node) override;
-  Result<std::vector<vfs::DirEntry>> readdir(vfs::NodeId dir) override;
-  Result<std::string> readlink(vfs::NodeId node) override;
-  Result<std::string> read(vfs::NodeId node, std::uint64_t offset,
-                           std::uint64_t size,
-                           const vfs::Credentials& creds) override;
-  Result<std::vector<std::uint8_t>> getxattr(vfs::NodeId node,
-                                             const std::string& name) override;
-  Result<std::vector<std::string>> listxattr(vfs::NodeId node) override;
-  Status access(vfs::NodeId node, std::uint8_t want,
-                const vfs::Credentials& creds) override;
-
-  // --- control writes -----------------------------------------------------
-  Result<std::uint64_t> write(vfs::NodeId node, std::uint64_t offset,
-                              std::string_view data,
-                              const vfs::Credentials& creds) override;
-  Status truncate(vfs::NodeId node, std::uint64_t size,
-                  const vfs::Credentials& creds) override;
-
-  // --- namespace mutations: the tree is read-only -------------------------
-  Result<vfs::NodeId> mkdir(vfs::NodeId, const std::string&, std::uint32_t,
-                            const vfs::Credentials&) override;
-  Result<vfs::NodeId> create(vfs::NodeId, const std::string&, std::uint32_t,
-                             const vfs::Credentials&) override;
-  Result<vfs::NodeId> symlink(vfs::NodeId, const std::string&,
-                              const std::string&,
-                              const vfs::Credentials&) override;
-  Status link(vfs::NodeId, vfs::NodeId, const std::string&,
-              const vfs::Credentials&) override;
-  Status unlink(vfs::NodeId, const std::string&,
-                const vfs::Credentials&) override;
-  Status rmdir(vfs::NodeId, const std::string&,
-               const vfs::Credentials&) override;
-  Status rename(vfs::NodeId, const std::string&, vfs::NodeId,
-                const std::string&, const vfs::Credentials&) override;
-  Status chmod(vfs::NodeId, std::uint32_t, const vfs::Credentials&) override;
-  Status chown(vfs::NodeId, vfs::Uid, vfs::Gid,
-               const vfs::Credentials&) override;
-  Status setxattr(vfs::NodeId, const std::string&,
-                  std::vector<std::uint8_t>, const vfs::Credentials&) override;
-  Status removexattr(vfs::NodeId, const std::string&,
-                     const vfs::Credentials&) override;
-
-  // --- monitoring ---------------------------------------------------------
-  Result<vfs::WatchRegistry::WatchId> watch(vfs::NodeId node,
-                                            std::uint32_t mask,
-                                            vfs::WatchQueuePtr queue) override;
-  void unwatch(vfs::WatchRegistry::WatchId id) override;
-
- private:
-  // Fixed nodes; by-id entries get dynamic ids from kByIdBase up.
-  static constexpr vfs::NodeId kRoot = 1;
-  static constexpr vfs::NodeId kCtl = 2;
-  static constexpr vfs::NodeId kStatus = 3;
-  static constexpr vfs::NodeId kExport = 4;
-  static constexpr vfs::NodeId kByIdDir = 5;
-  static constexpr vfs::NodeId kByIdBase = 100;
-
-  static bool is_dir(vfs::NodeId node) {
-    return node == kRoot || node == kByIdDir;
-  }
-  static bool is_fixed_file(vfs::NodeId node) {
-    return node == kCtl || node == kStatus || node == kExport;
-  }
-
-  std::string content_of(vfs::NodeId node) const;
-  Status apply_ctl(std::string_view text);
-  /// Assigns (or returns) the stable NodeId serving `trace_id`.
-  vfs::NodeId node_for_trace(std::uint64_t trace_id);
-  /// The trace a dynamic node serves, or 0.
-  std::uint64_t trace_for_node(vfs::NodeId node) const;
-
-  Tracer* tracer_;
-  mutable dbg::Mutex<dbg::Rank::trace_fs> mu_;
-  vfs::NodeId next_dynamic_ = kByIdBase;
-  std::map<std::uint64_t, vfs::NodeId> trace_nodes_;
-  std::map<vfs::NodeId, std::uint64_t> node_traces_;
-  vfs::WatchRegistry watches_;
-};
-
-/// Creates a TraceFs over the process tracer, binds the tracer's
+/// Declares the tree over the process tracer, binds the tracer's
 /// per-stage histograms into `vfs`'s metrics registry, and mounts it at
 /// `mount_path` (creating the mount point).  Sibling of mount_stats_fs.
-Result<std::shared_ptr<TraceFs>> mount_trace_fs(
+Result<std::shared_ptr<vfs::SynthFs>> mount_trace_fs(
     vfs::Vfs& vfs, const std::string& mount_path = "/yanc/.trace");
 
 }  // namespace yanc::obs

@@ -95,7 +95,7 @@ class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 4096) : ring_(capacity) {}
 
-  // --- capture control (driven by TraceFs's ctl file) ---------------------
+  // --- capture control (driven by /yanc/.trace/ctl) -----------------------
   void start() { enabled_.store(true, std::memory_order_relaxed); }
   void stop() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const noexcept {

@@ -171,8 +171,9 @@ class Vfs {
   void reset_counters();
 
   /// The metrics registry every subsystem working over this Vfs shares
-  /// (never null).  StatsFs materializes it at /yanc/.stats; drivers,
-  /// netfs and the distributed layer register their own handles here.
+  /// (never null).  mount_stats_fs materializes it at /yanc/.stats;
+  /// drivers, netfs and the distributed layer register their own handles
+  /// here.
   const std::shared_ptr<obs::Registry>& metrics() const noexcept {
     return metrics_;
   }

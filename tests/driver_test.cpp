@@ -895,9 +895,10 @@ TEST(DriverOverflowRecovery, RescanRearmsWatchesAndReconcilesDeletions) {
 // dpid behind a 5% lossy link, and require the wire flow table to end up
 // byte-identical to the committed flows/ directory — for ten consecutive
 // RNG seeds (override the base with YANC_FAULT_SEED).  Runs once per
-// pipeline: batched trains and the per-event path must converge to the
-// same hardware table under the same faults.
-void run_reconnect_resync_matrix(bool batching) {
+// train shape: packed trains and one-FLOW_MOD-per-buffer trains
+// (max_batch = 1) must converge to the same hardware table under the
+// same faults.
+void run_reconnect_resync_matrix(std::size_t max_batch) {
   const char* env = std::getenv("YANC_FAULT_SEED");
   const std::uint64_t base = env ? std::strtoull(env, nullptr, 10) : 1;
   for (std::uint64_t seed = base; seed < base + 10; ++seed) {
@@ -912,7 +913,7 @@ void run_reconnect_resync_matrix(bool batching) {
     opts.request_timeout = 4;
     opts.max_retries = 8;
     opts.audit_interval = 16;
-    opts.batching = batching;
+    opts.max_batch = max_batch;
     OfDriver driver(vfs, opts);
     auto injector = std::make_shared<faults::Injector>(seed);
     driver.listener().set_fault_hook_factory(
@@ -1016,11 +1017,11 @@ void run_reconnect_resync_matrix(bool batching) {
 }
 
 TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeeds) {
-  run_reconnect_resync_matrix(/*batching=*/true);
+  run_reconnect_resync_matrix(DriverOptions{}.max_batch);
 }
 
-TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeedsUnbatched) {
-  run_reconnect_resync_matrix(/*batching=*/false);
+TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeedsMaxBatchOne) {
+  run_reconnect_resync_matrix(/*max_batch=*/1);
 }
 
 TEST(DriverVersionMismatch, WrongDialectClosed) {

@@ -347,6 +347,21 @@ TEST_F(FaultsFsTest, SeedWriteReseeds) {
   EXPECT_TRUE(vfs->write_file("/yanc/.faults/seed", "not-a-number"));
 }
 
+TEST_F(FaultsFsTest, WatchSeesAcceptedWritesOnly) {
+  auto queue = std::make_shared<vfs::WatchQueue>();
+  auto watch = vfs->watch("/yanc/.faults/channel/policy",
+                          vfs::event::modified, queue);
+  ASSERT_TRUE(watch.ok());
+  ASSERT_FALSE(
+      vfs->write_file("/yanc/.faults/channel/policy", "drop=0.25"));
+  auto events = queue->drain();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(events[0].is(vfs::event::modified));
+  // A rejected policy changed nothing, so nothing is announced.
+  EXPECT_TRUE(vfs->write_file("/yanc/.faults/channel/policy", "drop=7"));
+  EXPECT_TRUE(queue->drain().empty());
+}
+
 TEST_F(FaultsFsTest, TreeIsImmutable) {
   EXPECT_TRUE(vfs->mkdir("/yanc/.faults/extra"));
   EXPECT_TRUE(vfs->rmdir("/yanc/.faults/channel"));

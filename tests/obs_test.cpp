@@ -4,6 +4,9 @@
 // would (paper §5.4 applied to the controller's own telemetry).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "yanc/dist/replicated.hpp"
 #include "yanc/driver/of_driver.hpp"
 #include "yanc/netfs/yancfs.hpp"
@@ -335,8 +338,7 @@ class TraceFsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_FALSE(vfs->mkdir_p("/yanc/.trace", 0555, vfs::Credentials::root()));
-    ASSERT_FALSE(
-        vfs->mount("/yanc/.trace", std::make_shared<TraceFs>(&tracer)));
+    ASSERT_FALSE(vfs->mount("/yanc/.trace", make_trace_fs(tracer)));
   }
   Status ctl(std::string_view line) {
     return vfs->write_file("/yanc/.trace/ctl", line);
@@ -379,6 +381,19 @@ TEST_F(TraceFsTest, CtlParsesThenAppliesSoBadLinesChangeNothing) {
             make_error_code(Errc::access_denied));
   EXPECT_EQ(vfs->mkdir("/yanc/.trace/by-id/99"),
             make_error_code(Errc::not_permitted));
+}
+
+TEST_F(TraceFsTest, WatchSeesAcceptedCtlWritesOnly) {
+  auto queue = std::make_shared<vfs::WatchQueue>();
+  auto watch = vfs->watch("/yanc/.trace/ctl", vfs::event::modified, queue);
+  ASSERT_TRUE(watch.ok());
+  ASSERT_FALSE(ctl("sample_every=4"));
+  auto events = queue->drain();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_TRUE(events[0].is(vfs::event::modified));
+  // A rejected line changed nothing, so nothing is announced.
+  EXPECT_EQ(ctl("sample_every=0"), make_error_code(Errc::invalid_argument));
+  EXPECT_TRUE(queue->drain().empty());
 }
 
 TEST_F(TraceFsTest, ByIdListsAndRendersSpanTrees) {
@@ -505,6 +520,44 @@ TEST(StatsFsTest, NewMetricsAppearWithoutRemount) {
   EXPECT_EQ(trim(*text), "3");
 }
 
+// Metrics registered while other threads read the tree: every metric
+// registered before a read starts must resolve, however the tree's
+// catch-up with the registry interleaves with the read.
+TEST(StatsFsTest, RegisteredMetricsResolveDuringConcurrentRegistration) {
+  constexpr int kRounds = 8;  // a fresh tree each: many catch-ups to race
+  constexpr int kMetrics = 256;
+  auto name = [](int i) { return "race/m" + std::to_string(i) + "_total"; };
+  for (int round = 0; round < kRounds; ++round) {
+    auto vfs = std::make_shared<vfs::Vfs>();
+    ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+    std::atomic<int> registered{0};
+    std::atomic<int> misses{0};
+    std::vector<std::thread> readers;
+    for (std::uint64_t t = 1; t <= 3; ++t)
+      readers.emplace_back([&, t] {
+        std::uint64_t state = t;
+        for (;;) {
+          int n = registered.load(std::memory_order_acquire);
+          if (n == kMetrics) return;
+          if (n == 0) continue;
+          // Mostly the newest metrics: a tree that has not caught up
+          // with the registry lacks exactly those.
+          state = state * 6364136223846793005ull + 1442695040888963407ull;
+          int i = n - 1 - static_cast<int>((state >> 33) % 4u);
+          if (i < 0) i = 0;
+          if (!vfs->read_file("/yanc/.stats/" + name(i))) ++misses;
+        }
+      });
+    for (int i = 0; i < kMetrics; ++i) {
+      vfs->metrics()->counter(name(i))->add();
+      registered.store(i + 1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+    for (auto& reader : readers) reader.join();
+    EXPECT_EQ(misses.load(), 0) << "round " << round;
+  }
+}
+
 TEST(StatsFsTest, RefreshEmitsModifiedEventsForWatchers) {
   auto vfs = std::make_shared<vfs::Vfs>();
   auto mounted = mount_stats_fs(*vfs);
@@ -545,10 +598,11 @@ TEST(StatsFsTest, LockEdgeGraphExposedAsFile) {
   auto text = shell::cat(*vfs, "/yanc/.stats/dbg/lock_edges");
   ASSERT_TRUE(text.ok());
 #if YANC_DBG_LOCKS
-  // Mounting alone nests stats_fs over obs_metrics (metric values are
-  // read under the tree lock), so the dump already contains that edge,
-  // in the "<held> <acquired> <site> <site>" format yanc-analyze diffs.
-  EXPECT_NE(text->find("stats_fs obs_metrics "), std::string::npos);
+  // Mounting alone creates the mount point in MemFs, whose watch fan-out
+  // nests watch_registry under vfs_emit, so the dump already contains
+  // that edge, in the "<held> <acquired> <site> <site>" format
+  // yanc-analyze diffs.
+  EXPECT_NE(text->find("vfs_emit watch_registry "), std::string::npos);
 #else
   EXPECT_TRUE(text->empty());  // release builds record no graph
 #endif

@@ -128,8 +128,7 @@ TEST_F(ShellTest, TraceShowReadsCapturedTraces) {
   std::uint64_t t0 = obs::Tracer::now_ns();
   (void)tracer.child(root, "driver", "commit", t0, t0 + 1000, 250);
   ASSERT_FALSE(vfs->mkdir_p("/yanc/.trace", 0555, vfs::Credentials::root()));
-  ASSERT_FALSE(
-      vfs->mount("/yanc/.trace", std::make_shared<obs::TraceFs>(&tracer)));
+  ASSERT_FALSE(vfs->mount("/yanc/.trace", obs::make_trace_fs(tracer)));
 
   // A captured trace id resolves directly to its span tree.
   auto by_id = trace_show(*vfs, std::to_string(root.trace_id));
