@@ -66,7 +66,9 @@ void BM_Stat(benchmark::State& state) {
 }
 BENCHMARK(BM_Stat);
 
-// Path depth dominates resolution cost: every component is a lookup.
+// Path depth sets the cost of a dentry-cache miss, one walk step per
+// component; a repeated stat hits the cache, whose cost does not grow
+// with depth.
 void BM_StatAtDepth(benchmark::State& state) {
   auto v = std::make_shared<vfs::Vfs>();
   std::string path;

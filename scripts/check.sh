@@ -13,8 +13,8 @@
 #             read_monitor run at its full shape (4 reader threads, the
 #             only workload that reads /yanc/.stats) — each must report
 #             "correct": true and "failed": 0 — then ASan/UBSan over the
-#             full suite and TSan over the concurrency suites via
-#             scripts/sanitize.sh.
+#             full suite and TSan over every suite that starts threads
+#             (vfs, netfs, obs, faults, dbg, fast) via scripts/sanitize.sh.
 #   --fast  — static-only yanc-analyze, stop before the coverage sweep
 #             and sanitizer rebuilds.
 set -euo pipefail
@@ -116,7 +116,7 @@ fi
 echo "=== asan+ubsan ==="
 scripts/sanitize.sh asan
 
-echo "=== tsan (concurrency suites + lockdep) ==="
-scripts/sanitize.sh tsan build-tsan -R '(vfs|netfs|obs|faults|dbg)_test'
+echo "=== tsan (concurrency suites + lockdep + SPSC ring / packet pool) ==="
+scripts/sanitize.sh tsan build-tsan -R '(vfs|netfs|obs|faults|dbg|fast)_test'
 
 echo "check.sh: all gates passed"

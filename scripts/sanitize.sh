@@ -6,7 +6,8 @@
 #
 #   asan  — ASan+UBSan over the full test suite (default dir: build-asan)
 #   tsan  — ThreadSanitizer over the concurrency-sensitive suites
-#           (vfs_test, netfs_test, obs_test, faults_test; default dir:
+#           (vfs_test, netfs_test, obs_test, faults_test, and fast_test
+#           for the SPSC ring and the packet pool; default dir:
 #           build-tsan).  Extra ctest args after the build dir are passed
 #           through, e.g. scripts/sanitize.sh tsan build-tsan -R vfs_test
 set -euo pipefail
@@ -30,7 +31,7 @@ if [[ "$MODE" == tsan ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
   else
     ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R '(vfs|netfs|obs|faults)_test'
+      -R '(vfs|netfs|obs|faults|fast)_test'
   fi
 else
   BUILD_DIR="${1:-build-asan}"; shift || true

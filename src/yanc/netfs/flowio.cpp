@@ -1,5 +1,6 @@
 #include "yanc/netfs/flowio.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -87,12 +88,18 @@ Status load_action(const FieldReader& field, const char* name,
   return ok_status();
 }
 
-Status write_or_remove(Vfs& vfs, const std::string& dir, const std::string& name,
+// Writes <dir>/<name>, or removes it when `value` is unset and `listing`
+// (the directory's entries) has it: an absent field costs no operation.
+Status write_or_remove(Vfs& vfs, const std::string& dir, const char* name,
                        const std::optional<std::string>& value,
+                       const std::vector<vfs::DirEntry>& listing,
                        const Credentials& creds) {
-  std::string path = dir + "/" + name;
-  if (value) return vfs.write_file(path, *value, creds);
-  auto ec = vfs.unlink(path, creds);
+  if (value) return vfs.write_file(dir + "/" + name, *value, creds);
+  bool listed =
+      std::any_of(listing.begin(), listing.end(),
+                  [&](const vfs::DirEntry& e) { return e.name == name; });
+  if (!listed) return ok_status();
+  auto ec = vfs.unlink(dir + "/" + name, creds);
   if (ec == make_error_code(Errc::not_found)) return ok_status();
   return ec;
 }
@@ -221,10 +228,14 @@ Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
   if (!obs::current_trace() && obs::tracer().enabled())
     root = obs::tracer().mint("netfs", "write_flow", dir);
   obs::TraceScope trace_scope(root);
-  if (auto st = vfs.stat(dir, creds); !st) {
-    if (st.error() != make_error_code(Errc::not_found)) return st.error();
+  // One listing tells which fields exist, so only a field that is there
+  // and must go costs an unlink.  It doubles as the existence check.
+  auto listing = vfs.readdir(dir, creds);
+  if (!listing && listing.error() == make_error_code(Errc::not_found)) {
     if (auto ec = vfs.mkdir(dir, 0755, creds); ec) return ec;
+    listing = vfs.readdir(dir, creds);
   }
+  if (!listing) return listing.error();
 
   if (auto ec = vfs.write_file(dir + "/priority",
                                std::to_string(spec.priority), creds); ec)
@@ -246,7 +257,7 @@ Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
           spec.goto_table >= 0
               ? std::optional<std::string>(std::to_string(spec.goto_table))
               : std::nullopt,
-          creds);
+          *listing, creds);
       ec)
     return ec;
 
@@ -276,7 +287,8 @@ Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
       {"match.tp_dst", opt(m.tp_dst, dec)},
   };
   for (const auto& f : match_fields)
-    if (auto ec = write_or_remove(vfs, dir, f.name, f.value, creds); ec)
+    if (auto ec = write_or_remove(vfs, dir, f.name, f.value, *listing, creds);
+        ec)
       return ec;
 
   // Group actions by their file: action.out accumulates all outputs.
@@ -305,7 +317,9 @@ Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
   for (const char* name : kAllActionFiles) {
     auto it = action_files.find(name);
     if (it == action_files.end()) {
-      if (auto ec = write_or_remove(vfs, dir, name, std::nullopt, creds); ec)
+      if (auto ec = write_or_remove(vfs, dir, name, std::nullopt, *listing,
+                                    creds);
+          ec)
         return ec;
     } else {
       if (auto ec = vfs.write_file(dir + "/" + it->first, it->second, creds);

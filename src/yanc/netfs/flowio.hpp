@@ -28,7 +28,9 @@ Result<flow::FlowSpec> read_flow(vfs::Vfs& vfs, const std::string& flow_dir,
 /// Writes `spec` into `flow_dir`, creating the directory if needed,
 /// removing match/action files the spec no longer carries, and — when
 /// `commit` is true — incrementing the version file so drivers pick the
-/// entry up atomically.
+/// entry up atomically.  Lists the directory once (so `creds` need read
+/// permission on it) and unlinks only the listed files the spec leaves
+/// unset.
 [[nodiscard]] Status write_flow(vfs::Vfs& vfs, const std::string& flow_dir,
                   const flow::FlowSpec& spec,
                   const vfs::Credentials& creds = {}, bool commit = true);

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "yanc/util/result.hpp"
@@ -33,6 +34,12 @@ namespace yanc::vfs {
 /// changes" — the Vfs resolution cache never caches a path that crosses
 /// such a filesystem.
 inline constexpr std::uint64_t kUncacheableGen = ~std::uint64_t{0};
+
+/// What one step of a path walk found: the child node and its type.
+struct WalkStep {
+  NodeId node = kInvalidNode;
+  FileType type = FileType::regular;
+};
 
 class Filesystem {
  public:
@@ -53,6 +60,13 @@ class Filesystem {
   virtual std::uint64_t change_gen() const { return kUncacheableGen; }
 
   // --- namespace operations -------------------------------------------
+  /// One component of a Vfs path walk, as one call: checks that `dir` is a
+  /// directory `creds` may search (execute), then finds `name` in it and
+  /// reports the child's type.  Errors, in the order checked: not_found
+  /// (no `dir`), not_dir, access_denied, then not_found (no `name`).  The
+  /// Vfs never passes "", "." or "..".
+  virtual Result<WalkStep> walk_step(NodeId dir, std::string_view name,
+                                     const Credentials& creds) = 0;
   virtual Result<NodeId> lookup(NodeId parent, const std::string& name) = 0;
   virtual Result<Stat> getattr(NodeId node) = 0;
   virtual Result<std::vector<DirEntry>> readdir(NodeId dir) = 0;

@@ -149,6 +149,21 @@ Result<NodeId> MemFs::lookup_locked(NodeId parent,
   return it->second;
 }
 
+Result<WalkStep> MemFs::walk_step(NodeId dir_id, std::string_view name,
+                                  const Credentials& creds) {
+  dbg::SharedLock lock(mu_);
+  const Inode* dir = find(dir_id);
+  if (!dir) return Errc::not_found;
+  if (dir->type != FileType::directory) return Errc::not_dir;
+  if (auto st = check_access_locked(*dir, 1 /*execute*/, creds); st)
+    return st;
+  auto it = dir->children.find(name);
+  if (it == dir->children.end()) return Errc::not_found;
+  const Inode* child = find(it->second);
+  if (!child) return Errc::not_found;
+  return WalkStep{it->second, child->type};
+}
+
 Result<NodeId> MemFs::lookup(NodeId parent, const std::string& name) {
   dbg::SharedLock lock(mu_);
   return lookup_locked(parent, name);

@@ -50,6 +50,10 @@ class MemFs : public Filesystem {
     return namespace_gen_.load(std::memory_order_acquire);
   }
 
+  /// Under one shared hold of mu_: the directory's type and search
+  /// permission, then the child's entry and type.
+  Result<WalkStep> walk_step(NodeId dir, std::string_view name,
+                             const Credentials& creds) override;
   Result<NodeId> lookup(NodeId parent, const std::string& name) override;
   Result<Stat> getattr(NodeId node) override;
   Result<std::vector<DirEntry>> readdir(NodeId dir) override;
@@ -131,7 +135,9 @@ class MemFs : public Filesystem {
     std::uint64_t mtime_ns = 0;
     std::uint64_t ctime_ns = 0;
     std::string data;                        // regular file content
-    std::map<std::string, NodeId> children;  // directory entries (sorted)
+    // Directory entries, sorted; std::less<> lets a walk step find a
+    // string_view component without building a string.
+    std::map<std::string, NodeId, std::less<>> children;
     std::string target;                      // symlink target
     std::map<std::string, std::vector<std::uint8_t>> xattrs;
     std::optional<Acl> acl;  // parsed cache of the ACL xattr

@@ -91,12 +91,12 @@ NodeId SynthFs::add_list(std::string_view path, Lister list,
   return id;
 }
 
-NodeId SynthFs::entry_locked(NodeId dir, const std::string& name) {
+NodeId SynthFs::entry_locked(NodeId dir, std::string_view name) {
   Node& parent = nodes_.at(dir);
   auto it = parent.children.find(name);
   if (it != parent.children.end()) return it->second;
   NodeId id = next_node_++;
-  parent.children.emplace(name, id);
+  parent.children.emplace(std::string(name), id);
   Node& node = nodes_[id];
   node.type = FileType::regular;
   node.name = name;
@@ -123,7 +123,8 @@ Result<SynthFs::FileRef> SynthFs::file_ref(NodeId id) const {
   return ref_locked(it->second);
 }
 
-Result<NodeId> SynthFs::lookup(NodeId parent, const std::string& name) {
+Result<WalkStep> SynthFs::walk_step(NodeId parent, std::string_view name,
+                                    const Credentials&) {
   grow();
   const Lister* list = nullptr;
   {
@@ -135,7 +136,7 @@ Result<NodeId> SynthFs::lookup(NodeId parent, const std::string& name) {
     if (!dir.list) {
       auto child = dir.children.find(name);
       if (child == dir.children.end()) return Errc::not_found;
-      return child->second;
+      return WalkStep{child->second, nodes_.at(child->second).type};
     }
     list = &dir.list;
   }
@@ -143,7 +144,13 @@ Result<NodeId> SynthFs::lookup(NodeId parent, const std::string& name) {
   if (std::find(names.begin(), names.end(), name) == names.end())
     return Errc::not_found;
   dbg::LockGuard lock(mu_);
-  return entry_locked(parent, name);
+  return WalkStep{entry_locked(parent, name), FileType::regular};
+}
+
+Result<NodeId> SynthFs::lookup(NodeId parent, const std::string& name) {
+  auto step = walk_step(parent, name, Credentials::root());
+  if (!step) return step.error();
+  return step->node;
 }
 
 Result<Stat> SynthFs::getattr(NodeId id) {

@@ -76,6 +76,11 @@ class SynthFs : public Filesystem {
   NodeId root() const override { return kRoot; }
 
   // --- the node table -------------------------------------------------------
+  /// Directories are searchable by anyone.  A step grows the table and
+  /// consults a list directory's callback, like lookup(); it reports a
+  /// file's type without rendering the file.
+  Result<WalkStep> walk_step(NodeId dir, std::string_view name,
+                             const Credentials& creds) override;
   Result<NodeId> lookup(NodeId parent, const std::string& name) override;
   Result<Stat> getattr(NodeId node) override;
   Result<std::vector<DirEntry>> readdir(NodeId dir) override;
@@ -186,7 +191,7 @@ class SynthFs : public Filesystem {
                         FileType leaf_type,
                         std::vector<std::pair<NodeId, std::string>>& created);
   /// The node a list entry `name` of `dir` is served under.
-  NodeId entry_locked(NodeId dir, const std::string& name);
+  NodeId entry_locked(NodeId dir, std::string_view name);
   FileRef ref_locked(const Node& file) const;
   Result<FileRef> file_ref(NodeId node) const;
   void announce(const std::vector<std::pair<NodeId, std::string>>& created);

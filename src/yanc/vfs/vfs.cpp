@@ -1,8 +1,8 @@
 #include "yanc/vfs/vfs.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
-#include <deque>
 #include <limits>
 
 #include "yanc/obs/tracer.hpp"
@@ -44,18 +44,21 @@ class OpTimer {
 }  // namespace
 
 std::string normalize_path(std::string_view path) {
-  std::vector<std::string> out;
-  for (auto& comp : split_nonempty(path, '/')) {
-    if (comp == ".") continue;
-    out.push_back(std::move(comp));
+  std::string out;
+  out.reserve(path.size() + 1);
+  std::size_t pos = 0;
+  while (pos < path.size()) {
+    std::size_t end = path.find('/', pos);
+    if (end == std::string_view::npos) end = path.size();
+    std::string_view comp = path.substr(pos, end - pos);
+    if (!comp.empty() && comp != ".") {
+      out += '/';
+      out += comp;
+    }
+    pos = end + 1;
   }
-  if (out.empty()) return "/";
-  std::string result;
-  for (const auto& comp : out) {
-    result += '/';
-    result += comp;
-  }
-  return result;
+  if (out.empty()) out = "/";
+  return out;
 }
 
 Vfs::Vfs() : metrics_(std::make_shared<obs::Registry>()) {
@@ -155,109 +158,172 @@ bool Vfs::is_mount_point(const std::string& logical_path) const {
 }
 
 struct Vfs::Frame {
-  FilesystemPtr fs;
+  std::uint32_t pin;          // index of this directory's fs in Walk::deps
+  std::uint32_t logical_len;  // its logical path is Walk::logical[0, len)
   NodeId node;
-  std::string logical;  // full logical path of this directory ("" = /)
+  FileType type;
   bool read_only;
 };
 
-// Walks `components` on top of `stack`.  `base_depth` is the ".." floor:
-// the walk can never pop below it, and absolute symlink targets re-anchor
-// there (this is what confines a Namespace to its subtree).  When `deps`
-// is non-null, every filesystem entered mid-walk is recorded with its
-// change_gen() captured before any of its state is read.
-Result<Vfs::Resolved> Vfs::walk_components(std::vector<Frame>& stack,
-                                           std::deque<std::string>& components,
-                                           const Credentials& creds,
-                                           bool follow_final,
-                                           std::size_t base_depth,
-                                           int& symlinks_left,
-                                           DcacheDeps* deps) {
-  while (!components.empty()) {
-    std::string comp = std::move(components.front());
-    components.pop_front();
+struct Vfs::Walk {
+  std::vector<Frame> stack;
+  // Logical (mount-table) path of the top frame ("" = /); each frame
+  // keeps its length, so ".." truncates instead of rebuilding.
+  std::string logical;
+  // Every filesystem entered, pinned once with its change_gen() captured
+  // before any of its state was read.  The dcache entry keeps the list.
+  DcacheDeps deps;
+
+  std::uint32_t pin(const FilesystemPtr& fs) {
+    for (std::size_t i = 0; i < deps.size(); ++i)
+      if (deps[i].first == fs) return static_cast<std::uint32_t>(i);
+    deps.emplace_back(fs, fs->change_gen());
+    return static_cast<std::uint32_t>(deps.size() - 1);
+  }
+  void truncate_to(std::size_t depth) {
+    stack.resize(depth);
+    logical.resize(stack.back().logical_len);
+  }
+};
+
+// Walks the components of `norm` (a normal path) on top of `w.stack`.
+// `base_depth` is the ".." floor: the walk can never pop below it, and
+// absolute symlink targets re-anchor there (this is what confines a
+// Namespace to its subtree).  Components are views into `norm`, or into
+// `spliced` once a symlink's target has been put in front of the rest.
+Status Vfs::walk(Walk& w, std::string_view norm, const Credentials& creds,
+                 bool follow_final, std::size_t base_depth,
+                 int& symlinks_left) {
+  std::string spliced;
+  std::string_view rest = norm.substr(1);
+  while (!rest.empty()) {
+    std::size_t slash = rest.find('/');
+    std::string_view comp = rest.substr(0, slash);
+    rest = slash == std::string_view::npos ? std::string_view()
+                                           : rest.substr(slash + 1);
 
     if (comp == "..") {
-      if (stack.size() > base_depth) stack.pop_back();
+      if (w.stack.size() > base_depth) w.truncate_to(w.stack.size() - 1);
       continue;
     }
 
-    Frame& cur = stack.back();
-    auto cur_attr = cur.fs->getattr(cur.node);
-    if (!cur_attr) return cur_attr.error();
-    if (!cur_attr->is_dir()) return Errc::not_dir;
-    if (auto st = cur.fs->access(cur.node, 1 /*execute*/, creds); st)
-      return st;
+    const Frame cur = w.stack.back();
+    Filesystem& fs = *w.deps[cur.pin].first;
+    auto step = fs.walk_step(cur.node, comp, creds);
+    // A step refused for the directory itself looked nothing up.
+    if (step || (step.error() != make_error_code(Errc::not_dir) &&
+                 step.error() != make_error_code(Errc::access_denied)))
+      count_op(OpKind::lookup);
+    if (!step) return step.error();
 
-    count_op(OpKind::lookup);
-    auto child = cur.fs->lookup(cur.node, comp);
-    if (!child) return child.error();
-
-    auto child_attr = cur.fs->getattr(*child);
-    if (!child_attr) return child_attr.error();
-
-    bool is_final = components.empty();
-    if (child_attr->is_symlink() && (!is_final || follow_final)) {
-      if (--symlinks_left < 0) return Errc::symlink_loop;
-      auto target = cur.fs->readlink(*child);
+    if (step->type == FileType::symlink && (!rest.empty() || follow_final)) {
+      if (--symlinks_left < 0) return make_error_code(Errc::symlink_loop);
+      auto target = fs.readlink(step->node);
       if (!target) return target.error();
-      if (starts_with(*target, "/")) stack.resize(base_depth);
-      auto target_comps = split_nonempty(normalize_path(*target), '/');
-      for (auto it = target_comps.rbegin(); it != target_comps.rend(); ++it)
-        components.push_front(std::move(*it));
+      if (starts_with(*target, "/")) w.truncate_to(base_depth);
+      std::string next = normalize_path(*target);
+      if (!rest.empty()) {
+        if (next.size() > 1) next += '/';
+        next += rest;  // `rest` may view the old `spliced`: append first
+      }
+      spliced = std::move(next);
+      rest = std::string_view(spliced).substr(1);
       continue;
     }
 
-    std::string logical = cur.logical + "/" + comp;
+    w.logical += '/';
+    w.logical += comp;
+    Frame next{cur.pin, static_cast<std::uint32_t>(w.logical.size()),
+               step->node, step->type, cur.read_only};
     {
       dbg::SharedLock lock(mounts_mu_);
-      auto mount_it = mounts_.find(logical);
+      auto mount_it = mounts_.find(w.logical);
       if (mount_it != mounts_.end()) {
-        if (deps)
-          deps->emplace_back(mount_it->second.fs,
-                             mount_it->second.fs->change_gen());
-        stack.push_back(Frame{mount_it->second.fs,
-                              mount_it->second.fs->root(), logical,
-                              mount_it->second.options.read_only});
-        continue;
+        const Mount& m = mount_it->second;
+        next.pin = w.pin(m.fs);
+        next.node = m.fs->root();
+        next.type = FileType::directory;
+        next.read_only = m.options.read_only;
       }
     }
-    stack.push_back(Frame{cur.fs, *child, logical, cur.read_only});
+    w.stack.push_back(next);
   }
-  const Frame& top = stack.back();
-  return Resolved{top.fs, top.node, top.read_only, top.logical};
+  return ok_status();
 }
 
-std::string Vfs::dcache_key(const std::string& norm_root,
-                            const std::string& norm_path, bool follow_final,
-                            const Credentials& creds) {
-  // Credentials qualify the key: the walk checks execute permission on
-  // every component, so one caller's successful resolution proves nothing
-  // for another.
-  std::string key;
-  key.reserve(norm_root.size() + norm_path.size() + 32);
+namespace {
+
+/// True when normalize_path(path) == path.
+bool is_normal(std::string_view path) {
+  if (path.empty() || path[0] != '/') return false;
+  if (path.size() == 1) return true;
+  if (path.back() == '/') return false;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (path[i] != '/') continue;
+    if (path[i + 1] == '/') return false;
+    if (path[i + 1] == '.' && (i + 2 == path.size() || path[i + 2] == '/'))
+      return false;
+  }
+  return true;
+}
+
+/// `path` in normal form: itself when already normal, else normalized
+/// into `storage`.
+std::string_view normal_view(std::string_view path, std::string& storage) {
+  if (is_normal(path)) return path;
+  storage = normalize_path(path);
+  return storage;
+}
+
+void append_number(std::string& out, std::uint32_t value) {
+  char buf[16];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  out += std::string_view(buf, static_cast<std::size_t>(end - buf));
+}
+
+// Credentials qualify the key: the walk checks execute permission on
+// every component, so one caller's successful resolution proves nothing
+// for another.
+void append_dcache_key(std::string& key, std::string_view norm_root,
+                       std::string_view norm_path, bool follow_final,
+                       const Credentials& creds) {
   key += norm_root;
   key += '\n';
   key += norm_path;
   key += '\n';
   key += follow_final ? '1' : '0';
   key += '\n';
-  key += std::to_string(creds.uid);
+  append_number(key, creds.uid);
   key += ':';
-  key += std::to_string(creds.gid);
+  append_number(key, creds.gid);
   for (auto g : creds.groups) {
     key += ',';
-    key += std::to_string(g);
+    append_number(key, g);
   }
-  return key;
 }
+
+}  // namespace
 
 Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
                                    const Credentials& creds, bool follow_final,
                                    const std::string& root) {
-  std::string norm_root = normalize_path(root);
-  std::string norm = normalize_path(path);
-  std::string key = dcache_key(norm_root, norm, follow_final, creds);
+  return resolve_path(path, creds, follow_final, root, true);
+}
+
+Result<Vfs::Resolved> Vfs::resolve_path(std::string_view path,
+                                        const Credentials& creds,
+                                        bool follow_final,
+                                        std::string_view root,
+                                        bool want_logical) {
+  std::string path_storage;
+  std::string root_storage;
+  std::string_view norm = normal_view(path, path_storage);
+  std::string_view norm_root = normal_view(root, root_storage);
+  // The lookup key is built in a per-thread buffer that keeps its
+  // capacity, so a hit allocates nothing.
+  thread_local std::string key;
+  key.clear();
+  append_dcache_key(key, norm_root, norm, follow_final, creds);
   // Capture the mount generation before consulting anything: a mount that
   // lands mid-walk invalidates, never validates.
   std::uint64_t mount_gen = mount_gen_.load(std::memory_order_acquire);
@@ -277,56 +343,53 @@ Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
         // cached path visibly cheaper than the walked one.
         count_op(OpKind::lookup);
         obs_.dcache_hit_total->add();
-        return it->second.resolved;
+        const Resolved& hit = it->second.resolved;
+        return Resolved{hit.fs, hit.node, hit.read_only,
+                        want_logical ? hit.logical : std::string()};
       }
     }
   }
   obs_.dcache_miss_total->add();
 
-  DcacheDeps deps;
-  std::vector<Frame> stack;
+  Walk w;
   {
     dbg::SharedLock lock(mounts_mu_);
     const Mount& m = mounts_.at("/");
-    deps.emplace_back(m.fs, m.fs->change_gen());
-    stack.push_back(Frame{m.fs, m.fs->root(), "", m.options.read_only});
+    w.stack.push_back(Frame{w.pin(m.fs), 0, m.fs->root(),
+                            FileType::directory, m.options.read_only});
   }
   int symlinks_left = kMaxSymlinkDepth;
 
   // Stage 1: anchor at the namespace root (always following symlinks).
-  if (norm_root != "/") {
-    std::deque<std::string> root_comps;
-    for (auto& comp : split_nonempty(norm_root, '/'))
-      root_comps.push_back(std::move(comp));
-    auto anchored = walk_components(stack, root_comps, creds, true, 1,
-                                    symlinks_left, &deps);
-    if (!anchored) return anchored.error();
-    auto attr = anchored->fs->getattr(anchored->node);
-    if (!attr) return attr.error();
-    if (!attr->is_dir()) return Errc::not_dir;
+  if (norm_root.size() > 1) {
+    if (auto ec = walk(w, norm_root, creds, true, 1, symlinks_left); ec)
+      return ec;
+    if (w.stack.back().type != FileType::directory) return Errc::not_dir;
   }
-  std::size_t base_depth = stack.size();
 
-  // Stage 2: walk the user-supplied path, confined above base_depth.
-  std::deque<std::string> components;
-  for (auto& comp : split_nonempty(norm, '/'))
-    components.push_back(std::move(comp));
-  auto resolved = walk_components(stack, components, creds, follow_final,
-                                  base_depth, symlinks_left, &deps);
-  if (!resolved) return resolved;  // negative results are never cached
+  // Stage 2: walk the user-supplied path, confined above the root.
+  if (auto ec = walk(w, norm, creds, follow_final, w.stack.size(),
+                     symlinks_left);
+      ec)
+    return ec;  // negative results are never cached
 
-  bool cacheable = true;
-  for (const auto& [fs, gen] : deps) {
-    if (gen == kUncacheableGen) {
-      cacheable = false;
-      break;
-    }
-  }
-  if (cacheable) {
+  const Frame& top = w.stack.back();
+  Resolved resolved{w.deps[top.pin].first, top.node, top.read_only,
+                    std::move(w.logical)};
+  for (const auto& [fs, gen] : w.deps)
+    if (gen == kUncacheableGen) return resolved;
+
+  // The owned key and the entry are built before the lock; a full table
+  // is swapped out under it and freed after it drops.
+  std::string owned_key;
+  owned_key.reserve(key.size());
+  append_dcache_key(owned_key, norm_root, norm, follow_final, creds);
+  DentryEntry entry{resolved, std::move(w.deps), mount_gen};
+  decltype(dcache_) evicted;
+  {
     dbg::UniqueLock lock(dcache_mu_);
-    if (dcache_.size() >= kDcacheCap) dcache_.clear();
-    dcache_[std::move(key)] = DentryEntry{*resolved, std::move(deps),
-                                          mount_gen};
+    if (dcache_.size() >= kDcacheCap) dcache_.swap(evicted);
+    dcache_.insert_or_assign(std::move(owned_key), std::move(entry));
   }
   return resolved;
 }
@@ -334,14 +397,17 @@ Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
 Result<Vfs::Resolved> Vfs::resolve_parent(std::string_view path,
                                           const Credentials& creds,
                                           std::string* leaf,
-                                          const std::string& root) {
-  std::string norm = normalize_path(path);
+                                          const std::string& root,
+                                          bool want_logical) {
+  std::string path_storage;
+  std::string_view norm = normal_view(path, path_storage);
   if (norm == "/") return Errc::busy;  // the root has no parent entry
   auto slash = norm.rfind('/');
-  std::string dir = slash == 0 ? "/" : norm.substr(0, slash);
-  *leaf = norm.substr(slash + 1);
+  leaf->assign(norm.substr(slash + 1));
   if (*leaf == "..") return Errc::invalid_argument;
-  return resolve(dir, creds, true, root);
+  return resolve_path(slash == 0 ? std::string_view("/")
+                                 : norm.substr(0, slash),
+                      creds, true, root, want_logical);
 }
 
 Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
@@ -356,7 +422,7 @@ Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
   bool want_write = acc == of::write_only || acc == of::read_write ||
                     (flags & (of::truncate | of::append));
 
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) {
     if (resolved.error() == make_error_code(Errc::not_found) &&
         (flags & of::create)) {
@@ -398,7 +464,7 @@ Result<std::string> Vfs::read_file(std::string_view path,
                                    const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::read);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->read(resolved->node, 0,
                             std::numeric_limits<std::uint64_t>::max(), creds);
@@ -443,7 +509,7 @@ Result<Stat> Vfs::stat(std::string_view path, const Credentials& creds,
                        const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->getattr(resolved->node);
 }
@@ -452,7 +518,7 @@ Result<Stat> Vfs::lstat(std::string_view path, const Credentials& creds,
                         const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, false, root);
+  auto resolved = resolve_path(path, creds, false, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->getattr(resolved->node);
 }
@@ -462,7 +528,7 @@ Result<std::vector<DirEntry>> Vfs::readdir(std::string_view path,
                                            const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   if (auto ec = resolved->fs->access(resolved->node, 4, creds); ec) return ec;
   return resolved->fs->readdir(resolved->node);
@@ -513,7 +579,7 @@ Status Vfs::unlink(std::string_view path, const Credentials& creds,
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
   std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root);
+  auto parent = resolve_parent(path, creds, &leaf, root, true);
   if (!parent) return parent.error();
   if (parent->read_only) return make_error_code(Errc::read_only);
   // Mount-point check on the *resolved* logical path: a lexical check
@@ -528,7 +594,7 @@ Status Vfs::rmdir(std::string_view path, const Credentials& creds,
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
   std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root);
+  auto parent = resolve_parent(path, creds, &leaf, root, true);
   if (!parent) return parent.error();
   if (parent->read_only) return make_error_code(Errc::read_only);
   if (is_mount_point(parent->logical + "/" + leaf))
@@ -565,9 +631,9 @@ Status Vfs::rename(std::string_view from, std::string_view to,
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
   std::string from_leaf, to_leaf;
-  auto from_parent = resolve_parent(from, creds, &from_leaf, root);
+  auto from_parent = resolve_parent(from, creds, &from_leaf, root, true);
   if (!from_parent) return from_parent.error();
-  auto to_parent = resolve_parent(to, creds, &to_leaf, root);
+  auto to_parent = resolve_parent(to, creds, &to_leaf, root, true);
   if (!to_parent) return to_parent.error();
   if (is_mount_point(from_parent->logical + "/" + from_leaf) ||
       is_mount_point(to_parent->logical + "/" + to_leaf))
@@ -596,7 +662,7 @@ Result<std::string> Vfs::readlink(std::string_view path,
                                   const Credentials& creds,
                                   const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, false, root);
+  auto resolved = resolve_path(path, creds, false, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->readlink(resolved->node);
 }
@@ -604,7 +670,7 @@ Result<std::string> Vfs::readlink(std::string_view path,
 Status Vfs::link(std::string_view existing, std::string_view linkpath,
                  const Credentials& creds, const std::string& root) {
   count_op(OpKind::write);
-  auto target = resolve(existing, creds, true, root);
+  auto target = resolve_path(existing, creds, true, root, false);
   if (!target) return target.error();
   std::string leaf;
   auto parent = resolve_parent(linkpath, creds, &leaf, root);
@@ -618,7 +684,7 @@ Status Vfs::link(std::string_view existing, std::string_view linkpath,
 Status Vfs::chmod(std::string_view path, std::uint32_t mode,
                   const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->chmod(resolved->node, mode, creds);
@@ -627,7 +693,7 @@ Status Vfs::chmod(std::string_view path, std::uint32_t mode,
 Status Vfs::chown(std::string_view path, Uid uid, Gid gid,
                   const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->chown(resolved->node, uid, gid, creds);
@@ -637,7 +703,7 @@ Status Vfs::truncate(std::string_view path, std::uint64_t size,
                      const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->truncate(resolved->node, size, creds);
@@ -647,7 +713,7 @@ Status Vfs::setxattr(std::string_view path, const std::string& name,
                      std::vector<std::uint8_t> value, const Credentials& creds,
                      const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->setxattr(resolved->node, name, std::move(value), creds);
@@ -658,7 +724,7 @@ Result<std::vector<std::uint8_t>> Vfs::getxattr(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->getxattr(resolved->node, name);
 }
@@ -667,7 +733,7 @@ Result<std::vector<std::string>> Vfs::listxattr(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->listxattr(resolved->node);
 }
@@ -675,7 +741,7 @@ Result<std::vector<std::string>> Vfs::listxattr(std::string_view path,
 Status Vfs::removexattr(std::string_view path, const std::string& name,
                         const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->removexattr(resolved->node, name, creds);
@@ -697,7 +763,7 @@ Result<Acl> Vfs::get_acl(std::string_view path, const Credentials& creds,
 Status Vfs::access(std::string_view path, std::uint8_t want,
                    const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   return resolved->fs->access(resolved->node, want, creds);
 }
@@ -708,7 +774,7 @@ Result<std::shared_ptr<WatchHandle>> Vfs::watch(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
+  auto resolved = resolve_path(path, creds, true, root, false);
   if (!resolved) return resolved.error();
   auto id = resolved->fs->watch(resolved->node, mask, std::move(queue));
   if (!id) return id.error();

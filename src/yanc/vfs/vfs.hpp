@@ -16,7 +16,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -183,7 +182,8 @@ class Vfs {
     FilesystemPtr fs;
     MountOptions options;
   };
-  struct Frame;  // resolver walk frame (defined in vfs.cpp)
+  struct Frame;  // one directory on the resolver's walk stack
+  struct Walk;   // the walk stack, its logical path and its pinned fs
 
   /// Operation classes mirrored into both OpCounters (the syscall model
   /// the benchmarks read) and the obs registry (the /yanc/.stats surface).
@@ -202,18 +202,18 @@ class Vfs {
     std::uint64_t mount_gen = 0;  // mount table unchanged since insert
   };
 
-  static std::string dcache_key(const std::string& norm_root,
-                                const std::string& norm_path,
-                                bool follow_final, const Credentials& creds);
-
-  Result<Resolved> walk_components(std::vector<Frame>& stack,
-                                   std::deque<std::string>& components,
-                                   const Credentials& creds, bool follow_final,
-                                   std::size_t base_depth, int& symlinks_left,
-                                   DcacheDeps* deps);
+  /// resolve() for the public operations: `logical` is copied out of a
+  /// cache hit only when `want_logical` is set (a miss always fills it).
+  Result<Resolved> resolve_path(std::string_view path,
+                                const Credentials& creds, bool follow_final,
+                                std::string_view root, bool want_logical);
+  [[nodiscard]] Status walk(Walk& w, std::string_view norm,
+                            const Credentials& creds, bool follow_final,
+                            std::size_t base_depth, int& symlinks_left);
   Result<Resolved> resolve_parent(std::string_view path,
                                   const Credentials& creds, std::string* leaf,
-                                  const std::string& root);
+                                  const std::string& root,
+                                  bool want_logical = false);
   bool is_mount_point(const std::string& logical_path) const;
   void count_op(OpKind kind);
 
@@ -225,8 +225,8 @@ class Vfs {
 
   // Resolution (dentry) cache: successful resolutions only, keyed by
   // (namespace root, normalized path, follow_final, credentials).  Capped;
-  // cleared wholesale when full (entries revalidate cheaply, so churn is
-  // benign).
+  // swapped out wholesale when full and freed after the lock drops
+  // (entries revalidate cheaply, so churn is benign).
   static constexpr std::size_t kDcacheCap = 4096;
   mutable dbg::SharedMutex<dbg::Rank::vfs_dcache> dcache_mu_;
   std::unordered_map<std::string, DentryEntry> dcache_;

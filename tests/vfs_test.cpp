@@ -4,12 +4,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <map>
 #include <memory>
+#include <random>
 #include <thread>
 
 #include "yanc/obs/metrics.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/vfs/memfs.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 #include "yanc/vfs/vfs.hpp"
 
 namespace yanc::vfs {
@@ -714,6 +718,9 @@ TEST_F(VfsTest, NormalizePath) {
   EXPECT_EQ(normalize_path("//a///b/"), "/a/b");
   EXPECT_EQ(normalize_path("/a/./b/."), "/a/b");
   EXPECT_EQ(normalize_path("/a/../b"), "/a/../b");  // ".." kept for resolver
+  EXPECT_EQ(normalize_path("./a/.//b/./"), "/a/b");
+  EXPECT_EQ(normalize_path("/./."), "/");
+  EXPECT_EQ(normalize_path("/.a/..b/..."), "/.a/..b/...");
 }
 
 TEST_F(VfsTest, WriteReadFile) {
@@ -1280,6 +1287,329 @@ TEST_F(NamespaceTest, CarriesCredentials) {
   ASSERT_FALSE(vfs->chown("/net/views/v1/inside", 0, 0));
   Namespace ns(vfs, "/net/views/v1", alice());
   EXPECT_EQ(ns.read_file("/inside").error(), err(Errc::access_denied));
+}
+
+
+// --- SynthFs through the Vfs -------------------------------------------------
+
+// A path walk learns a file's type from its walk step, so reading a
+// synthetic file renders it once; stat renders it to report a size.
+TEST(SynthFsVfsTest, ReadFileRendersOnceStatRendersForSize) {
+  Vfs vfs;
+  ASSERT_FALSE(vfs.mkdir("/synth"));
+  int file_renders = 0;
+  int entry_renders = 0;
+  auto fs = std::make_shared<SynthFs>();
+  ASSERT_NE(fs->add_file("dir/value",
+                         [&] {
+                           ++file_renders;
+                           return std::string("42\n");
+                         }),
+            kInvalidNode);
+  ASSERT_NE(fs->add_list(
+                "by-id", [] { return std::vector<std::string>{"7", "9"}; },
+                [&](const std::string& name) {
+                  ++entry_renders;
+                  return "span " + name + "\n";
+                }),
+            kInvalidNode);
+  ASSERT_FALSE(vfs.mount("/synth", fs));
+
+  EXPECT_EQ(*vfs.read_file("/synth/dir/value"), "42\n");
+  EXPECT_EQ(file_renders, 1);
+  EXPECT_EQ(*vfs.read_file("/synth/by-id/7"), "span 7\n");
+  EXPECT_EQ(entry_renders, 1);
+
+  auto st = vfs.stat("/synth/dir/value");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, 3u);
+  EXPECT_EQ(file_renders, 2);
+  auto entry = vfs.stat("/synth/by-id/9");
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->size, 7u);
+  EXPECT_EQ(entry_renders, 2);
+  EXPECT_EQ(vfs.read_file("/synth/by-id/8").error(), err(Errc::not_found));
+  EXPECT_EQ(entry_renders, 2);
+}
+
+// --- Differential resolver test ---------------------------------------------
+
+// A plain resolver to check Vfs::resolve against: it splits paths into
+// strings, keeps pending components in a deque, and asks the filesystem
+// getattr / access / lookup / getattr for every component, with no cache.
+class ReferenceResolver {
+ public:
+  struct Mount {
+    FilesystemPtr fs;
+    bool read_only;
+  };
+  struct Out {
+    Filesystem* fs;
+    NodeId node;
+    bool read_only;
+    std::string logical;
+  };
+  std::map<std::string, Mount> mounts;  // logical path -> mount
+
+  Result<Out> resolve(std::string_view path, const Credentials& creds,
+                      bool follow_final, std::string_view root) const {
+    const Mount& top = mounts.at("/");
+    std::vector<Frame> stack{{top.fs, top.fs->root(), "", top.read_only}};
+    int symlinks_left = 40;
+    auto root_comps = split(root);
+    if (!root_comps.empty()) {
+      if (auto ec = walk(stack, root_comps, creds, true, 1, symlinks_left))
+        return ec;
+      auto attr = stack.back().fs->getattr(stack.back().node);
+      if (!attr) return attr.error();
+      if (!attr->is_dir()) return Errc::not_dir;
+    }
+    auto comps = split(path);
+    if (auto ec = walk(stack, comps, creds, follow_final, stack.size(),
+                       symlinks_left))
+      return ec;
+    const Frame& f = stack.back();
+    return Out{f.fs.get(), f.node, f.read_only, f.logical};
+  }
+
+ private:
+  struct Frame {
+    FilesystemPtr fs;
+    NodeId node;
+    std::string logical;
+    bool read_only;
+  };
+
+  static std::deque<std::string> split(std::string_view path) {
+    std::deque<std::string> out;
+    std::string comp;
+    for (char c : std::string(path) + "/") {
+      if (c != '/') {
+        comp += c;
+        continue;
+      }
+      if (!comp.empty() && comp != ".") out.push_back(comp);
+      comp.clear();
+    }
+    return out;
+  }
+
+  std::error_code walk(std::vector<Frame>& stack,
+                       std::deque<std::string>& comps,
+                       const Credentials& creds, bool follow_final,
+                       std::size_t base, int& symlinks_left) const {
+    while (!comps.empty()) {
+      std::string comp = comps.front();
+      comps.pop_front();
+      if (comp == "..") {
+        if (stack.size() > base) stack.pop_back();
+        continue;
+      }
+      Frame cur = stack.back();
+      auto dir = cur.fs->getattr(cur.node);
+      if (!dir) return dir.error();
+      if (!dir->is_dir()) return err(Errc::not_dir);
+      if (auto ec = cur.fs->access(cur.node, 1, creds)) return ec;
+      auto child = cur.fs->lookup(cur.node, comp);
+      if (!child) return child.error();
+      auto attr = cur.fs->getattr(*child);
+      if (!attr) return attr.error();
+      if (attr->is_symlink() && (!comps.empty() || follow_final)) {
+        if (--symlinks_left < 0) return err(Errc::symlink_loop);
+        auto target = cur.fs->readlink(*child);
+        if (!target) return target.error();
+        if (!target->empty() && (*target)[0] == '/') stack.resize(base);
+        auto target_comps = split(*target);
+        comps.insert(comps.begin(), target_comps.begin(), target_comps.end());
+        continue;
+      }
+      std::string logical = cur.logical + "/" + comp;
+      auto m = mounts.find(logical);
+      if (m != mounts.end())
+        stack.push_back(
+            {m->second.fs, m->second.fs->root(), logical, m->second.read_only});
+      else
+        stack.push_back({cur.fs, *child, logical, cur.read_only});
+    }
+    return {};
+  }
+};
+
+// Random trees of directories (some not searchable by some callers),
+// files and relative, absolute, dangling and looping symlinks, with a
+// mount at /m and a read-only mount at /m/ro.
+class RandomTree {
+ public:
+  explicit RandomTree(std::uint32_t seed) : rng_(seed) {
+    ref.mounts["/"] = {vfs->mounted_at("/"), false};
+    populate("", 3);
+    EXPECT_FALSE(vfs->mkdir("/m"));
+    (void)vfs->mkdir("/a");  // EEXIST when populate() made it
+    EXPECT_FALSE(vfs->symlink("/a", "/ln"));
+    EXPECT_FALSE(vfs->symlink("/lp2", "/lp1"));
+    EXPECT_FALSE(vfs->symlink("lp1", "/lp2"));
+    EXPECT_FALSE(vfs->write_file("/file", "x"));
+    dirs_.push_back("/m");
+
+    auto m = std::make_shared<MemFs>();
+    EXPECT_FALSE(vfs->mount("/m", m));
+    ref.mounts["/m"] = {m, false};
+    populate("/m", 2);
+    EXPECT_FALSE(vfs->mkdir("/m/ro"));
+
+    // Fill the read-only tree through a writable mount, then remount it.
+    auto ro = std::make_shared<MemFs>();
+    EXPECT_FALSE(vfs->mount("/m/ro", ro));
+    populate("/m/ro", 2);
+    EXPECT_FALSE(vfs->umount("/m/ro"));
+    EXPECT_FALSE(vfs->mount("/m/ro", ro, MountOptions{.read_only = true}));
+    ref.mounts["/m/ro"] = {ro, true};
+  }
+
+  std::size_t pick(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+
+  std::string random_path() {
+    static const char* kComps[] = {"a", "b", "c", "f", "g", "s1", "s2",
+                                   "s3", "m", "ro", "ln", "lp1", "file",
+                                   "..", "..", ".", "", "zz"};
+    std::string path = pick(4) ? "/" : "";
+    std::size_t n = pick(7);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i) path += pick(6) ? "/" : "//";
+      path += kComps[pick(std::size(kComps))];
+    }
+    if (pick(6) == 0) path += '/';
+    return path;
+  }
+
+  // Flips one directory's mode, which both resolvers must see.
+  void mutate() {
+    static const std::uint32_t kModes[] = {0755, 0711, 0750, 0700, 0644};
+    const std::string& dir = dirs_[pick(dirs_.size())];
+    auto st = vfs->lstat(dir);
+    if (st && st->is_dir() && !dir.starts_with("/m/ro")) {
+      EXPECT_FALSE(vfs->chmod(dir, kModes[pick(std::size(kModes))]));
+    }
+  }
+
+  std::shared_ptr<Vfs> vfs = std::make_shared<Vfs>();
+  ReferenceResolver ref;
+
+ private:
+  void populate(const std::string& dir, int depth) {
+    static const char* kDirs[] = {"a", "b", "c"};
+    static const std::uint32_t kModes[] = {0755, 0755, 0711, 0750, 0700,
+                                           0644};
+    static const char* kTargets[] = {
+        "a",  "../a",    "b/f", "..", ".",       "a/../b", "/a",      "/a/b/f",
+        "/m", "/m/ro/a", "/",   "s1", "s2",      "../s1",  "zz",      "",
+        "f",  "a//b/",   "/ln/../a", "../../..", "/file",  "/file/x"};
+    for (const char* name : kDirs) {
+      if (depth == 0 || pick(3) == 0) continue;
+      std::string path = dir + "/" + name;
+      EXPECT_FALSE(vfs->mkdir(path, kModes[pick(std::size(kModes))]));
+      if (pick(3) == 0) {
+        EXPECT_FALSE(vfs->chown(path, 1000, 100));
+      }
+      dirs_.push_back(path);
+      populate(path, depth - 1);
+    }
+    for (const char* name : {"f", "g"}) {
+      if (pick(2)) {
+        EXPECT_FALSE(vfs->write_file(dir + "/" + name, name));
+      }
+    }
+    for (const char* name : {"s1", "s2", "s3"}) {
+      if (pick(3)) {
+        EXPECT_FALSE(vfs->symlink(kTargets[pick(std::size(kTargets))],
+                                  dir + "/" + name));
+      }
+    }
+  }
+
+  std::mt19937 rng_;
+  std::vector<std::string> dirs_;
+};
+
+TEST(ResolverDifferentialTest, MatchesReferenceWalkerOverRandomTrees) {
+  const Credentials kCreds[] = {Credentials::root(), alice(), bob(),
+                                carol()};
+  const char* kRoots[] = {"/", "/", "/a", "/ln", "/m", "/m/ro", "/file",
+                          "//a/./"};
+  std::size_t paths = 0;
+  std::map<std::string, int> seen;  // outcome -> count, for coverage
+  std::vector<std::string> mismatches;
+  auto note = [&](const std::string& what) {
+    if (mismatches.size() < 8) mismatches.push_back(what);
+  };
+
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    RandomTree tree(seed);
+    if (::testing::Test::HasFailure()) return;
+    for (int i = 0; i < 2000; ++i, ++paths) {
+      if (i % 150 == 149) tree.mutate();
+      std::string path = tree.random_path();
+      const Credentials& creds = kCreds[tree.pick(std::size(kCreds))];
+      std::string root = kRoots[tree.pick(std::size(kRoots))];
+      std::string where = "seed " + std::to_string(seed) + " uid " +
+                          std::to_string(creds.uid) + " root " + root +
+                          " path '" + path + "'";
+
+      for (bool follow : {true, false}) {
+        auto got = tree.vfs->resolve(path, creds, follow, root);
+        auto want = tree.ref.resolve(path, creds, follow, root);
+        std::string ctx = where + (follow ? " (follow)" : " (nofollow)");
+        if (got.ok() != want.ok() || (!got && got.error() != want.error())) {
+          note(ctx + ": got " + (got ? "ok" : got.error().message()) +
+               ", want " + (want ? "ok" : want.error().message()));
+          continue;
+        }
+        if (!got) {
+          ++seen[got.error().message()];
+          continue;
+        }
+        if (got->fs.get() != want->fs || got->node != want->node ||
+            got->read_only != want->read_only ||
+            got->logical != want->logical) {
+          note(ctx + ": got node " + std::to_string(got->node) + " '" +
+               got->logical + "', want node " + std::to_string(want->node) +
+               " '" + want->logical + "'");
+          continue;
+        }
+        ++seen["ok"];
+        if (got->read_only) ++seen["read_only"];
+        if (got->logical.starts_with("/m")) ++seen["mounted"];
+      }
+
+      // stat follows a final symlink, lstat does not; both go through the
+      // dcache the resolve calls above just filled.
+      for (bool follow : {true, false}) {
+        auto got = follow ? tree.vfs->stat(path, creds, root)
+                          : tree.vfs->lstat(path, creds, root);
+        auto want = tree.ref.resolve(path, creds, follow, root);
+        Result<Stat> want_st = want ? want->fs->getattr(want->node)
+                                    : Result<Stat>(want.error());
+        if (got.ok() != want_st.ok() ||
+            (!got && got.error() != want_st.error()) ||
+            (got && (got->ino != want_st->ino || got->type != want_st->type ||
+                     got->size != want_st->size)))
+          note(where + (follow ? " stat" : " lstat") + " differs");
+      }
+    }
+  }
+
+  EXPECT_GE(paths, 10000u);
+  for (const auto& m : mismatches) ADD_FAILURE() << m;
+  // The trees and paths reach every kind of outcome.
+  for (Errc e : {Errc::not_found, Errc::not_dir, Errc::access_denied,
+                 Errc::symlink_loop})
+    EXPECT_GT(seen[make_error_code(e).message()], 0)
+        << make_error_code(e).message();
+  EXPECT_GT(seen["ok"], 1000);
+  EXPECT_GT(seen["read_only"], 0);
+  EXPECT_GT(seen["mounted"], 0);
 }
 
 }  // namespace
