@@ -140,7 +140,7 @@ void BM_BulkPush_DriverPipeline(benchmark::State& state) {
   settle();
 
   // Names are reused across iterations so steady state stays steady: no
-  // unbounded dcache / watch-registry growth skewing late iterations.
+  // unbounded watch-registry growth skewing late iterations.
   const std::string base = "/net/switches/sw1/flows/f";
   for (auto _ : state) {
     state.PauseTiming();

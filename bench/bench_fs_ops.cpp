@@ -66,9 +66,8 @@ void BM_Stat(benchmark::State& state) {
 }
 BENCHMARK(BM_Stat);
 
-// Path depth sets the cost of a dentry-cache miss, one walk step per
-// component; a repeated stat hits the cache, whose cost does not grow
-// with depth.
+// Path depth sets the cost of a resolution: every stat walks one step
+// per component.
 void BM_StatAtDepth(benchmark::State& state) {
   auto v = std::make_shared<vfs::Vfs>();
   std::string path;

@@ -13,7 +13,6 @@ namespace yanc::dbg {
 const char* rank_name(Rank r) noexcept {
   switch (r) {
     case Rank::vfs_mounts: return "vfs_mounts";
-    case Rank::vfs_dcache: return "vfs_dcache";
     case Rank::vfs_namespace: return "vfs_namespace";
     case Rank::vfs_data_shard: return "vfs_data_shard";
     case Rank::vfs_emit: return "vfs_emit";

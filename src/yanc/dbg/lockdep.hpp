@@ -49,7 +49,6 @@ namespace yanc::dbg {
 /// they grow must take its place in this table.
 enum class Rank : std::uint8_t {
   vfs_mounts = 0,   // Vfs mount table
-  vfs_dcache,       // Vfs resolution (dentry) cache
   vfs_namespace,    // MemFs namespace (mu_)
   vfs_data_shard,   // MemFs per-inode content shards
   vfs_emit,         // MemFs watch fan-out order lock (emit_mu_)
@@ -70,7 +69,7 @@ enum class Rank : std::uint8_t {
   cluster_manager,  // cluster::Manager lease/election state
 };
 
-inline constexpr std::size_t kRankCount = 18;
+inline constexpr std::size_t kRankCount = 17;
 
 /// Stable lower_snake name for diagnostics ("vfs_namespace").
 const char* rank_name(Rank r) noexcept;

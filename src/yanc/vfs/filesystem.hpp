@@ -30,11 +30,6 @@
 
 namespace yanc::vfs {
 
-/// change_gen() value meaning "this filesystem does not track namespace
-/// changes" — the Vfs resolution cache never caches a path that crosses
-/// such a filesystem.
-inline constexpr std::uint64_t kUncacheableGen = ~std::uint64_t{0};
-
 /// What one step of a path walk found: the child node and its type.
 struct WalkStep {
   NodeId node = kInvalidNode;
@@ -47,17 +42,6 @@ class Filesystem {
 
   /// Root directory node of this filesystem.
   virtual NodeId root() const = 0;
-
-  /// Namespace-change generation for the Vfs resolution (dentry) cache: a
-  /// counter that advances whenever an existing path→node binding, or the
-  /// permission to traverse one, may have changed (unlink/rmdir/rename/
-  /// chmod/chown/xattr).  Creations need not bump it — they cannot
-  /// invalidate a previously successful resolution (negative results are
-  /// never cached).  The default says "untracked", which disables caching
-  /// across this filesystem.  Implementations that mutate below the Vfs
-  /// (e.g. replication apply paths) inherit correct invalidation for free
-  /// by bumping at the storage layer.
-  virtual std::uint64_t change_gen() const { return kUncacheableGen; }
 
   // --- namespace operations -------------------------------------------
   /// One component of a Vfs path walk, as one call: checks that `dir` is a

@@ -318,7 +318,6 @@ Status MemFs::unlink_locked(NodeId parent, const std::string& name,
   NodeId victim = it->second;
   dir->children.erase(it);
   touch_locked(*dir);
-  bump_change_gen();
   queue_event_locked(parent, event::deleted, name);
   if (target) {
     if (--target->nlink == 0) {
@@ -367,7 +366,6 @@ Status MemFs::rmdir_locked(NodeId parent, const std::string& name,
   dir->children.erase(it);
   --dir->nlink;
   touch_locked(*dir);
-  bump_change_gen();
   queue_event_locked(parent, event::deleted, name);
   destroy_subtree_locked(victim);
   return ok_status();
@@ -456,7 +454,6 @@ Status MemFs::rename_locked(NodeId old_parent, const std::string& old_name,
   node->ctime_ns = now_ns();
   touch_locked(*src_dir);
   if (old_parent != new_parent) touch_locked(*dst_dir);
-  bump_change_gen();
 
   std::uint32_t cookie = next_cookie_++;
   queue_event_locked(old_parent, event::moved_from, old_name, cookie);
@@ -671,7 +668,6 @@ Status MemFs::chmod(NodeId node, std::uint32_t new_mode,
   ino->mode = new_mode & mode::all;
   ino->ctime_ns = now_ns();
   ++ino->version;
-  bump_change_gen();  // traversal permissions changed
   emit_node_event_locked(node, event::attrib);
   return ok_status();
 }
@@ -690,7 +686,6 @@ Status MemFs::chown(NodeId node, Uid uid, Gid gid, const Credentials& creds) {
   ino->gid = gid;
   ino->ctime_ns = now_ns();
   ++ino->version;
-  bump_change_gen();
   emit_node_event_locked(node, event::attrib);
   return ok_status();
 }
@@ -717,7 +712,6 @@ Status MemFs::setxattr(NodeId node, const std::string& name,
   ino->xattrs[name] = std::move(value);
   ino->ctime_ns = now_ns();
   ++ino->version;
-  bump_change_gen();  // the ACL xattr changes traversal permissions
   emit_node_event_locked(node, event::attrib);
   return ok_status();
 }
@@ -759,7 +753,6 @@ Status MemFs::removexattr(NodeId node, const std::string& name,
   ino->xattrs.erase(it);
   ino->ctime_ns = now_ns();
   ++ino->version;
-  bump_change_gen();
   emit_node_event_locked(node, event::attrib);
   return ok_status();
 }

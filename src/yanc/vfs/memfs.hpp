@@ -46,10 +46,6 @@ class MemFs : public Filesystem {
 
   NodeId root() const override { return kRootNode; }
 
-  std::uint64_t change_gen() const override {
-    return namespace_gen_.load(std::memory_order_acquire);
-  }
-
   /// Under one shared hold of mu_: the directory's type and search
   /// permission, then the child's entry and type.
   Result<WalkStep> walk_step(NodeId dir, std::string_view name,
@@ -230,11 +226,6 @@ class MemFs : public Filesystem {
   void destroy_subtree_locked(NodeId node);
   void touch_locked(Inode& node);
   std::uint64_t now_ns() { return tick_.fetch_add(1, std::memory_order_relaxed) + 1; }
-  /// Existing path→node bindings (or traversal permissions) changed:
-  /// advance the generation the Vfs resolution cache validates against.
-  void bump_change_gen() {
-    namespace_gen_.fetch_add(1, std::memory_order_release);
-  }
   /// Queues an event for post-unlock delivery (requires mu_ exclusive).
   void queue_event_locked(NodeId node, std::uint32_t mask,
                           std::string name = {}, std::uint32_t cookie = 0);
@@ -274,7 +265,6 @@ class MemFs : public Filesystem {
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::size_t> bytes_used_{0};
   std::uint32_t next_cookie_ = 1;
-  std::atomic<std::uint64_t> namespace_gen_{1};
   std::vector<PendingAction> pending_actions_;  // guarded by mu_ exclusive
 };
 

@@ -1,7 +1,5 @@
 #include "yanc/vfs/vfs.hpp"
 
-#include <atomic>
-#include <charconv>
 #include <chrono>
 #include <limits>
 
@@ -15,14 +13,15 @@ namespace {
 constexpr int kMaxSymlinkDepth = 40;
 
 /// Records the wall time of one public Vfs operation into its latency
-/// histogram on scope exit.  Sampled 1-in-64: two steady_clock reads per
-/// op would cost more than the op itself on the lookup fast path, and the
-/// percentile estimate doesn't need every op.
+/// histogram on scope exit.  Sampled 1-in-64 on each thread: two
+/// steady_clock reads per op would cost more than the op itself on the
+/// lookup fast path, and the percentile estimate doesn't need every op.
+/// The tick is per thread so that deciding writes no shared cache line.
 class OpTimer {
  public:
   explicit OpTimer(obs::Histogram* histogram) noexcept {
-    static std::atomic<std::uint32_t> tick{0};
-    if ((tick.fetch_add(1, std::memory_order_relaxed) & 63u) == 0) {
+    thread_local std::uint32_t tick = 0;
+    if ((tick++ & 63u) == 0) {
       histogram_ = histogram;
       start_ = std::chrono::steady_clock::now();
     }
@@ -67,29 +66,27 @@ Vfs::Vfs() : metrics_(std::make_shared<obs::Registry>()) {
   obs_.read_total = metrics_->counter("vfs/read_total");
   obs_.write_total = metrics_->counter("vfs/write_total");
   obs_.metadata_total = metrics_->counter("vfs/metadata_total");
-  obs_.dcache_hit_total = metrics_->counter("vfs/dcache_hit_total");
-  obs_.dcache_miss_total = metrics_->counter("vfs/dcache_miss_total");
   obs_.op_ns = metrics_->histogram("vfs/op_ns");
 }
 
-void Vfs::count_op(OpKind kind) {
-  counters_.total.fetch_add(1, std::memory_order_relaxed);
+void Vfs::count_op(OpKind kind, std::uint64_t n) {
+  counters_.total.fetch_add(n, std::memory_order_relaxed);
   switch (kind) {
     case OpKind::read:
-      counters_.reads.fetch_add(1, std::memory_order_relaxed);
-      obs_.read_total->add();
+      counters_.reads.fetch_add(n, std::memory_order_relaxed);
+      obs_.read_total->add(n);
       break;
     case OpKind::write:
-      counters_.writes.fetch_add(1, std::memory_order_relaxed);
-      obs_.write_total->add();
+      counters_.writes.fetch_add(n, std::memory_order_relaxed);
+      obs_.write_total->add(n);
       break;
     case OpKind::metadata:
-      counters_.metadata.fetch_add(1, std::memory_order_relaxed);
-      obs_.metadata_total->add();
+      counters_.metadata.fetch_add(n, std::memory_order_relaxed);
+      obs_.metadata_total->add(n);
       break;
     case OpKind::lookup:
-      counters_.lookups.fetch_add(1, std::memory_order_relaxed);
-      obs_.lookup_total->add();
+      counters_.lookups.fetch_add(n, std::memory_order_relaxed);
+      obs_.lookup_total->add(n);
       break;
   }
 }
@@ -112,15 +109,13 @@ Status Vfs::mount(const std::string& path, FilesystemPtr fs,
     // two, and later mount-point checks agree with the resolver.
     auto target = resolve(key, Credentials::root());
     if (!target) return target.error();
-    auto st = target->fs->getattr(target->node);
-    if (!st) return st.error();
-    if (!st->is_dir()) return make_error_code(Errc::not_dir);
+    if (target->type != FileType::directory)
+      return make_error_code(Errc::not_dir);
     key = target->logical.empty() ? "/" : target->logical;
   }
   dbg::UniqueLock lock(mounts_mu_);
   auto [it, inserted] = mounts_.emplace(key, Mount{std::move(fs), options});
   if (!inserted) return make_error_code(Errc::busy);
-  mount_gen_.fetch_add(1, std::memory_order_release);
   return ok_status();
 }
 
@@ -142,7 +137,6 @@ Status Vfs::umount(const std::string& path) {
     if (starts_with(mount_path, prefix))
       return make_error_code(Errc::busy);
   mounts_.erase(it);
-  mount_gen_.fetch_add(1, std::memory_order_release);
   return ok_status();
 }
 
@@ -158,7 +152,7 @@ bool Vfs::is_mount_point(const std::string& logical_path) const {
 }
 
 struct Vfs::Frame {
-  std::uint32_t pin;          // index of this directory's fs in Walk::deps
+  std::uint32_t pin;          // index of this directory's fs in Walk::pins
   std::uint32_t logical_len;  // its logical path is Walk::logical[0, len)
   NodeId node;
   FileType type;
@@ -170,15 +164,17 @@ struct Vfs::Walk {
   // Logical (mount-table) path of the top frame ("" = /); each frame
   // keeps its length, so ".." truncates instead of rebuilding.
   std::string logical;
-  // Every filesystem entered, pinned once with its change_gen() captured
-  // before any of its state was read.  The dcache entry keeps the list.
-  DcacheDeps deps;
+  // Every filesystem entered, pinned once, so that a concurrent umount
+  // cannot free one mid-walk.
+  std::vector<FilesystemPtr> pins;
+  // Components looked up so far; resolve() counts them with one add.
+  std::uint64_t lookups = 0;
 
   std::uint32_t pin(const FilesystemPtr& fs) {
-    for (std::size_t i = 0; i < deps.size(); ++i)
-      if (deps[i].first == fs) return static_cast<std::uint32_t>(i);
-    deps.emplace_back(fs, fs->change_gen());
-    return static_cast<std::uint32_t>(deps.size() - 1);
+    for (std::size_t i = 0; i < pins.size(); ++i)
+      if (pins[i] == fs) return static_cast<std::uint32_t>(i);
+    pins.push_back(fs);
+    return static_cast<std::uint32_t>(pins.size() - 1);
   }
   void truncate_to(std::size_t depth) {
     stack.resize(depth);
@@ -208,12 +204,12 @@ Status Vfs::walk(Walk& w, std::string_view norm, const Credentials& creds,
     }
 
     const Frame cur = w.stack.back();
-    Filesystem& fs = *w.deps[cur.pin].first;
+    Filesystem& fs = *w.pins[cur.pin];
     auto step = fs.walk_step(cur.node, comp, creds);
     // A step refused for the directory itself looked nothing up.
     if (step || (step.error() != make_error_code(Errc::not_dir) &&
                  step.error() != make_error_code(Errc::access_denied)))
-      count_op(OpKind::lookup);
+      ++w.lookups;
     if (!step) return step.error();
 
     if (step->type == FileType::symlink && (!rest.empty() || follow_final)) {
@@ -275,81 +271,15 @@ std::string_view normal_view(std::string_view path, std::string& storage) {
   return storage;
 }
 
-void append_number(std::string& out, std::uint32_t value) {
-  char buf[16];
-  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  out += std::string_view(buf, static_cast<std::size_t>(end - buf));
-}
-
-// Credentials qualify the key: the walk checks execute permission on
-// every component, so one caller's successful resolution proves nothing
-// for another.
-void append_dcache_key(std::string& key, std::string_view norm_root,
-                       std::string_view norm_path, bool follow_final,
-                       const Credentials& creds) {
-  key += norm_root;
-  key += '\n';
-  key += norm_path;
-  key += '\n';
-  key += follow_final ? '1' : '0';
-  key += '\n';
-  append_number(key, creds.uid);
-  key += ':';
-  append_number(key, creds.gid);
-  for (auto g : creds.groups) {
-    key += ',';
-    append_number(key, g);
-  }
-}
-
 }  // namespace
 
 Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
                                    const Credentials& creds, bool follow_final,
-                                   const std::string& root) {
-  return resolve_path(path, creds, follow_final, root, true);
-}
-
-Result<Vfs::Resolved> Vfs::resolve_path(std::string_view path,
-                                        const Credentials& creds,
-                                        bool follow_final,
-                                        std::string_view root,
-                                        bool want_logical) {
+                                   std::string_view root) {
   std::string path_storage;
   std::string root_storage;
   std::string_view norm = normal_view(path, path_storage);
   std::string_view norm_root = normal_view(root, root_storage);
-  // The lookup key is built in a per-thread buffer that keeps its
-  // capacity, so a hit allocates nothing.
-  thread_local std::string key;
-  key.clear();
-  append_dcache_key(key, norm_root, norm, follow_final, creds);
-  // Capture the mount generation before consulting anything: a mount that
-  // lands mid-walk invalidates, never validates.
-  std::uint64_t mount_gen = mount_gen_.load(std::memory_order_acquire);
-  {
-    dbg::SharedLock lock(dcache_mu_);
-    auto it = dcache_.find(key);
-    if (it != dcache_.end() && it->second.mount_gen == mount_gen) {
-      bool fresh = true;
-      for (const auto& [fs, gen] : it->second.deps) {
-        if (fs->change_gen() != gen) {
-          fresh = false;
-          break;
-        }
-      }
-      if (fresh) {
-        // One lookup per hit keeps the syscall counters monotonic and the
-        // cached path visibly cheaper than the walked one.
-        count_op(OpKind::lookup);
-        obs_.dcache_hit_total->add();
-        const Resolved& hit = it->second.resolved;
-        return Resolved{hit.fs, hit.node, hit.read_only,
-                        want_logical ? hit.logical : std::string()};
-      }
-    }
-  }
-  obs_.dcache_miss_total->add();
 
   Walk w;
   {
@@ -359,55 +289,37 @@ Result<Vfs::Resolved> Vfs::resolve_path(std::string_view path,
                             FileType::directory, m.options.read_only});
   }
   int symlinks_left = kMaxSymlinkDepth;
-
+  Status ec;
   // Stage 1: anchor at the namespace root (always following symlinks).
   if (norm_root.size() > 1) {
-    if (auto ec = walk(w, norm_root, creds, true, 1, symlinks_left); ec)
-      return ec;
-    if (w.stack.back().type != FileType::directory) return Errc::not_dir;
+    ec = walk(w, norm_root, creds, true, 1, symlinks_left);
+    if (!ec && w.stack.back().type != FileType::directory)
+      ec = make_error_code(Errc::not_dir);
   }
-
   // Stage 2: walk the user-supplied path, confined above the root.
-  if (auto ec = walk(w, norm, creds, follow_final, w.stack.size(),
-                     symlinks_left);
-      ec)
-    return ec;  // negative results are never cached
+  if (!ec)
+    ec = walk(w, norm, creds, follow_final, w.stack.size(), symlinks_left);
+  // One add per resolution, whether it failed or not.
+  if (w.lookups != 0) count_op(OpKind::lookup, w.lookups);
+  if (ec) return ec;
 
   const Frame& top = w.stack.back();
-  Resolved resolved{w.deps[top.pin].first, top.node, top.read_only,
-                    std::move(w.logical)};
-  for (const auto& [fs, gen] : w.deps)
-    if (gen == kUncacheableGen) return resolved;
-
-  // The owned key and the entry are built before the lock; a full table
-  // is swapped out under it and freed after it drops.
-  std::string owned_key;
-  owned_key.reserve(key.size());
-  append_dcache_key(owned_key, norm_root, norm, follow_final, creds);
-  DentryEntry entry{resolved, std::move(w.deps), mount_gen};
-  decltype(dcache_) evicted;
-  {
-    dbg::UniqueLock lock(dcache_mu_);
-    if (dcache_.size() >= kDcacheCap) dcache_.swap(evicted);
-    dcache_.insert_or_assign(std::move(owned_key), std::move(entry));
-  }
-  return resolved;
+  return Resolved{std::move(w.pins[top.pin]), top.node, top.type,
+                  top.read_only, std::move(w.logical)};
 }
 
 Result<Vfs::Resolved> Vfs::resolve_parent(std::string_view path,
                                           const Credentials& creds,
                                           std::string* leaf,
-                                          const std::string& root,
-                                          bool want_logical) {
+                                          std::string_view root) {
   std::string path_storage;
   std::string_view norm = normal_view(path, path_storage);
   if (norm == "/") return Errc::busy;  // the root has no parent entry
   auto slash = norm.rfind('/');
   leaf->assign(norm.substr(slash + 1));
   if (*leaf == "..") return Errc::invalid_argument;
-  return resolve_path(slash == 0 ? std::string_view("/")
-                                 : norm.substr(0, slash),
-                      creds, true, root, want_logical);
+  return resolve(slash == 0 ? std::string_view("/") : norm.substr(0, slash),
+                 creds, true, root);
 }
 
 Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
@@ -422,7 +334,7 @@ Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
   bool want_write = acc == of::write_only || acc == of::read_write ||
                     (flags & (of::truncate | of::append));
 
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) {
     if (resolved.error() == make_error_code(Errc::not_found) &&
         (flags & of::create)) {
@@ -439,9 +351,7 @@ Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
   }
   if ((flags & of::create) && (flags & of::excl)) return Errc::exists;
 
-  auto st = resolved->fs->getattr(resolved->node);
-  if (!st) return st.error();
-  if (st->is_dir()) return Errc::is_dir;
+  if (resolved->type == FileType::directory) return Errc::is_dir;
   if (want_write && resolved->read_only) return Errc::read_only;
 
   std::uint8_t want = 0;
@@ -464,7 +374,7 @@ Result<std::string> Vfs::read_file(std::string_view path,
                                    const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::read);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   return resolved->fs->read(resolved->node, 0,
                             std::numeric_limits<std::uint64_t>::max(), creds);
@@ -509,7 +419,7 @@ Result<Stat> Vfs::stat(std::string_view path, const Credentials& creds,
                        const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   return resolved->fs->getattr(resolved->node);
 }
@@ -518,7 +428,7 @@ Result<Stat> Vfs::lstat(std::string_view path, const Credentials& creds,
                         const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, false, root, false);
+  auto resolved = resolve(path, creds, false, root);
   if (!resolved) return resolved.error();
   return resolved->fs->getattr(resolved->node);
 }
@@ -528,7 +438,7 @@ Result<std::vector<DirEntry>> Vfs::readdir(std::string_view path,
                                            const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   if (auto ec = resolved->fs->access(resolved->node, 4, creds); ec) return ec;
   return resolved->fs->readdir(resolved->node);
@@ -579,7 +489,7 @@ Status Vfs::unlink(std::string_view path, const Credentials& creds,
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
   std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root, true);
+  auto parent = resolve_parent(path, creds, &leaf, root);
   if (!parent) return parent.error();
   if (parent->read_only) return make_error_code(Errc::read_only);
   // Mount-point check on the *resolved* logical path: a lexical check
@@ -594,7 +504,7 @@ Status Vfs::rmdir(std::string_view path, const Credentials& creds,
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
   std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root, true);
+  auto parent = resolve_parent(path, creds, &leaf, root);
   if (!parent) return parent.error();
   if (parent->read_only) return make_error_code(Errc::read_only);
   if (is_mount_point(parent->logical + "/" + leaf))
@@ -631,9 +541,9 @@ Status Vfs::rename(std::string_view from, std::string_view to,
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
   std::string from_leaf, to_leaf;
-  auto from_parent = resolve_parent(from, creds, &from_leaf, root, true);
+  auto from_parent = resolve_parent(from, creds, &from_leaf, root);
   if (!from_parent) return from_parent.error();
-  auto to_parent = resolve_parent(to, creds, &to_leaf, root, true);
+  auto to_parent = resolve_parent(to, creds, &to_leaf, root);
   if (!to_parent) return to_parent.error();
   if (is_mount_point(from_parent->logical + "/" + from_leaf) ||
       is_mount_point(to_parent->logical + "/" + to_leaf))
@@ -662,7 +572,7 @@ Result<std::string> Vfs::readlink(std::string_view path,
                                   const Credentials& creds,
                                   const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, false, root, false);
+  auto resolved = resolve(path, creds, false, root);
   if (!resolved) return resolved.error();
   return resolved->fs->readlink(resolved->node);
 }
@@ -670,7 +580,7 @@ Result<std::string> Vfs::readlink(std::string_view path,
 Status Vfs::link(std::string_view existing, std::string_view linkpath,
                  const Credentials& creds, const std::string& root) {
   count_op(OpKind::write);
-  auto target = resolve_path(existing, creds, true, root, false);
+  auto target = resolve(existing, creds, true, root);
   if (!target) return target.error();
   std::string leaf;
   auto parent = resolve_parent(linkpath, creds, &leaf, root);
@@ -684,7 +594,7 @@ Status Vfs::link(std::string_view existing, std::string_view linkpath,
 Status Vfs::chmod(std::string_view path, std::uint32_t mode,
                   const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->chmod(resolved->node, mode, creds);
@@ -693,7 +603,7 @@ Status Vfs::chmod(std::string_view path, std::uint32_t mode,
 Status Vfs::chown(std::string_view path, Uid uid, Gid gid,
                   const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->chown(resolved->node, uid, gid, creds);
@@ -703,7 +613,7 @@ Status Vfs::truncate(std::string_view path, std::uint64_t size,
                      const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->truncate(resolved->node, size, creds);
@@ -713,7 +623,7 @@ Status Vfs::setxattr(std::string_view path, const std::string& name,
                      std::vector<std::uint8_t> value, const Credentials& creds,
                      const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->setxattr(resolved->node, name, std::move(value), creds);
@@ -724,7 +634,7 @@ Result<std::vector<std::uint8_t>> Vfs::getxattr(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   return resolved->fs->getxattr(resolved->node, name);
 }
@@ -733,7 +643,7 @@ Result<std::vector<std::string>> Vfs::listxattr(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   return resolved->fs->listxattr(resolved->node);
 }
@@ -741,7 +651,7 @@ Result<std::vector<std::string>> Vfs::listxattr(std::string_view path,
 Status Vfs::removexattr(std::string_view path, const std::string& name,
                         const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   if (resolved->read_only) return make_error_code(Errc::read_only);
   return resolved->fs->removexattr(resolved->node, name, creds);
@@ -763,7 +673,7 @@ Result<Acl> Vfs::get_acl(std::string_view path, const Credentials& creds,
 Status Vfs::access(std::string_view path, std::uint8_t want,
                    const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   return resolved->fs->access(resolved->node, want, creds);
 }
@@ -774,7 +684,7 @@ Result<std::shared_ptr<WatchHandle>> Vfs::watch(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve_path(path, creds, true, root, false);
+  auto resolved = resolve(path, creds, true, root);
   if (!resolved) return resolved.error();
   auto id = resolved->fs->watch(resolved->node, mask, std::move(queue));
   if (!id) return id.error();

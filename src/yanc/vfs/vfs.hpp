@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "yanc/dbg/lockdep.hpp"
@@ -61,6 +60,7 @@ class Vfs {
   struct Resolved {
     FilesystemPtr fs;
     NodeId node = kInvalidNode;
+    FileType type = FileType::directory;  // of `node`, as the walk found it
     bool read_only = false;
     // Full logical (mount-table) path the walk ended at, with ".." and
     // symlinks already resolved ("" means "/").  This is the canonical key
@@ -68,13 +68,14 @@ class Vfs {
     // reach a mount root via ".." or a symlink.
     std::string logical;
   };
-  /// Resolves `path` to (filesystem, node).  `follow_final` controls
+  /// Resolves `path` to (filesystem, node) by walking it, one
+  /// Filesystem::walk_step per component.  `follow_final` controls
   /// whether a trailing symlink is followed (stat vs lstat).
   /// `root` confines resolution to a subtree (namespace support): ".."
   /// cannot escape it and absolute symlink targets re-anchor at it.
   Result<Resolved> resolve(std::string_view path, const Credentials& creds,
                            bool follow_final = true,
-                           const std::string& root = "/");
+                           std::string_view root = "/");
 
   // --- file I/O -----------------------------------------------------------
   Result<std::shared_ptr<FileHandle>> open(std::string_view path, int flags,
@@ -189,47 +190,18 @@ class Vfs {
   /// the benchmarks read) and the obs registry (the /yanc/.stats surface).
   enum class OpKind { read, write, metadata, lookup };
 
-  /// Filesystems a resolution read, each with its change_gen() captured at
-  /// first visit — *before* any of its state was read, so a concurrent
-  /// mutation can only make the cached entry look stale, never fresh.
-  using DcacheDeps = std::vector<std::pair<FilesystemPtr, std::uint64_t>>;
-
-  /// One resolution-cache entry: the answer plus everything needed to
-  /// prove it is still the answer.
-  struct DentryEntry {
-    Resolved resolved;
-    DcacheDeps deps;
-    std::uint64_t mount_gen = 0;  // mount table unchanged since insert
-  };
-
-  /// resolve() for the public operations: `logical` is copied out of a
-  /// cache hit only when `want_logical` is set (a miss always fills it).
-  Result<Resolved> resolve_path(std::string_view path,
-                                const Credentials& creds, bool follow_final,
-                                std::string_view root, bool want_logical);
   [[nodiscard]] Status walk(Walk& w, std::string_view norm,
                             const Credentials& creds, bool follow_final,
                             std::size_t base_depth, int& symlinks_left);
   Result<Resolved> resolve_parent(std::string_view path,
                                   const Credentials& creds, std::string* leaf,
-                                  const std::string& root,
-                                  bool want_logical = false);
+                                  std::string_view root);
   bool is_mount_point(const std::string& logical_path) const;
-  void count_op(OpKind kind);
+  /// Adds `n` operations of one class to both counter sets.
+  void count_op(OpKind kind, std::uint64_t n = 1);
 
   mutable dbg::SharedMutex<dbg::Rank::vfs_mounts> mounts_mu_;
   std::map<std::string, Mount> mounts_;  // resolved logical path -> mount
-  // Bumped on every mount/umount; resolution-cache entries recorded under
-  // an older generation are never returned.
-  std::atomic<std::uint64_t> mount_gen_{1};
-
-  // Resolution (dentry) cache: successful resolutions only, keyed by
-  // (namespace root, normalized path, follow_final, credentials).  Capped;
-  // swapped out wholesale when full and freed after the lock drops
-  // (entries revalidate cheaply, so churn is benign).
-  static constexpr std::size_t kDcacheCap = 4096;
-  mutable dbg::SharedMutex<dbg::Rank::vfs_dcache> dcache_mu_;
-  std::unordered_map<std::string, DentryEntry> dcache_;
 
   OpCounters counters_;
   std::shared_ptr<obs::Registry> metrics_;
@@ -238,8 +210,6 @@ class Vfs {
     obs::Counter* read_total;
     obs::Counter* write_total;
     obs::Counter* metadata_total;
-    obs::Counter* dcache_hit_total;
-    obs::Counter* dcache_miss_total;
     obs::Histogram* op_ns;  // wall latency of public Vfs operations
   } obs_;
 };

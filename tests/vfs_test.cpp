@@ -1086,16 +1086,12 @@ TEST_F(VfsTest, MountRootProtectedThroughSymlinkedParent) {
   EXPECT_TRUE(vfs->stat("/mnt").ok());
 }
 
-// --- resolution (dentry) cache ----------------------------------------------
-
-TEST_F(VfsTest, DentryCacheHitsRepeatedResolutions) {
-  ASSERT_FALSE(vfs->mkdir_p("/a/b"));
-  ASSERT_FALSE(vfs->write_file("/a/b/f", "x"));
-  auto* hits = vfs->metrics()->counter("vfs/dcache_hit_total");
-  auto before = hits->value();
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(*vfs->read_file("/a/b/f"), "x");
-  EXPECT_GE(hits->value(), before + 7);  // first read may miss, rest hit
-}
+// --- resolution after a change ----------------------------------------------
+//
+// Named for a resolution cache Vfs no longer has: every resolution walks.
+// They still pin that a resolution after an unlink, rename, chmod or
+// umount sees it, and that one caller's success proves nothing for
+// another caller.
 
 TEST_F(VfsTest, DentryCacheInvalidatedOnUnlink) {
   ASSERT_FALSE(vfs->write_file("/f", "x"));
@@ -1150,6 +1146,50 @@ TEST_F(VfsTest, DentryCacheIsPerCredential) {
 }
 
 // --- multi-threaded stress ----------------------------------------------------
+
+TEST_F(VfsTest, ResolveDuringConcurrentMountUmount) {
+  // Readers walk into /mnt while another thread mounts and unmounts a
+  // fresh MemFs there.  A walk pins each filesystem it enters, so a read
+  // that crossed into the mount finishes on it even when the umount has
+  // dropped the last other reference.
+  constexpr int kCycles = 300;
+  constexpr int kReaders = 3;
+  ASSERT_FALSE(vfs->mkdir("/mnt"));
+  std::atomic<bool> done{false};
+  std::atomic<int> mounted_reads{0};
+  std::atomic<int> unexpected{0};
+  auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto data = vfs->read_file("/mnt/f");
+      if (data && *data == "mounted")
+        mounted_reads.fetch_add(1, std::memory_order_relaxed);
+      else if (data || data.error() != err(Errc::not_found))
+        unexpected.fetch_add(1);
+      if (!vfs->stat("/mnt").ok()) unexpected.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) threads.emplace_back(reader);
+  threads.emplace_back([&] {
+    for (int i = 0; i < kCycles; ++i) {
+      auto fs = std::make_shared<MemFs>();
+      auto f = fs->create(fs->root(), "f", 0644, root);
+      EXPECT_TRUE(f.ok() && fs->replace(*f, "mounted", root).ok());
+      EXPECT_FALSE(vfs->mount("/mnt", std::move(fs)));
+      // Give the readers a chance to walk into this mount.
+      int seen = mounted_reads.load();
+      for (int spin = 0; spin < 100 && mounted_reads.load() == seen; ++spin)
+        std::this_thread::yield();
+      EXPECT_FALSE(vfs->umount("/mnt"));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_GT(mounted_reads.load(), 0);
+  EXPECT_EQ(vfs->read_file("/mnt/f").error(), err(Errc::not_found));
+}
 
 TEST_F(VfsTest, MultiThreadedReadersAndMutators) {
   // N readers resolve and read a shared tree while writers rewrite file
@@ -1583,8 +1623,8 @@ TEST(ResolverDifferentialTest, MatchesReferenceWalkerOverRandomTrees) {
         if (got->logical.starts_with("/m")) ++seen["mounted"];
       }
 
-      // stat follows a final symlink, lstat does not; both go through the
-      // dcache the resolve calls above just filled.
+      // stat follows a final symlink, lstat does not; both walk the path
+      // again, as every resolution does.
       for (bool follow : {true, false}) {
         auto got = follow ? tree.vfs->stat(path, creds, root)
                           : tree.vfs->lstat(path, creds, root);
