@@ -13,8 +13,13 @@
 #             read_monitor run at its full shape (4 reader threads, the
 #             only workload that reads /yanc/.stats) — each must report
 #             "correct": true and "failed": 0 — then ASan/UBSan over the
-#             full suite and TSan over every suite that starts threads
-#             (vfs, netfs, obs, faults, dbg, fast) via scripts/sanitize.sh.
+#             full suite, the stress sweeps under ASan/UBSan
+#             (scripts/stress.sh: the 100-seed fault matrix, the 50-history
+#             batched-pipeline property sweep and the 20-seed cluster
+#             chaos sweep, which exercise overflow rescan, expiry,
+#             reconnect resync and failover), and TSan over every suite
+#             that starts threads (vfs, netfs, obs, faults, dbg, fast) via
+#             scripts/sanitize.sh.
 #   --fast  — static-only yanc-analyze, stop before the coverage sweep
 #             and sanitizer rebuilds.
 set -euo pipefail
@@ -115,6 +120,9 @@ fi
 
 echo "=== asan+ubsan ==="
 scripts/sanitize.sh asan
+
+echo "=== stress sweeps (asan+ubsan) ==="
+scripts/stress.sh
 
 echo "=== tsan (concurrency suites + lockdep + SPSC ring / packet pool) ==="
 scripts/sanitize.sh tsan build-tsan -R '(vfs|netfs|obs|faults|dbg|fast)_test'

@@ -57,7 +57,6 @@ struct OfDriver::Connection {
     std::size_t mods = 0;                  // FLOW_MODs in the burst
     std::uint64_t counter_delta = 0;       // deferred counters/flow_mods
     std::uint32_t retries = 0;             // max over contributing pushes
-    std::uint64_t first_tick = 0;          // when the burst opened
     // Causal contexts riding the train, and the FLOW_MOD xids they were
     // wire_put under (parallel staging, consumed independently: traces
     // feed the barrier's commit_ack spans, xids feed handoff cleanup
@@ -86,18 +85,10 @@ struct OfDriver::Connection {
     std::uint64_t pushed_version = 0;
     std::uint64_t pushed_tick = 0;  // poll that queued pushed_version
     FlowSpec pushed;  // last spec sent to hardware
-    std::shared_ptr<vfs::WatchHandle> version_watch;
-    NodeId version_node = vfs::kInvalidNode;
+    NodeId version_node = vfs::kInvalidNode;  // its watch_contexts_ key
   };
   std::map<std::string, FlowState> flows;
-  // Deletions the driver itself performed (flow_removed mirroring); the
-  // resulting FS delete event must not bounce a FLOW_MOD back.
-  std::set<std::string> suppress_delete;
 
-  // Keeps non-flow watches alive: flows/, packet_out/, per-port config,
-  // per-packet-out send files.  Keyed by watched path.
-  std::map<std::string, std::shared_ptr<vfs::WatchHandle>> watches;
-  std::map<std::string, NodeId> watch_nodes;
   // Last configuration reported by the hardware, per port: (port_down,
   // no_flood).  PORT_MOD is only sent when the FS diverges from this, so
   // the driver's own PortStatus mirroring can never echo into a loop.
@@ -115,6 +106,7 @@ struct OfDriver::WatchContext {
   Kind kind;
   Connection* conn = nullptr;
   std::string name;  // flow / port / packet-out directory name
+  std::unique_ptr<vfs::WatchHandle> watch = nullptr;  // set by add_watch
 };
 
 namespace {
@@ -131,6 +123,33 @@ void release_train(std::uint64_t dpid, const std::vector<std::uint32_t>& xids,
   for (std::uint32_t xid : xids) (void)tracer.wire_take(dpid, xid);
   for (const auto& ref : traces)
     tracer.annotate(ref, "driver", "train_fault", what);
+}
+
+// The EchoRequest payload: the steady-clock send time in nanoseconds, 8
+// bytes little-endian.  The switch echoes it verbatim, so the reply's
+// arrival time minus its payload is the round trip.
+std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+ofp::EchoRequest encode_echo_stamp(std::uint64_t sent_ns) {
+  ofp::EchoRequest ping;
+  ping.data.resize(8);
+  for (int i = 0; i < 8; ++i)
+    ping.data[i] = static_cast<std::uint8_t>(sent_ns >> (8 * i));
+  return ping;
+}
+
+std::optional<std::uint64_t> decode_echo_stamp(
+    const std::vector<std::uint8_t>& data) {
+  if (data.size() != 8) return std::nullopt;
+  std::uint64_t sent_ns = 0;
+  for (int i = 0; i < 8; ++i)
+    sent_ns |= static_cast<std::uint64_t>(data[i]) << (8 * i);
+  return sent_ns;
 }
 
 /// RAII commit-stage trace: opens a "driver/commit" span parented to the
@@ -191,8 +210,6 @@ OfDriver::OfDriver(std::shared_ptr<vfs::Vfs> vfs, DriverOptions options)
   // what a running driver is configured with.
   reg.gauge("driver/of/max_batch")
       ->set(static_cast<std::int64_t>(options_.max_batch));
-  reg.gauge("driver/of/flush_interval")
-      ->set(static_cast<std::int64_t>(options_.flush_interval));
 }
 
 OfDriver::~OfDriver() = default;
@@ -250,7 +267,6 @@ void OfDriver::send_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
     return;
   }
   auto& eg = conn.egress;
-  if (eg.mods == 0 && eg.bufs.empty()) eg.first_tick = tick_;
   if (!eg.enc) eg.enc.emplace(options_.version);
   std::uint32_t xid = conn.next_xid++;
   if (auto ec = eg.enc->append(xid, fm); ec) {
@@ -283,9 +299,6 @@ void OfDriver::flush_egress(Connection& conn) {
     }
     return;
   }
-  if (options_.flush_interval &&
-      tick_ - eg.first_tick < options_.flush_interval)
-    return;  // burst still filling; a later poll ships it
 
   // One barrier covers the whole train: until its reply arrives none of
   // the burst's commits are assumed to have survived the wire (§3.4).
@@ -359,13 +372,12 @@ std::size_t OfDriver::poll() {
   }
   service_timers();
   // Ship every burst the poll accumulated (drains, audit repairs,
-  // retries) — one vectored train per switch per quantum, unless
-  // flush_interval holds a still-filling burst for a later poll.
+  // retries) — one vectored train per switch per quantum.
   for (auto& conn : connections_) flush_egress(*conn);
   // After the trains: the switch applies them before it answers.
   send_due_audits();
 
-  // Reap dead connections: mark the FS, drop watches.
+  // Reap dead connections: mark the FS, drop their watches.
   for (auto it = connections_.begin(); it != connections_.end();) {
     if ((*it)->channel.connected()) {
       ++it;
@@ -474,17 +486,9 @@ void OfDriver::handle_switch_message(Connection& conn,
     return;
   }
   if (auto* reply = std::get_if<ofp::EchoReply>(&m)) {
-    // ping_switches() stamps the request with the send time; the switch
-    // echoes it back verbatim, so reply time minus payload = RTT.
-    if (reply->data.size() == 8) {
-      std::uint64_t sent = 0;
-      for (int i = 0; i < 8; ++i)
-        sent |= static_cast<std::uint64_t>(reply->data[i]) << (8 * i);
-      auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count();
-      if (static_cast<std::uint64_t>(now) >= sent)
-        metrics_.echo_rtt_ns->record(static_cast<std::uint64_t>(now) - sent);
+    if (auto sent = decode_echo_stamp(reply->data)) {
+      std::uint64_t now = steady_now_ns();
+      if (now >= *sent) metrics_.echo_rtt_ns->record(now - *sent);
     }
     return;
   }
@@ -588,55 +592,32 @@ void OfDriver::on_features(Connection& conn,
   }
 }
 
-namespace {
-
-/// Registers `queue` on the node `path` resolves to; returns (handle, node).
-Result<std::pair<std::shared_ptr<vfs::WatchHandle>, NodeId>> watch_node(
-    vfs::Vfs& vfs, const std::string& path, std::uint32_t mask,
-    vfs::WatchQueuePtr queue) {
-  auto resolved = vfs.resolve(path, Credentials::root());
-  if (!resolved) return resolved.error();
-  auto id = resolved->fs->watch(resolved->node, mask, std::move(queue));
-  if (!id) return id.error();
-  return std::make_pair(
-      std::make_shared<vfs::WatchHandle>(resolved->fs, *id), resolved->node);
+vfs::NodeId OfDriver::add_watch(const std::string& path, std::uint32_t mask,
+                                WatchContext ctx) {
+  auto resolved = vfs_->resolve(path, Credentials::root());
+  if (!resolved) return vfs::kInvalidNode;
+  auto id = resolved->fs->watch(resolved->node, mask, ctx.conn->fs_queue);
+  if (!id) return vfs::kInvalidNode;
+  ctx.watch = std::make_unique<vfs::WatchHandle>(resolved->fs, *id);
+  watch_contexts_.insert_or_assign(resolved->node, std::move(ctx));
+  return resolved->node;
 }
-
-}  // namespace
 
 void OfDriver::create_switch_tree(Connection& conn,
                                   const std::vector<ofp::PortDesc>& ports) {
   for (const auto& port : ports) create_port_dir(conn, port);
 
-  // Watch flows/ for new and deleted flow directories.
-  std::string flows_dir = conn.path + "/flows";
-  if (auto w = watch_node(*vfs_, flows_dir,
-                          vfs::event::created | vfs::event::deleted,
-                          conn.fs_queue)) {
-    conn.watches[flows_dir] = w->first;
-    watch_contexts_[w->second] =
-        WatchContext{WatchContext::Kind::flows_dir, &conn, {}};
-  }
-  // Watch packet_out/ for new requests.
-  std::string pktout_dir = conn.path + "/packet_out";
-  if (auto w = watch_node(*vfs_, pktout_dir, vfs::event::created,
-                          conn.fs_queue)) {
-    conn.watches[pktout_dir] = w->first;
-    watch_contexts_[w->second] =
-        WatchContext{WatchContext::Kind::pktout_dir, &conn, {}};
-  }
+  // Watch flows/ for new and deleted flow directories, packet_out/ for
+  // new requests.
+  add_watch(conn.path + "/flows", vfs::event::created | vfs::event::deleted,
+            WatchContext{WatchContext::Kind::flows_dir, &conn, {}});
+  add_watch(conn.path + "/packet_out", vfs::event::created,
+            WatchContext{WatchContext::Kind::pktout_dir, &conn, {}});
 
   // Flows may already exist (reconnect): adopt and push committed ones.
   // This is the FS-driven resync — the directory tree, not driver RAM,
   // is the record a reborn switch is restored from (§3.4).
-  if (auto names = vfs_->readdir(flows_dir)) {
-    for (const auto& e : *names) {
-      watch_flow(conn, e.name);
-      push_flow(conn, e.name);
-      if (conn.flows[e.name].pushed_version > 0)
-        metrics_.resync_total->add();
-    }
-  }
+  metrics_.resync_total->add(rescan_flows(conn));
 }
 
 void OfDriver::create_port_dir(Connection& conn, const ofp::PortDesc& port) {
@@ -661,35 +642,23 @@ void OfDriver::create_port_dir(Connection& conn, const ofp::PortDesc& port) {
 
   // Administrative changes to the port flow back as PORT_MOD (§3.1's
   // `echo 1 > config.port_down`).
-  for (const char* file : {"config.port_down", "config.no_flood"}) {
-    std::string cfg = port_path + "/" + file;
-    if (auto w = watch_node(*vfs_, cfg, vfs::event::modified,
-                            conn.fs_queue)) {
-      conn.watches[cfg] = w->first;
-      watch_contexts_[w->second] =
-          WatchContext{WatchContext::Kind::port_config, &conn,
-                       std::to_string(port.port_no)};
-    }
-  }
+  for (const char* file : {"config.port_down", "config.no_flood"})
+    add_watch(port_path + "/" + file, vfs::event::modified,
+              WatchContext{WatchContext::Kind::port_config, &conn,
+                           std::to_string(port.port_no)});
 }
 
 void OfDriver::watch_flow(Connection& conn, const std::string& flow_name) {
-  std::string version_path =
-      conn.path + "/flows/" + flow_name + "/version";
-  auto w = watch_node(*vfs_, version_path, vfs::event::modified,
-                      conn.fs_queue);
-  if (!w) return;
-  auto& state = conn.flows[flow_name];
-  state.version_watch = w->first;
-  state.version_node = w->second;
-  watch_contexts_[w->second] =
-      WatchContext{WatchContext::Kind::flow_version, &conn, flow_name};
+  NodeId node = add_watch(
+      conn.path + "/flows/" + flow_name + "/version", vfs::event::modified,
+      WatchContext{WatchContext::Kind::flow_version, &conn, flow_name});
+  if (node != vfs::kInvalidNode) conn.flows[flow_name].version_node = node;
 }
 
-void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
+bool OfDriver::push_flow(Connection& conn, const std::string& flow_name,
                          std::uint32_t retries) {
   auto state_it = conn.flows.find(flow_name);
-  if (state_it == conn.flows.end()) return;
+  if (state_it == conn.flows.end()) return false;
   auto& state = state_it->second;
 
   std::string flow_dir = conn.path + "/flows/" + flow_name;
@@ -697,10 +666,10 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   if (!spec) {
     log_error("driver", "unreadable flow " + flow_dir + ": " +
                             spec.error().message());
-    return;
+    return false;
   }
   if (spec->version == 0 || spec->version <= state.pushed_version)
-    return;  // not committed / already on hardware (§3.4)
+    return false;  // not committed / already on hardware (§3.4)
 
   // If the identity (match, priority, table) changed, the old hardware
   // entry must go first; OpenFlow add only replaces identical identities.
@@ -729,6 +698,7 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   state.pushed_version = spec->version;
   state.pushed_tick = tick_;
   state.pushed = *spec;
+  return true;
 }
 
 std::size_t OfDriver::drain_fs_events() {
@@ -775,16 +745,13 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
       if (event.is(vfs::event::created)) {
         std::string send_path =
             conn.path + "/packet_out/" + event.name + "/send";
-        if (auto w = watch_node(*vfs_, send_path, vfs::event::modified,
-                                conn.fs_queue)) {
-          conn.watches[send_path] = w->first;
-          watch_contexts_[w->second] = WatchContext{
-              WatchContext::Kind::pktout_send, &conn, event.name};
-        }
+        NodeId send_node = add_watch(
+            send_path, vfs::event::modified,
+            WatchContext{WatchContext::Kind::pktout_send, &conn, event.name});
         // The app may have set send=1 before this watch existed.
         if (auto flag = vfs_->read_file(send_path);
             flag && trim(*flag) == "1")
-          send_packet_out_dir(conn, event.name);
+          send_packet_out_dir(conn, event.name, send_node);
       }
       return true;
     case WatchContext::Kind::pktout_send: {
@@ -792,20 +759,17 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
       std::string send_path =
           conn.path + "/packet_out/" + ctx.name + "/send";
       if (auto flag = vfs_->read_file(send_path); flag && trim(*flag) == "1")
-        send_packet_out_dir(conn, ctx.name);
+        send_packet_out_dir(conn, ctx.name, event.node);
       return true;
     }
   }
   return true;
 }
 
-// Handles a flows_dir deletion.
-void OfDriver::handle_flow_deleted(Connection& conn,
-                                   const std::string& name) {
+void OfDriver::retire_flow(Connection& conn, const std::string& name) {
   auto it = conn.flows.find(name);
   if (it == conn.flows.end()) return;
-  if (conn.suppress_delete.erase(name) == 0 &&
-      it->second.pushed_version > 0) {
+  if (it->second.pushed_version > 0) {
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = it->second.pushed;
@@ -864,7 +828,9 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
       }
       auto ctx_it = watch_contexts_.find(event.node);
       if (ctx_it == watch_contexts_.end()) continue;
-      WatchContext ctx = ctx_it->second;
+      // By reference: only a consumed packet-out erases the context it
+      // runs for, and handle_aux_event is done with it by then.
+      const WatchContext& ctx = ctx_it->second;
       if (handle_aux_event(conn, event, ctx, seen_level_triggered))
         continue;
 
@@ -875,7 +841,7 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
           absorb_trace(event.name, event);
         } else if (event.is(vfs::event::deleted)) {
           CommitTrace trace(event.trace, event.trace_ts_ns);
-          handle_flow_deleted(conn, event.name);
+          retire_flow(conn, event.name);
         }
       } else {  // flow_version: level-triggered, once per burst
         if (seen_level_triggered.insert(event.node).second)
@@ -901,14 +867,25 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
   return handled;
 }
 
-void OfDriver::rescan_flows(Connection& conn) {
+std::size_t OfDriver::rescan_flows(Connection& conn) {
   std::string flows_dir = conn.path + "/flows";
   auto names = vfs_->readdir(flows_dir);
-  if (!names) return;
+  if (!names) return 0;
 
-  std::set<std::string> present;
+  // Deletions whose events were lost: the hardware entry must go too,
+  // and before the pushes below, which may reuse its match.
+  if (!conn.flows.empty()) {
+    std::set<std::string_view> present;
+    for (const auto& e : *names) present.insert(e.name);
+    for (auto it = conn.flows.begin(); it != conn.flows.end();) {
+      auto next = std::next(it);
+      if (!present.count(it->first)) retire_flow(conn, it->first);
+      it = next;
+    }
+  }
+
+  std::size_t pushed = 0;
   for (const auto& e : *names) {
-    present.insert(e.name);
     auto it = conn.flows.find(e.name);
     if (it != conn.flows.end()) {
       // The flow may have been deleted and recreated under the same name
@@ -917,44 +894,18 @@ void OfDriver::rescan_flows(Connection& conn) {
       auto resolved = vfs_->resolve(flows_dir + "/" + e.name + "/version",
                                     Credentials::root());
       if (resolved && resolved->node == it->second.version_node) {
-        push_flow(conn, e.name);
+        pushed += push_flow(conn, e.name);
         continue;
       }
       // Different version node: the flow was deleted and recreated.  The
       // spec the dead incarnation pushed is no longer in the FS, so take
       // it off the hardware before adopting the new one.
-      if (conn.suppress_delete.erase(e.name) == 0 &&
-          it->second.pushed_version > 0) {
-        ofp::FlowMod del;
-        del.command = ofp::FlowMod::Command::remove_strict;
-        del.spec = it->second.pushed;
-        send_flow_mod(conn, del);
-        ++conn.egress.counter_delta;
-      }
-      watch_contexts_.erase(it->second.version_node);
-      conn.flows.erase(it);
+      retire_flow(conn, e.name);
     }
     watch_flow(conn, e.name);
-    push_flow(conn, e.name);
+    pushed += push_flow(conn, e.name);
   }
-
-  // Deletions whose events were lost: the hardware entry must go too.
-  for (auto it = conn.flows.begin(); it != conn.flows.end();) {
-    if (present.count(it->first)) {
-      ++it;
-      continue;
-    }
-    if (conn.suppress_delete.erase(it->first) == 0 &&
-        it->second.pushed_version > 0) {
-      ofp::FlowMod del;
-      del.command = ofp::FlowMod::Command::remove_strict;
-      del.spec = it->second.pushed;
-      send_flow_mod(conn, del);
-      ++conn.egress.counter_delta;
-    }
-    watch_contexts_.erase(it->second.version_node);
-    it = conn.flows.erase(it);
-  }
+  return pushed;
 }
 
 void OfDriver::abandon_switch(std::uint64_t dpid) {
@@ -1052,15 +1003,7 @@ void OfDriver::service_timers() {
         tick_ - conn.last_recv_tick >= options_.keepalive_interval &&
         tick_ - conn.last_ping_tick >= options_.keepalive_interval) {
       conn.last_ping_tick = tick_;
-      auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count();
-      ofp::EchoRequest ping;
-      ping.data.resize(8);
-      for (int i = 0; i < 8; ++i)
-        ping.data[i] = static_cast<std::uint8_t>(
-            static_cast<std::uint64_t>(now) >> (8 * i));
-      send(conn, ping);
+      send(conn, encode_echo_stamp(steady_now_ns()));
     }
 
     // Tracked-request timeouts with bounded retries.
@@ -1101,11 +1044,9 @@ void OfDriver::send_due_audits() {
     // record) against hardware (flow stats) and repairs the difference.
     // An audit still outstanding after a whole further interval is
     // presumed lost (request or reply eaten by the wire) and replaced —
-    // its xid must not wedge auditing for good.  A burst still held in
-    // egress would reach the switch after the request, so the audit
-    // waits for it: the reply must already contain every flow pushed.
+    // its xid must not wedge auditing for good.
     if (!conn.channel.connected() || conn.superseded ||
-        conn.state != Connection::State::ready || conn.egress.mods != 0 ||
+        conn.state != Connection::State::ready ||
         tick_ - conn.last_audit_tick < options_.audit_interval)
       continue;
     conn.last_audit_tick = tick_;
@@ -1224,7 +1165,8 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
   }
 }
 
-void OfDriver::send_packet_out_dir(Connection& conn, const std::string& name) {
+void OfDriver::send_packet_out_dir(Connection& conn, const std::string& name,
+                                   NodeId send_node) {
   std::string dir = conn.path + "/packet_out/" + name;
   ofp::PacketOut po;
   if (auto in = vfs_->read_file(dir + "/in_port"))
@@ -1241,11 +1183,10 @@ void OfDriver::send_packet_out_dir(Connection& conn, const std::string& name) {
   send(conn, po);
   bump_counter(conn.path + "/counters/packet_outs");
 
-  // Consume the request (watch contexts for the send file die with it).
-  if (auto resolved = vfs_->resolve(dir + "/send", Credentials::root()))
-    watch_contexts_.erase(resolved->node);
-  conn.watches.erase(dir + "/send");
+  // Consume the request, and drop its send file's watch with the watch's
+  // context (last: `name` may be that context's).
   (void)vfs_->rmdir(dir);
+  watch_contexts_.erase(send_node);
 }
 
 void OfDriver::on_packet_in(Connection& conn, const ofp::PacketIn& pi,
@@ -1320,10 +1261,13 @@ void OfDriver::on_flow_removed(Connection& conn, const ofp::FlowRemoved& fr) {
   for (auto& [name, state] : conn.flows) {
     if (state.pushed.match == fr.match &&
         state.pushed.priority == fr.priority) {
-      // Hardware dropped the entry; mirror it out of the FS without
-      // bouncing another delete to the switch.
-      conn.suppress_delete.insert(name);
-      (void)vfs_->rmdir(conn.path + "/flows/" + name);
+      // Hardware dropped the entry, so nothing of the flow is on it: forget
+      // the flow without a delete, then mirror the expiry into the FS.
+      // The delete event that follows finds no state.
+      std::string dir = conn.path + "/flows/" + name;
+      state.pushed_version = 0;
+      retire_flow(conn, name);
+      (void)vfs_->rmdir(dir);
       return;
     }
   }
@@ -1411,14 +1355,7 @@ void OfDriver::request_stats() {
 }
 
 void OfDriver::ping_switches() {
-  auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count();
-  ofp::EchoRequest ping;
-  ping.data.resize(8);
-  for (int i = 0; i < 8; ++i)
-    ping.data[i] =
-        static_cast<std::uint8_t>(static_cast<std::uint64_t>(now) >> (8 * i));
+  ofp::EchoRequest ping = encode_echo_stamp(steady_now_ns());
   for (auto& conn : connections_) {
     if (conn->state != Connection::State::ready ||
         !conn->channel.connected())

@@ -64,19 +64,15 @@ struct DriverOptions {
   /// dropped FLOW_MOD whose barrier still got through).  0 disables.
   std::uint64_t audit_interval = 512;
 
-  // Event pipeline knobs (docs/PERFORMANCE.md "Batching").  Per-switch
+  // Event pipeline knob (docs/PERFORMANCE.md "Batching").  Per-switch
   // watch shards drain in batches, adjacent same-path modify events
-  // coalesce at the shard queue, and a commit burst leaves as one
-  // vectored FLOW_MOD train capped by a single barrier.  Mirrored
-  // read-only under /yanc/.stats as driver/of/{max_batch,flush_interval}
-  // gauges.
+  // coalesce at the shard queue, and each poll's commit burst leaves as
+  // one vectored FLOW_MOD train capped by a single barrier.  Mirrored
+  // read-only under /yanc/.stats as the driver/of/max_batch gauge.
   /// Events drained per batch; also the max messages packed per wire
   /// buffer (a longer burst spans several buffers in one vectored send).
   /// 1 seals every FLOW_MOD in a buffer of its own.
   std::size_t max_batch = 256;
-  /// Ticks a non-empty egress burst may keep accumulating before it is
-  /// flushed.  0 flushes at the end of every poll (lowest latency).
-  std::uint64_t flush_interval = 0;
 
   /// Cluster self-fencing valve (docs/ROBUSTNESS.md "Cluster failover"):
   /// when set, state-mutating egress (FLOW_MOD, PACKET_OUT, PORT_MOD) for
@@ -142,8 +138,10 @@ class OfDriver {
   bool handle_aux_event(Connection& conn, const vfs::Event& event,
                         const WatchContext& ctx,
                         std::set<vfs::NodeId>& seen_level_triggered);
-  /// flows_dir deletion: FLOW_MOD delete (unless suppressed) + teardown.
-  void handle_flow_deleted(Connection& conn, const std::string& name);
+  /// The one path that forgets a flow: a FLOW_MOD delete for the spec it
+  /// pushed, if it pushed one, then its watch and its state.  `name` may
+  /// be the key of the state it erases.
+  void retire_flow(Connection& conn, const std::string& name);
 
   void handle_switch_message(Connection& conn, const ofp::Decoded& decoded);
   void on_features(Connection& conn, const ofp::FeaturesReply& features);
@@ -157,10 +155,20 @@ class OfDriver {
   void create_switch_tree(Connection& conn,
                           const std::vector<ofp::PortDesc>& ports);
   void create_port_dir(Connection& conn, const ofp::PortDesc& port);
+  /// Watches `path` on `ctx.conn`'s shard and files `ctx`, which then owns
+  /// the watch, under the watched node.  Returns that node, or
+  /// kInvalidNode when the path cannot be watched.
+  vfs::NodeId add_watch(const std::string& path, std::uint32_t mask,
+                        WatchContext ctx);
   void watch_flow(Connection& conn, const std::string& flow_name);
-  void push_flow(Connection& conn, const std::string& flow_name,
+  /// Queues the flow's committed spec unless hardware already has it;
+  /// returns whether it queued one.
+  bool push_flow(Connection& conn, const std::string& flow_name,
                  std::uint32_t retries = 0);
-  void send_packet_out_dir(Connection& conn, const std::string& name);
+  /// Sends packet_out/<name> and consumes it; `send_node` is its send
+  /// file, whose watch goes with it.
+  void send_packet_out_dir(Connection& conn, const std::string& name,
+                           vfs::NodeId send_node);
   void bump_counter(const std::string& path, std::uint64_t delta = 1);
   /// Encodes and transmits any message but a FLOW_MOD (those go through
   /// send_flow_mod); returns the xid used, or 0 when the message could
@@ -187,7 +195,7 @@ class OfDriver {
   /// Keepalives, request timeouts with exponential backoff.
   void service_timers();
   /// Sends each due flow-table audit; runs after the poll's trains are
-  /// flushed and skips a switch whose burst flush_interval holds back.
+  /// flushed, so the reply covers every flow pushed before it.
   void send_due_audits();
   /// Handles one expired tracked request on `conn`: re-pushes every flow
   /// the lost train covered (a lost barrier vouches for none of them),
@@ -197,9 +205,11 @@ class OfDriver {
   /// reply: re-pushes committed flows missing from hardware, deletes
   /// hardware entries no FS flow claims.
   void audit_reconcile(Connection& conn, const ofp::StatsReply& sr);
-  /// Full flows/ rescan after a watch-queue overflow: re-arms stale
-  /// watches, pushes missed commits, reconciles missed deletions.
-  void rescan_flows(Connection& conn);
+  /// Full flows/ rescan: retires flows whose deletions were missed,
+  /// re-arms stale watches and pushes missed commits.  Runs after a
+  /// watch-queue overflow, and at the handshake, where it adopts every
+  /// flow of a connection that knows none.  Returns the flows it pushed.
+  std::size_t rescan_flows(Connection& conn);
   /// Cluster-failover repair (runs with the audit, only while this
   /// driver holds the egress gate): a takeover handshake that raced a
   /// partition can leave a second /net/switches directory claiming the
@@ -241,7 +251,8 @@ class OfDriver {
   /// Audits a duplicate-dir removal has been deferred, per directory
   /// (absorb_duplicate_dirs waits for in-flight commit replication).
   std::map<std::string, std::uint32_t> absorb_deferred_;
-  // Watched-node -> what that node means (flow version file, flows dir...).
+  // Watched node -> what that node means (flow version file, flows dir...)
+  // and the watch itself: erasing an entry drops its watch.
   std::map<vfs::NodeId, WatchContext> watch_contexts_;
   std::uint64_t next_switch_index_ = 1;
   std::uint64_t next_pkt_seq_ = 1;

@@ -7,8 +7,7 @@
 namespace yanc::obs {
 
 Result<std::shared_ptr<vfs::SynthFs>> mount_stats_fs(
-    vfs::Vfs& vfs, const std::string& mount_path,
-    std::shared_ptr<TraceRing> trace) {
+    vfs::Vfs& vfs, const std::string& mount_path) {
   if (auto ec = vfs.mkdir_p(mount_path, 0555, vfs::Credentials::root()))
     return ec;
   auto registry = vfs.metrics();
@@ -29,7 +28,6 @@ Result<std::shared_ptr<vfs::SynthFs>> mount_stats_fs(
           });
         synced->store(generation, std::memory_order_release);
       });
-  if (trace) fs->add_file("trace", [trace] { return trace->dump(); });
   // The runtime lock-order graph, as a file: `cat .../dbg/lock_edges`
   // shows every acquired-while-held edge the process has observed, and
   // yanc-analyze diffs it against the statically derived edge set.

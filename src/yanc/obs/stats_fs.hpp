@@ -5,9 +5,9 @@
 // metric path ("driver/of/packet_in_total") becomes a read-only file in a
 // directory tree, values are formatted at read time (so `cat` always sees
 // the live number), histograms fan out into `_count`/`_p50`/`_p90`/`_p99`
-// files, an attached TraceRing is exposed as a top-level `trace` file, and
-// the dbg lock-order edge graph is exposed at `dbg/lock_edges` (empty in
-// release builds, where no graph is recorded).
+// files, and the dbg lock-order edge graph is exposed at `dbg/lock_edges`
+// (empty in release builds, where no graph is recorded).  The tracer's
+// ring is read through /yanc/.trace (trace_fs.hpp), not here.
 //
 // The tree is a vfs::SynthFs mounted read-only, so every mutation answers
 // EROFS.  It is readable and watchable with the ordinary shell coreutils
@@ -22,7 +22,6 @@
 
 #include <memory>
 
-#include "yanc/obs/trace.hpp"
 #include "yanc/vfs/synth_fs.hpp"
 #include "yanc/vfs/vfs.hpp"
 
@@ -30,10 +29,8 @@ namespace yanc::obs {
 
 /// Declares the registry tree over `vfs`'s own metrics registry and
 /// mounts it read-only at `mount_path` (default "/yanc/.stats"), creating
-/// the mount point.  `trace` optionally exposes a trace ring as
-/// `<mount_path>/trace`.
+/// the mount point.
 Result<std::shared_ptr<vfs::SynthFs>> mount_stats_fs(
-    vfs::Vfs& vfs, const std::string& mount_path = "/yanc/.stats",
-    std::shared_ptr<TraceRing> trace = nullptr);
+    vfs::Vfs& vfs, const std::string& mount_path = "/yanc/.stats");
 
 }  // namespace yanc::obs

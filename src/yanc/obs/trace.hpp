@@ -2,11 +2,11 @@
 //
 // Subsystems record what happened and when against the simulation's
 // VirtualClock (or any other nanosecond timestamp source); the ring keeps
-// the most recent `capacity` records and counts what it had to drop.
-// mount_stats_fs exposes the ring as the `/yanc/.stats/trace` file, so
-// `cat /yanc/.stats/trace` answers "what did the controller just do" the
-// same way the rest of the paper's state model answers "what is the
-// controller's state".
+// the most recent `capacity` records and counts what it had to drop, and
+// dump() renders them one per line.  The process tracer's ring is read
+// through /yanc/.trace (trace_fs.hpp), so `cat /yanc/.trace/by-id/<id>`
+// answers "what did the controller just do" the same way the rest of the
+// paper's state model answers "what is the controller's state".
 //
 // Records optionally carry causal linkage (trace_id / span_id /
 // parent_span_id, plus the queue-wait preceding the span's service time):

@@ -3,13 +3,18 @@
 //
 // This is the load-bearing abstraction of the whole reproduction.  The
 // paper's architecture works *because* everything is a file system:
-//   - MemFs        : plain storage (the yanc FS's backing store)
-//   - YancFs       : MemFs + network-object schema semantics (§3)
-//   - ViewFs       : a slice/virtualization of another filesystem (§4.2)
-//   - ReplicatedFs : a distributed filesystem (§6)
-// All of them implement this one interface, so views stack on views, the
-// distributed layer slides underneath the yanc FS without anyone noticing,
-// and Linux-namespace-style isolation is just a different root NodeId.
+//   - MemFs                  : plain storage (the yanc FS's backing store)
+//   - netfs::YancFs          : MemFs + network-object schema semantics (§3)
+//   - dist::ReplicatedYancFs : a YancFs whose mutations replicate across
+//                              a cluster (§6)
+//   - SynthFs                : read-only generated files (/yanc/.stats,
+//                              /yanc/.trace, /yanc/.faults)
+// All of them implement this one interface, so the distributed layer
+// slides underneath the yanc FS without anyone noticing, and
+// Linux-namespace-style isolation is just a different root directory.
+// Views (§4.2) are not filesystems of their own: view::Slicer and
+// view::BigSwitch keep each view as a subtree under views/ and translate
+// between it and its parent tree, so views stack on views.
 //
 // The interface is node-based (like the FUSE lowlevel API): the Vfs layer
 // owns path walking, symlink following and mount crossing; filesystems only

@@ -25,24 +25,26 @@ MemFs::MemFs(MemFsOptions options) : options_(options) {
 
 MemFs::MutationScope::~MutationScope() {
   if (fs_.pending_actions_.empty()) return;
-  std::vector<PendingAction> batch;
-  batch.swap(fs_.pending_actions_);
   // Take the fan-out order lock before dropping mu_, so events from
   // consecutive mutations reach consumer queues in commit order.  Consumer
   // queues are only ever touched after mu_ is released (the lock-order
   // hazard this design removes).
   dbg::LockGuard order(fs_.emit_mu_);
+  // Swapped under both locks, and cleared after fan-out, so neither
+  // buffer gives its capacity away.
+  fs_.emitting_actions_.swap(fs_.pending_actions_);
   // Guard scopes cannot express this overlap: emit_mu_ must be taken
   // before mu_ drops so fan-out preserves commit order (rank order stays
   // vfs_namespace -> vfs_emit).
   // yanc-lint: allow(manual-lock) ordered hand-off, see comment above
   lock_.unlock();
-  for (PendingAction& a : batch) {
+  for (PendingAction& a : fs_.emitting_actions_) {
     if (a.kind == PendingAction::Kind::emit)
       fs_.watches_.emit(a.ev.node, a.ev.mask, a.ev.name, a.ev.cookie);
     else
       fs_.watches_.drop_node(a.ev.node);
   }
+  fs_.emitting_actions_.clear();
 }
 
 void MemFs::queue_event_locked(NodeId node, std::uint32_t mask,

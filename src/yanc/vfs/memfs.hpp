@@ -266,6 +266,9 @@ class MemFs : public Filesystem {
   std::atomic<std::size_t> bytes_used_{0};
   std::uint32_t next_cookie_ = 1;
   std::vector<PendingAction> pending_actions_;  // guarded by mu_ exclusive
+  // The batch being fanned out; guarded by emit_mu_.  It trades buffers
+  // with pending_actions_ under both locks, so both keep their capacity.
+  std::vector<PendingAction> emitting_actions_;
 };
 
 }  // namespace yanc::vfs

@@ -282,6 +282,9 @@ Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
   std::string_view norm_root = normal_view(root, root_storage);
 
   Walk w;
+  // Sized once, so that a walk of ordinary depth never regrows either.
+  w.stack.reserve(16);
+  w.logical.reserve(norm_root.size() + norm.size());
   {
     dbg::SharedLock lock(mounts_mu_);
     const Mount& m = mounts_.at("/");
@@ -326,6 +329,16 @@ Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
                                               std::uint32_t mode,
                                               const Credentials& creds,
                                               const std::string& root) {
+  auto target = open_target(path, flags, mode, creds, root);
+  if (!target) return target.error();
+  return std::make_shared<FileHandle>(std::move(target->fs), target->node,
+                                      flags, creds);
+}
+
+Result<Vfs::OpenTarget> Vfs::open_target(std::string_view path, int flags,
+                                         std::uint32_t mode,
+                                         const Credentials& creds,
+                                         const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
   namespace of = open_flags;
@@ -344,8 +357,7 @@ Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
       if (parent->read_only) return Errc::read_only;
       auto node = parent->fs->create(parent->node, leaf, mode, creds);
       if (!node) return node.error();
-      return std::make_shared<FileHandle>(parent->fs, *node, flags, creds,
-                                          this);
+      return OpenTarget{std::move(parent->fs), *node};
     }
     return resolved.error();
   }
@@ -365,8 +377,7 @@ Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
     if (auto ec = resolved->fs->truncate(resolved->node, 0, creds); ec)
       return ec;
 
-  return std::make_shared<FileHandle>(resolved->fs, resolved->node, flags,
-                                      creds, this);
+  return OpenTarget{std::move(resolved->fs), resolved->node};
 }
 
 Result<std::string> Vfs::read_file(std::string_view path,
@@ -395,10 +406,10 @@ Status Vfs::write_file(std::string_view path, std::string_view data,
   // Deliberately NOT open(O_TRUNC): that truncates in one FS op and writes
   // in a second, leaving a window where concurrent readers see an empty
   // file.  replace() commits the new content in a single step.
-  auto handle = open(path, open_flags::write_only | open_flags::create,
-                     0644, creds, root);
-  if (!handle) return handle.error();
-  auto written = (*handle)->replace(data);
+  auto target = open_target(path, open_flags::write_only | open_flags::create,
+                            0644, creds, root);
+  if (!target) return target.error();
+  auto written = target->fs->replace(target->node, data, creds);
   return written ? ok_status() : written.error();
 }
 
@@ -406,12 +417,15 @@ Status Vfs::append_file(std::string_view path, std::string_view data,
                         const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  auto handle = open(path,
-                     open_flags::write_only | open_flags::create |
-                         open_flags::append,
-                     0644, creds, root);
-  if (!handle) return handle.error();
-  auto written = (*handle)->write(data);
+  auto target = open_target(path,
+                            open_flags::write_only | open_flags::create |
+                                open_flags::append,
+                            0644, creds, root);
+  if (!target) return target.error();
+  // What an O_APPEND handle's write does: write at the current size.
+  auto st = target->fs->getattr(target->node);
+  if (!st) return st.error();
+  auto written = target->fs->write(target->node, st->size, data, creds);
   return written ? ok_status() : written.error();
 }
 
@@ -694,9 +708,8 @@ Result<std::shared_ptr<WatchHandle>> Vfs::watch(std::string_view path,
 // --- FileHandle -------------------------------------------------------------
 
 FileHandle::FileHandle(FilesystemPtr fs, NodeId node, int flags,
-                       Credentials creds, Vfs* vfs)
-    : fs_(std::move(fs)), node_(node), flags_(flags), creds_(std::move(creds)),
-      vfs_(vfs) {}
+                       Credentials creds)
+    : fs_(std::move(fs)), node_(node), flags_(flags), creds_(std::move(creds)) {}
 
 bool FileHandle::readable() const noexcept {
   int acc = flags_ & open_flags::accmode;

@@ -3,8 +3,10 @@
 //
 // Responsibilities (mirroring the kernel VFS the paper leans on):
 //   - mounts: any Filesystem can be mounted at any directory; the yanc FS
-//     mounts at /net, a ReplicatedFs can mount *underneath* it (§6), and a
-//     ViewFs can mount a slice at /net/views/<v> for namespaced apps.
+//     (a netfs::YancFs, or in a cluster a dist::ReplicatedYancFs, §6)
+//     mounts at /net, and SynthFs trees at /yanc/.stats, /yanc/.trace and
+//     /yanc/.faults.  Views (§4.2) are subtrees at /net/views/<v>, which
+//     a Namespace confines their apps to.
 //   - path walking: component-wise lookup with symlink following (ELOOP
 //     guard), ".." tracked through mount crossings, per-component execute
 //     permission checks against the caller's Credentials.
@@ -185,6 +187,11 @@ class Vfs {
   };
   struct Frame;  // one directory on the resolver's walk stack
   struct Walk;   // the walk stack, its logical path and its pinned fs
+  /// The file an open acts on.
+  struct OpenTarget {
+    FilesystemPtr fs;
+    NodeId node;
+  };
 
   /// Operation classes mirrored into both OpCounters (the syscall model
   /// the benchmarks read) and the obs registry (the /yanc/.stats surface).
@@ -196,6 +203,12 @@ class Vfs {
   Result<Resolved> resolve_parent(std::string_view path,
                                   const Credentials& creds, std::string* leaf,
                                   std::string_view root);
+  /// open() without the handle: resolves `path`, creating, checking and
+  /// truncating the file as `flags` ask, and counts as one metadata op.
+  /// write_file and append_file act on the node it returns directly.
+  Result<OpenTarget> open_target(std::string_view path, int flags,
+                                 std::uint32_t mode, const Credentials& creds,
+                                 const std::string& root);
   bool is_mount_point(const std::string& logical_path) const;
   /// Adds `n` operations of one class to both counter sets.
   void count_op(OpKind kind, std::uint64_t n = 1);
@@ -218,8 +231,7 @@ class Vfs {
 /// Filesystem API.
 class FileHandle {
  public:
-  FileHandle(FilesystemPtr fs, NodeId node, int flags, Credentials creds,
-             Vfs* vfs);
+  FileHandle(FilesystemPtr fs, NodeId node, int flags, Credentials creds);
 
   Result<std::string> read(std::uint64_t size);
   Result<std::uint64_t> write(std::string_view data);
@@ -241,7 +253,6 @@ class FileHandle {
   NodeId node_;
   int flags_;
   Credentials creds_;
-  Vfs* vfs_;
   std::uint64_t offset_ = 0;
 };
 

@@ -278,12 +278,16 @@ TEST_P(DriverTest, HardwareExpiryRemovesFlowDirectory) {
 
   scheduler.schedule_after(std::chrono::seconds(2), [] {});
   scheduler.run_until_idle();
+  const auto mods_before = s->flow_mods_received();
   s->expire_flows();
   settle({s.get()});
   EXPECT_EQ(s->table().size(), 0u);
   EXPECT_FALSE(net().switch_at("sw1").flow_at("transient").exists());
   EXPECT_EQ(*net().switch_at("sw1").read_field("counters/flow_expirations"),
             "1");
+  // The switch already dropped the entry: mirroring the expiry into the
+  // FS must not send it a delete.
+  EXPECT_EQ(s->flow_mods_received(), mods_before);
 }
 
 TEST_P(DriverTest, StatsSyncFillsCounters) {
@@ -361,17 +365,26 @@ TEST_P(DriverTest, ReconnectReusesDirectoryAndReinstallsFlows) {
   spec.match.tp_dst = 443;
   spec.actions = {Action::output(3)};
   ASSERT_FALSE(net().switch_at("sw1").add_flow("https", spec));
+  FlowSpec draft;
+  draft.match.tp_dst = 8080;
+  draft.actions = {Action::output(2)};
+  ASSERT_FALSE(net().switch_at("sw1").add_flow("draft", draft,
+                                               /*commit=*/false));
   settle({s.get()});
   ASSERT_EQ(s->table().size(), 1u);
+  auto* resyncs = vfs->metrics()->counter("driver/of/resync_total");
+  const auto resyncs_before = resyncs->value();
 
   // The switch reboots: connection drops, tables are empty.
   s = make_switch(0x42);
   settle({s.get()});
   EXPECT_EQ(*driver->switch_name(0x42), "sw1");  // same directory
   EXPECT_TRUE(*net().switch_at("sw1").connected());
-  // The committed flow was re-pushed from the FS.
+  // The committed flow was re-pushed from the FS, and counted once; the
+  // uncommitted one stays off the hardware and out of the count.
   ASSERT_EQ(s->table().size(), 1u);
   EXPECT_EQ(s->table().entries()[0].spec.match.tp_dst, 443);
+  EXPECT_EQ(resyncs->value() - resyncs_before, 1u);
 }
 
 TEST_P(DriverTest, EndToEndForwardingAfterFsFlow) {
@@ -654,24 +667,18 @@ TEST(TextDriver, ExperimentalProtocolCoexists) {
 }
 
 // An audit that falls due in the poll that drains a commit burst must
-// reach the switch after that poll's FLOW_MOD train, and wait while
-// flush_interval holds the train back: otherwise the flow-stats reply
-// misses the burst and the audit re-pushes every flow of it.
+// reach the switch after that poll's FLOW_MOD train: otherwise the
+// flow-stats reply misses the burst and the audit re-pushes every flow
+// of it.
 TEST(DriverAudit, AuditFollowsThePollsFlowModTrain) {
-  struct Case {
-    std::uint64_t audit_interval;
-    std::uint64_t flush_interval;
-  };
-  for (Case c : {Case{1, 0}, Case{3, 0}, Case{1, 2}}) {
-    SCOPED_TRACE("audit_interval=" + std::to_string(c.audit_interval) +
-                 " flush_interval=" + std::to_string(c.flush_interval));
+  for (std::uint64_t audit_interval : {1, 3}) {
+    SCOPED_TRACE("audit_interval=" + std::to_string(audit_interval));
     auto vfs = std::make_shared<vfs::Vfs>();
     ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
     net::Scheduler scheduler;
     net::Network network(scheduler);
     DriverOptions opts;
-    opts.audit_interval = c.audit_interval;
-    opts.flush_interval = c.flush_interval;
+    opts.audit_interval = audit_interval;
     OfDriver driver(vfs, opts);
     sw::SwitchOptions sopts;
     sopts.datapath_id = 0x42;
@@ -815,7 +822,9 @@ TEST(DriverLiveness, SwitchDeathMidCommitThenResync) {
 // Regression for the overflow rescan: a flow deleted and recreated during
 // the lost-event window leaves the driver holding a watch on a dead
 // version node.  The rescan must re-arm the watch (so a later commit still
-// lands) and must reconcile deletions it never saw.
+// lands) and must reconcile deletions it never saw, before its pushes: a
+// new flow may reuse a deleted flow's match, and a delete sent after its
+// add would take it off the hardware.
 TEST(DriverOverflowRecovery, RescanRearmsWatchesAndReconcilesDeletions) {
   auto vfs = std::make_shared<vfs::Vfs>();
   ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
@@ -848,8 +857,12 @@ TEST(DriverOverflowRecovery, RescanRearmsWatchesAndReconcilesDeletions) {
   rearm.match.tp_dst = 2;
   rearm.actions = {Action::output(1)};
   ASSERT_FALSE(net.switch_at("sw1").add_flow("f_rearm", rearm));
+  FlowSpec gone;
+  gone.match.tp_dst = 4;
+  gone.actions = {Action::output(1)};
+  ASSERT_FALSE(net.switch_at("sw1").add_flow("f_gone", gone));
   settle();
-  ASSERT_EQ(s.table().size(), 2u);
+  ASSERT_EQ(s.table().size(), 3u);
 
   // Burst between polls, far beyond the 4-slot queue: f_del disappears,
   // f_rearm is deleted and recreated (same name, new nodes, uncommitted),
@@ -868,23 +881,35 @@ TEST(DriverOverflowRecovery, RescanRearmsWatchesAndReconcilesDeletions) {
     ASSERT_FALSE(
         net.switch_at("sw1").add_flow("n" + std::to_string(i), noise));
   }
+  // Past the overflow, f_heir takes over f_gone's match under a new name.
+  ASSERT_FALSE(net.switch_at("sw1").remove_flow("f_gone"));
+  FlowSpec heir = gone;
+  heir.actions = {Action::flood()};
+  ASSERT_FALSE(net.switch_at("sw1").add_flow("f_heir", heir));
   settle();
 
-  // The missed deletion was reconciled off the hardware, the noise flows
-  // landed, and the uncommitted f_rearm is not on the wire yet.
-  EXPECT_EQ(s.table().size(), 10u);
+  // The missed deletions were reconciled off the hardware, f_heir and
+  // the noise flows landed, and the uncommitted f_rearm is not on the
+  // wire yet.
+  EXPECT_EQ(s.table().size(), 11u);
+  bool heir_found = false;
   for (const auto& e : s.table().entries()) {
     EXPECT_NE(e.spec.match.tp_dst, 1) << "f_del survived on hardware";
     EXPECT_NE(e.spec.match.tp_dst, 2) << "old f_rearm survived on hardware";
     EXPECT_NE(e.spec.match.tp_dst, 3) << "uncommitted f_rearm was pushed";
+    if (e.spec.match.tp_dst == 4) {
+      heir_found = true;
+      EXPECT_EQ(e.spec.actions, heir.actions) << "f_gone survived";
+    }
   }
+  EXPECT_TRUE(heir_found) << "f_heir lost to f_gone's delete";
 
   // The commit AFTER the rescan proves the watch was re-armed onto the
   // recreated version node.
   ASSERT_TRUE(
       netfs::commit_flow(*vfs, "/net/switches/sw1/flows/f_rearm").ok());
   settle();
-  EXPECT_EQ(s.table().size(), 11u);
+  EXPECT_EQ(s.table().size(), 12u);
   bool found = false;
   for (const auto& e : s.table().entries())
     found = found || e.spec.match.tp_dst == 3;
