@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Fault-matrix stress run: builds the tree under ASan+UBSan with the
 # stress tier enabled and sweeps the deterministic recovery scenarios
-# across ten seed bases (100 RNG seeds total), plus the batched-pipeline
-# property sweep (ten bases x five seeds = 50 random event histories
-# through the coalescing watch consumer).  A failing run prints the
-# YANC_FAULT_SEED / YANC_PROP_SEED that reproduces it — replay with:
+# across ten seed bases (100 RNG seeds total), plus two property sweeps
+# of ten bases x five seeds each: 50 random event histories through the
+# coalescing watch consumer, and 50 lossy 3-replica histories checked for
+# anti-entropy digest upkeep and convergence within two rounds.  A
+# failing run prints the YANC_FAULT_SEED / YANC_PROP_SEED that reproduces
+# it — replay with:
 #   YANC_FAULT_SEED=<seed> build-stress/tests/driver_test \
 #       --gtest_filter='DriverFaultMatrix.*'
 #   YANC_PROP_SEED=<seed> build-stress/tests/batch_prop_test \
 #       --gtest_filter='BatchPipelineProperty.*'
+#   YANC_PROP_SEED=<seed> build-stress/tests/dist_test \
+#       --gtest_filter='AntiEntropyProperty.*'
 #
 # The `cluster` preset runs only the cluster chaos sweep (20 seeds of
 # randomized node-kill / partition / lease-delay schedules against the

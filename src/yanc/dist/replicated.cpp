@@ -1,5 +1,7 @@
 #include "yanc/dist/replicated.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "yanc/util/bytes.hpp"
@@ -32,17 +34,178 @@ std::string_view get_view(BufReader& r, std::span<const std::uint8_t> bytes) {
   return {reinterpret_cast<const char*>(bytes.data()) + at, len};
 }
 
-/// True when `path` lies strictly below the directory `dir` ("" = root).
-bool is_below(std::string_view path, std::string_view dir) {
-  return path.size() > dir.size() && path[dir.size()] == '/' &&
-         path.starts_with(dir);
-}
-
 std::pair<std::string, std::string> dir_and_leaf(const std::string& path) {
   auto slash = path.rfind('/');
   if (slash == std::string::npos || slash == 0)
     return {"/", path.substr(slash == std::string::npos ? 0 : 1)};
   return {path.substr(0, slash), path.substr(slash + 1)};
+}
+
+// Anti-entropy messages share the op log's link and its first byte, which
+// tells them from ops (every Op::Kind is below kFirstAe), and carry the
+// sender's Lamport clock next.  Layouts after those nine bytes:
+//   digest:  u64 root digest
+//   pull:    u32 count, count x directory path
+//   listing: u32 count, count x Listing (see ReplicatedYancFs::Listing)
+enum class Ae : std::uint8_t { digest = 0x80, pull, listing };
+constexpr std::uint8_t kFirstAe = static_cast<std::uint8_t>(Ae::digest);
+
+// Listing entry types; a digest hashes the same codes.
+enum EntryType : std::uint8_t { kDir = 0, kFile = 1, kSymlink = 2 };
+
+std::uint8_t entry_type(vfs::FileType type) {
+  switch (type) {
+    case vfs::FileType::directory:
+      return kDir;
+    case vfs::FileType::symlink:
+      return kSymlink;
+    default:
+      return kFile;
+  }
+}
+
+/// Calls `fn(name)` for each component of `path` ("/a/b": "a", "b") while
+/// it returns true.
+template <typename Fn>
+void for_each_component(std::string_view path, Fn fn) {
+  for (std::size_t pos = 0; pos < path.size();) {
+    std::size_t end = std::min(path.find('/', pos), path.size());
+    if (end > pos && !fn(path.substr(pos, end - pos))) return;
+    pos = end + 1;
+  }
+}
+
+/// The path of `name` inside the directory at `parent` (path_of's form).
+std::string child_path(const std::string& parent, std::string_view name) {
+  std::string path = parent == "/" ? std::string() : parent;
+  path += '/';
+  path += name;
+  return path;
+}
+
+// The digest hash: the fields are fed as 64-bit words (a string as its
+// length, then its bytes eight at a time, zero-padded), each folded in by
+// xor and a multiply by 2^64/phi, and the result is finished with
+// MurmurHash3's fmix64, so the per-entry hashes a directory adds up differ
+// in every bit.  Fixed here, not std::hash, so every replica and every
+// build computes the same digest.
+class Hash64 {
+ public:
+  Hash64& u64(std::uint64_t v) {
+    h_ = (h_ ^ v) * 0x9e3779b97f4a7c15ull;
+    return *this;
+  }
+  Hash64& str(std::string_view s) {
+    u64(s.size());
+    for (std::size_t at = 0; at < s.size(); at += 8) {
+      std::uint64_t word = 0;
+      for (std::size_t i = 0; i < 8 && at + i < s.size(); ++i)
+        word |= std::uint64_t{static_cast<unsigned char>(s[at + i])} << (8 * i);
+      u64(word);
+    }
+    return *this;
+  }
+  std::uint64_t done() const {
+    std::uint64_t h = h_;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    h ^= h >> 33;
+    return h;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// A directory's digest is the sum (mod 2^64) of one hash per child and one
+// per tombstone it covers, so it does not depend on the order either is
+// visited in.  The leading tag keeps the two kinds apart.
+std::uint64_t entry_hash(std::string_view name, std::uint8_t type,
+                         std::pair<std::uint64_t, std::uint64_t> version,
+                         std::uint64_t digest) {
+  return Hash64()
+      .u64(type)
+      .str(name)
+      .u64(version.first)
+      .u64(version.second)
+      .u64(digest)
+      .done();
+}
+
+std::uint64_t tombstone_hash(std::string_view path,
+                             std::pair<std::uint64_t, std::uint64_t> version) {
+  return Hash64()
+      .u64(0xff)
+      .str(path)
+      .u64(version.first)
+      .u64(version.second)
+      .done();
+}
+
+/// Calls `fn(path, version)` for every tombstone strictly below the trie
+/// node `known` at `path` (extended and restored in place).
+template <typename Known, typename Fn>
+void for_each_tombstone_below(const Known& known, std::string& path, Fn& fn) {
+  const std::size_t len = path.size();
+  for (const auto& [name, child] : known.children) {
+    path += '/';
+    path += name;
+    if (child->tombstone) fn(path, *child->tombstone);
+    for_each_tombstone_below(*child, path, fn);
+    path.resize(len);
+  }
+}
+
+/// Walks the `children` of the directory at `path` (sorted by name, as
+/// readdir returns them) beside the children of its trie node `known`
+/// (nullptr: none), which sort the same way.  Calls `on_child(child,
+/// below)` with `path` extended to the child and `below` its trie node
+/// (nullptr: nothing known), and `on_tombstone(path, version)` for every
+/// tombstone the directory's digest covers: each one directly below it,
+/// and each deeper one whose first component is not a subdirectory, so a
+/// tombstone below a path that is no longer a directory is covered by its
+/// nearest directory ancestor.  `path` is restored on return.
+template <typename Known, typename OnChild, typename OnTombstone>
+void walk_dir(const Known* known, std::string& path,
+              const std::vector<vfs::DirEntry>& children, OnChild on_child,
+              OnTombstone on_tombstone) {
+  using Iter = decltype(known->children.begin());
+  Iter it{}, end{};
+  if (known) {
+    it = known->children.begin();
+    end = known->children.end();
+  }
+  const std::size_t len = path.size();
+  // Tombstones at `below` (now at `path`) and, unless it is a directory
+  // here, below it.
+  auto covered = [&](const Known& below, bool is_dir) {
+    if (below.tombstone) on_tombstone(path, *below.tombstone);
+    if (!is_dir) for_each_tombstone_below(below, path, on_tombstone);
+  };
+  // Trie children sorting before `stop` (nullptr: all) have no child
+  // here: only their tombstones count.
+  auto only_known = [&](const std::string* stop) {
+    for (; it != end && (!stop || it->first < *stop); ++it) {
+      if (!it->second->tombstone && it->second->children.empty()) continue;
+      path += '/';
+      path += it->first;
+      covered(*it->second, false);
+      path.resize(len);
+    }
+  };
+  for (const auto& child : children) {
+    only_known(&child.name);
+    const Known* below = nullptr;
+    if (it != end && it->first == child.name) below = (it++)->second.get();
+    path += '/';
+    path += child.name;
+    on_child(child, below);
+    if (below) covered(*below, child.type == vfs::FileType::directory);
+    path.resize(len);
+  }
+  only_known(nullptr);
 }
 
 }  // namespace
@@ -53,6 +216,7 @@ struct ReplicatedYancFs::Op {
     create,
     write,
     truncate,
+    replace,  // the whole content, applied in one step
     unlink,
     rmdir,
     rename,
@@ -61,7 +225,6 @@ struct ReplicatedYancFs::Op {
     chown,
     setxattr,
     removexattr,
-    anti_entropy,  // data = encoded Snapshot
   };
   Kind kind = Kind::mkdir;
   bool via_primary = false;  // strict op awaiting primary fan-out
@@ -70,8 +233,8 @@ struct ReplicatedYancFs::Op {
   std::uint64_t sent_ns = 0;  // origin's virtual time at emit (lag metric)
   std::string path;
   std::string aux;  // rename destination / symlink target / xattr name
-  // Write payload / xattr value / snapshot, borrowed: from the mutating
-  // call that emits the op, or from the message bytes it was decoded from.
+  // Write payload / xattr value, borrowed: from the mutating call that
+  // emits the op, or from the message bytes it was decoded from.
   std::string_view data;
   std::uint64_t offset = 0;  // write offset / truncate size
   std::uint32_t mode = 0;
@@ -115,73 +278,71 @@ struct ReplicatedYancFs::Op {
   }
 };
 
-// A Snapshot is one replica's view of its entire tree, exchanged during
-// anti-entropy: preorder entries (parents before children) with the
-// last-writer version each path was created/written at, plus the
-// tombstones of everything deleted.  Layout: u32 entry count, entries,
-// u32 tombstone count, tombstones.  The sender writes it straight from
-// its tree (send_anti_entropy); the receiver decodes views into the
-// message bytes, which outlive the merge.
-struct ReplicatedYancFs::Snapshot {
-  enum Type : std::uint8_t { dir = 0, file = 1, symlink = 2 };
+// A Listing is one directory of one replica, what a pull asks for: every
+// child with its type and last-writer version, each subdirectory's digest
+// (0 for files), each file's content and symlink's target, and the
+// tombstones the directory's digest covers.  Layout: path, u32 entry
+// count, entries (u8 type, u64 ts, u64 origin, u64 digest, name, data),
+// u32 tombstone count, tombstones (u64 ts, u64 origin, path).  The sender
+// writes it straight from its tree (put_listing); the receiver decodes
+// views into the message bytes, which outlive the merge.
+struct ReplicatedYancFs::Listing {
   struct Entry {
-    std::uint8_t type = dir;
-    std::string_view path;
+    std::uint8_t type = kDir;
     Version version;
+    std::uint64_t digest = 0;
+    std::string_view name;
     std::string_view data;  // file content / symlink target
   };
+  std::string_view dir;
   std::vector<Entry> entries;
   std::vector<std::pair<std::string_view, Version>> tombstones;
 
-  static void put_entry(BufWriter& w, std::uint8_t type, std::string_view path,
-                        Version version, std::string_view data) {
-    w.u8(type);
-    w.u64(version.first);
-    w.u64(version.second);
-    put_string(w, path);
-    put_string(w, data);
-  }
-
-  static void put_tombstone(BufWriter& w, std::string_view path,
-                            Version version) {
-    w.u64(version.first);
-    w.u64(version.second);
-    put_string(w, path);
-  }
-
-  static Result<Snapshot> decode(std::span<const std::uint8_t> bytes) {
+  /// Decodes the listings of a listing message, `r` past its header.
+  static Result<std::vector<Listing>> decode(
+      BufReader& r, std::span<const std::uint8_t> bytes) {
     // The smallest encodings bound what a corrupt count can reserve.
-    constexpr std::size_t kMinEntry = 1 + 8 + 8 + 4 + 4;
+    constexpr std::size_t kMinListing = 4 + 4 + 4;
+    constexpr std::size_t kMinEntry = 1 + 8 + 8 + 8 + 4 + 4;
     constexpr std::size_t kMinTombstone = 8 + 8 + 4;
-    BufReader r(bytes);
-    Snapshot snap;
-    std::uint32_t n = r.u32();
-    snap.entries.reserve(std::min<std::size_t>(n, r.remaining() / kMinEntry));
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      Entry e;
-      e.type = r.u8();
-      e.version.first = r.u64();
-      e.version.second = r.u64();
-      e.path = get_view(r, bytes);
-      e.data = get_view(r, bytes);
-      snap.entries.push_back(e);
-    }
-    std::uint32_t t = r.u32();
-    snap.tombstones.reserve(
-        std::min<std::size_t>(t, r.remaining() / kMinTombstone));
-    for (std::uint32_t i = 0; i < t && r.ok(); ++i) {
-      Version version;
-      version.first = r.u64();
-      version.second = r.u64();
-      snap.tombstones.emplace_back(get_view(r, bytes), version);
+    std::vector<Listing> out;
+    std::uint32_t count = r.u32();
+    out.reserve(std::min<std::size_t>(count, r.remaining() / kMinListing));
+    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+      Listing& l = out.emplace_back();
+      l.dir = get_view(r, bytes);
+      std::uint32_t n = r.u32();
+      l.entries.reserve(std::min<std::size_t>(n, r.remaining() / kMinEntry));
+      for (std::uint32_t j = 0; j < n && r.ok(); ++j) {
+        Entry& e = l.entries.emplace_back();
+        e.type = r.u8();
+        e.version.first = r.u64();
+        e.version.second = r.u64();
+        e.digest = r.u64();
+        e.name = get_view(r, bytes);
+        e.data = get_view(r, bytes);
+      }
+      std::uint32_t t = r.u32();
+      l.tombstones.reserve(
+          std::min<std::size_t>(t, r.remaining() / kMinTombstone));
+      for (std::uint32_t j = 0; j < t && r.ok(); ++j) {
+        Version version;
+        version.first = r.u64();
+        version.second = r.u64();
+        l.tombstones.emplace_back(get_view(r, bytes), version);
+      }
     }
     if (!r.ok()) return Errc::protocol_error;
-    return snap;
+    return out;
   }
 };
 
 ReplicatedYancFs::ReplicatedYancFs(ReplicaOptions options)
-    : options_(options) {}
+    : options_(options) {
+  // The yanc schema the base class populated is the first thing to mirror.
+  mirror(known_, root(), vfs::FileType::directory);
+  known_.rebuild();
+}
 
 void ReplicatedYancFs::attach(Transport* transport, Transport::NodeId self,
                               Transport::NodeId primary) {
@@ -218,19 +379,20 @@ Mode ReplicatedYancFs::mode_for(NodeId node) const {
   return options_.default_mode;
 }
 
-Result<NodeId> ReplicatedYancFs::resolve_local(std::string_view path) {
-  NodeId node = root();
+Result<NodeId> ReplicatedYancFs::resolve_local(std::string_view path,
+                                               bool recreate) {
+  Result<NodeId> node = root();
   std::string comp;
-  for (std::size_t pos = 0; pos < path.size();) {
-    std::size_t end = std::min(path.find('/', pos), path.size());
-    if (end > pos) {
-      comp.assign(path.substr(pos, end - pos));
-      auto next = lookup(node, comp);
-      if (!next) return next.error();
-      node = *next;
+  for_each_component(path, [&](std::string_view name) {
+    comp.assign(name);
+    auto next = lookup(*node, comp);
+    if (!next && recreate) {
+      next = mkdir(*node, comp, 0755, Credentials{});
+      if (next) count_repair();
     }
-    pos = end + 1;
-  }
+    node = next;
+    return node.ok();
+  });
   return node;
 }
 
@@ -240,6 +402,7 @@ void ReplicatedYancFs::bind_metrics(obs::Registry& registry) {
   lag_metric_ = registry.histogram("dist/replication_lag_ns");
   ae_round_metric_ = registry.counter("dist/anti_entropy_round_total");
   ae_repair_metric_ = registry.counter("dist/anti_entropy_repair_total");
+  ae_pull_metric_ = registry.counter("dist/anti_entropy_pull_total");
 }
 
 void ReplicatedYancFs::emit(Op op) {
@@ -274,21 +437,22 @@ void ReplicatedYancFs::emit(Op op) {
 
 void ReplicatedYancFs::handle_message(Transport::NodeId from,
                                       const std::vector<std::uint8_t>& bytes) {
+  if (!bytes.empty() && bytes[0] >= kFirstAe) {
+    handle_anti_entropy(from, bytes);
+    return;
+  }
   auto op = Op::decode(bytes);
   if (!op) {
     log_error("dist", "undecodable replication op");
     return;
   }
   lamport_ = std::max(lamport_, op->ts);
-  if (op->kind == Op::Kind::anti_entropy) {
-    auto snap = Snapshot::decode(as_bytes(op->data));
-    if (snap)
-      apply_anti_entropy(*snap);
-    else
-      log_error("dist", "undecodable anti-entropy snapshot");
-    return;
-  }
-  note_version(*op);
+  // A content op records its version in apply(), once its bytes are in:
+  // a version without its content would make this replica's digest claim
+  // a write it never holds, and a merge could never repair the file.
+  if (op->kind != Op::Kind::write && op->kind != Op::Kind::truncate &&
+      op->kind != Op::Kind::replace)
+    note_version(*op);
   bool applied = apply(*op);
   if (applied) {
     ++remote_ops_;
@@ -337,21 +501,22 @@ bool ReplicatedYancFs::apply(const Op& op) {
       return done(r.ok() || r.error() == make_error_code(Errc::exists));
     }
     case Op::Kind::write:
-    case Op::Kind::truncate: {
+    case Op::Kind::truncate:
+    case Op::Kind::replace: {
       // Last-writer-wins on content: a concurrently newer local write
       // (greater ts, or equal ts from a higher node id) survives.
-      auto it = write_versions_.find(op.path);
-      if (it != write_versions_.end() &&
-          it->second > std::make_pair(op.ts, op.origin))
-        return done(false);
+      Version version{op.ts, op.origin};
+      if (version_of(op.path) > version) return done(false);
       auto node = resolve_local(op.path);
       if (!node) return done(false);
       bool ok;
       if (op.kind == Op::Kind::write)
         ok = write(*node, op.offset, op.data, root_creds).ok();
+      else if (op.kind == Op::Kind::replace)
+        ok = replace(*node, op.data, root_creds).ok();
       else
         ok = !truncate(*node, op.offset, root_creds);
-      if (ok) write_versions_[op.path] = {op.ts, op.origin};
+      if (ok) set_version(op.path, version);
       return done(ok);
     }
     case Op::Kind::unlink: {
@@ -402,26 +567,138 @@ bool ReplicatedYancFs::apply(const Op& op) {
       auto ec = removexattr(*node, op.aux, root_creds);
       return done(!ec || ec == make_error_code(Errc::not_found));
     }
-    case Op::Kind::anti_entropy:
-      break;  // dispatched in handle_message, never reaches apply()
   }
   return done(false);
 }
 
-// --- anti-entropy --------------------------------------------------------------
+// --- versions and tombstones -----------------------------------------------
+
+const ReplicatedYancFs::Known* ReplicatedYancFs::Known::find(
+    std::string_view path) const {
+  const Known* known = this;
+  for_each_component(path, [&](std::string_view name) {
+    auto it = known->children.find(name);
+    known = it == known->children.end() ? nullptr : it->second.get();
+    return known != nullptr;
+  });
+  return known;
+}
+
+ReplicatedYancFs::Known& ReplicatedYancFs::Known::child(
+    std::string_view name) {
+  auto it = children.find(name);
+  if (it == children.end())
+    it = children.emplace(std::string(name), std::make_unique<Known>()).first;
+  return *it->second;
+}
+
+void ReplicatedYancFs::Known::recount(Known& parent, std::string_view name) {
+  const bool is_dir = exists && type == kDir;
+  const std::uint64_t now =
+      (exists ? entry_hash(name, type, version, is_dir ? digest : 0) : 0) +
+      tomb_hash + (is_dir ? 0 : tombs_below);
+  const std::uint64_t now_tombs = tomb_hash + tombs_below;
+  parent.digest += now - counted;
+  parent.tombs_below += now_tombs - counted_tombs;
+  counted = now;
+  counted_tombs = now_tombs;
+}
+
+void ReplicatedYancFs::Known::rebuild() {
+  digest = 0;
+  tombs_below = 0;
+  for (auto& [name, below] : children) {
+    below->rebuild();
+    below->counted = below->counted_tombs = 0;
+    below->recount(*this, name);
+  }
+}
+
+void ReplicatedYancFs::Known::forget_tree() {
+  exists = false;
+  for (auto& [name, below] : children) below->forget_tree();
+}
+
+bool ReplicatedYancFs::Known::drop_versions(Version newer) {
+  bool dropped = version != Version{} && version <= newer;
+  if (dropped) version = {};
+  for (auto& [name, below] : children)
+    dropped = below->drop_versions(newer) || dropped;
+  return dropped;
+}
+
+void ReplicatedYancFs::Known::take_versions(
+    std::string& path, std::vector<std::pair<std::string, Version>>& out) {
+  if (version != Version{}) {
+    out.emplace_back(path, version);
+    version = {};
+  }
+  const std::size_t len = path.size();
+  for (auto& [name, below] : children) {
+    path += '/';
+    path += name;
+    below->take_versions(path, out);
+    path.resize(len);
+  }
+}
+
+ReplicatedYancFs::Version ReplicatedYancFs::Known::newest() const {
+  Version newest = version;
+  for (const auto& [name, below] : children)
+    newest = std::max(newest, below->newest());
+  return newest;
+}
+
+template <typename Change>
+void ReplicatedYancFs::update(std::string_view path, Change change) {
+  // Down to the node, then recount each one on the way back up.
+  auto down = [&](auto& self, Known& known, std::string_view rest) -> void {
+    auto start = rest.find_first_not_of('/');
+    if (start == std::string_view::npos) {
+      change(known);
+      return;
+    }
+    rest.remove_prefix(start);
+    std::string_view name = rest.substr(0, rest.find('/'));
+    Known& below = known.child(name);
+    self(self, below, rest.substr(name.size()));
+    below.recount(known, name);
+  };
+  down(down, known_, path);
+}
+
+void ReplicatedYancFs::mirror(Known& known, NodeId node, vfs::FileType type) {
+  known.exists = true;
+  known.type = entry_type(type);
+  if (type != vfs::FileType::directory) return;
+  if (auto children = readdir(node))
+    for (const auto& child : *children)
+      mirror(known.child(child.name), child.node, child.type);
+}
+
+void ReplicatedYancFs::note_namespace_change(std::string_view path) {
+  update(path, [&](Known& known) {
+    known.forget_tree();
+    if (auto node = resolve_local(path))
+      if (auto st = getattr(*node)) mirror(known, *node, st->type);
+    known.rebuild();
+  });
+}
 
 void ReplicatedYancFs::note_version(const Op& op) {
   Version version{op.ts, op.origin};
+  auto raise = [&](std::string_view path, Version v) {
+    if (version_of(path) < v) set_version(path, v);
+  };
   switch (op.kind) {
     case Op::Kind::mkdir:
     case Op::Kind::create:
     case Op::Kind::symlink:
     case Op::Kind::write:
-    case Op::Kind::truncate: {
-      auto& v = write_versions_[op.path];
-      v = std::max(v, version);
+    case Op::Kind::truncate:
+    case Op::Kind::replace:
+      raise(op.path, version);
       break;
-    }
     case Op::Kind::unlink:
     case Op::Kind::rmdir:
       record_tombstone(op.path, version);
@@ -430,26 +707,14 @@ void ReplicatedYancFs::note_version(const Op& op) {
       // Content knowledge follows the subtree to its new name; the old
       // name gets a tombstone so stale copies of it stay dead.
       std::vector<std::pair<std::string, Version>> moved;
-      if (auto it = write_versions_.find(op.path);
-          it != write_versions_.end()) {
-        moved.emplace_back(op.aux, it->second);
-        write_versions_.erase(it);
-      }
-      std::string prefix = op.path + "/";
-      for (auto it = write_versions_.lower_bound(prefix);
-           it != write_versions_.end() &&
-           it->first.compare(0, prefix.size(), prefix) == 0;) {
-        moved.emplace_back(op.aux + it->first.substr(op.path.size()),
-                           it->second);
-        it = write_versions_.erase(it);
-      }
+      update(op.path, [&](Known& from) {
+        std::string dest = op.aux;
+        from.take_versions(dest, moved);
+        from.rebuild();
+      });
       record_tombstone(op.path, version);
-      for (auto& [path, v] : moved) {
-        auto& slot = write_versions_[path];
-        slot = std::max(slot, v);
-      }
-      auto& dest = write_versions_[op.aux];
-      dest = std::max(dest, version);
+      for (auto& [path, v] : moved) raise(path, v);
+      raise(op.aux, version);
       break;
     }
     default:
@@ -459,61 +724,48 @@ void ReplicatedYancFs::note_version(const Op& op) {
 
 ReplicatedYancFs::Version ReplicatedYancFs::version_of(
     std::string_view path) const {
-  auto it = write_versions_.find(path);
-  return it == write_versions_.end() ? Version{0, 0} : it->second;
+  const Known* known = known_.find(path);
+  return known ? known->version : Version{};
 }
 
 void ReplicatedYancFs::set_version(std::string_view path, Version version) {
-  if (auto it = write_versions_.find(path); it != write_versions_.end())
-    it->second = version;
-  else
-    write_versions_.emplace(std::string(path), version);
+  update(path, [&](Known& known) { known.version = version; });
 }
 
 ReplicatedYancFs::Version ReplicatedYancFs::newest_in_subtree(
     std::string_view path) const {
-  Version newest = version_of(path);
-  std::string prefix = std::string(path) + "/";
-  for (auto it = write_versions_.lower_bound(prefix);
-       it != write_versions_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it)
-    newest = std::max(newest, it->second);
-  return newest;
+  const Known* known = known_.find(path);
+  return known ? known->newest() : Version{};
 }
 
-bool ReplicatedYancFs::tombstoned(std::string_view path,
-                                  Version version) const {
-  if (tombstones_.empty()) return false;
-  auto dead = [&](std::string_view prefix) {
-    auto it = tombstones_.find(prefix);
-    return it != tombstones_.end() && !(it->second < version);
-  };
-  // A tombstone covers the path itself and everything below it, so probe
-  // the path and each prefix that ends at a `/` ("/a/b": "", "/a", "/a/b").
-  for (auto slash = path.find('/'); slash != std::string_view::npos;
-       slash = path.find('/', slash + 1))
-    if (dead(path.substr(0, slash))) return true;
-  return dead(path);
+std::optional<ReplicatedYancFs::Version> ReplicatedYancFs::covering_tombstone(
+    std::string_view dir) const {
+  // A tombstone covers its path and everything below it: the newest on
+  // the way down to `dir` (nothing deletes the root).
+  std::optional<Version> newest;
+  const Known* known = &known_;
+  for_each_component(dir, [&](std::string_view name) {
+    auto it = known->children.find(name);
+    if (it == known->children.end()) return false;
+    known = it->second.get();
+    if (known->tombstone && (!newest || *newest < *known->tombstone))
+      newest = known->tombstone;
+    return true;
+  });
+  return newest;
 }
 
 void ReplicatedYancFs::record_tombstone(std::string_view path,
                                         Version version) {
-  if (auto it = tombstones_.find(path); it == tombstones_.end())
-    tombstones_.emplace(std::string(path), version);
-  else if (it->second < version)
-    it->second = version;
-  // The deletion supersedes any content knowledge it is newer than;
-  // strictly newer writes survive (they out-rank the tombstone).
-  if (auto wit = write_versions_.find(path);
-      wit != write_versions_.end() && wit->second <= version)
-    write_versions_.erase(wit);
-  std::string prefix = std::string(path) + "/";
-  for (auto wit = write_versions_.lower_bound(prefix);
-       wit != write_versions_.end() &&
-       wit->first.compare(0, prefix.size(), prefix) == 0;)
-    wit = wit->second <= version ? write_versions_.erase(wit)
-                                 : std::next(wit);
+  update(path, [&](Known& known) {
+    if (!known.tombstone || *known.tombstone < version) {
+      known.tombstone = version;
+      known.tomb_hash = tombstone_hash(path, version);
+    }
+    // The deletion supersedes any content knowledge it is newer than;
+    // strictly newer writes survive (they out-rank the tombstone).
+    if (known.drop_versions(version)) known.rebuild();
+  });
 }
 
 void ReplicatedYancFs::count_repair() {
@@ -521,125 +773,208 @@ void ReplicatedYancFs::count_repair() {
   if (ae_repair_metric_) ae_repair_metric_->add();
 }
 
-void ReplicatedYancFs::snapshot_subtree(vfs::NodeId node, std::string& path,
-                                        BufWriter& out, std::uint32_t& count) {
-  auto st = getattr(node);
-  if (!st) return;
-  if (!path.empty()) {
-    std::uint8_t type = Snapshot::dir;
-    std::string data;
-    if (st->is_symlink()) {
-      type = Snapshot::symlink;
-      if (auto target = readlink(node)) data = std::move(*target);
-    } else if (!st->is_dir()) {
-      type = Snapshot::file;
-      if (auto content = read(node, 0, st->size, Credentials::root()))
-        data = std::move(*content);
-    }
-    Snapshot::put_entry(out, type, path, version_of(path), data);
-    ++count;
-  }
-  if (!st->is_dir()) return;
-  auto children = readdir(node);
-  if (!children) return;
-  std::size_t len = path.size();
-  for (const auto& child : *children) {
-    path += '/';
-    path += child.name;
-    snapshot_subtree(child.node, path, out, count);
-    path.resize(len);
-  }
+// --- digests -----------------------------------------------------------------
+
+std::uint64_t ReplicatedYancFs::root_digest_uncached() {
+  std::string path;
+  return hash_dir(root(), &known_, path);
 }
+
+std::uint64_t ReplicatedYancFs::hash_dir(NodeId dir, const Known* known,
+                                         std::string& path) {
+  std::uint64_t digest = 0;
+  if (auto children = readdir(dir))
+    walk_dir(
+        known, path, *children,
+        [&](const vfs::DirEntry& child, const Known* below) {
+          std::uint64_t sub = child.type == vfs::FileType::directory
+                                  ? hash_dir(child.node, below, path)
+                                  : 0;
+          digest += entry_hash(child.name, entry_type(child.type),
+                               below ? below->version : Version{}, sub);
+        },
+        [&](std::string_view dead, Version version) {
+          digest += tombstone_hash(dead, version);
+        });
+  return digest;
+}
+
+// --- anti-entropy exchange -------------------------------------------------
 
 void ReplicatedYancFs::send_anti_entropy() {
   if (!transport_) return;
-  // The entry count is known only after the walk: patch it in place.
-  BufWriter snap;
-  snap.u32(0);
-  std::uint32_t count = 0;
-  std::string path;
-  snapshot_subtree(root(), path, snap, count);
-  snap.patch_u16(0, static_cast<std::uint16_t>(count >> 16));
-  snap.patch_u16(2, static_cast<std::uint16_t>(count));
-  snap.u32(static_cast<std::uint32_t>(tombstones_.size()));
-  for (const auto& [dead, version] : tombstones_)
-    Snapshot::put_tombstone(snap, dead, version);
-  Op op;
-  op.kind = Op::Kind::anti_entropy;
-  op.ts = ++lamport_;
-  op.origin = self_;
-  op.sent_ns = transport_->clock().now_ns();
-  op.data = {reinterpret_cast<const char*>(snap.data().data()), snap.size()};
+  BufWriter w;
+  w.u8(static_cast<std::uint8_t>(Ae::digest));
+  w.u64(lamport_);
+  w.u64(root_digest());
   if (ae_round_metric_) ae_round_metric_->add();
-  transport_->broadcast(self_, op.encode());
+  transport_->broadcast(self_, w.data());
 }
 
-void ReplicatedYancFs::apply_anti_entropy(const Snapshot& snap) {
-  applying_remote_ = true;
+void ReplicatedYancFs::handle_anti_entropy(
+    Transport::NodeId from, const std::vector<std::uint8_t>& bytes) {
+  BufReader r(bytes);
+  auto kind = static_cast<Ae>(r.u8());
+  lamport_ = std::max(lamport_, r.u64());
+  switch (kind) {
+    case Ae::digest: {
+      std::uint64_t theirs = r.u64();
+      if (!r.ok()) break;
+      if (theirs != root_digest()) send_pull(from, {std::string()});
+      return;
+    }
+    case Ae::pull:
+      serve_pull(from, r, bytes);
+      return;
+    case Ae::listing: {
+      auto listings = Listing::decode(r, bytes);
+      if (!listings) break;
+      std::vector<std::string> next;
+      applying_remote_ = true;
+      for (const auto& listing : *listings) merge_listing(listing, next);
+      applying_remote_ = false;
+      if (!next.empty()) send_pull(from, next);
+      return;
+    }
+  }
+  log_error("dist", "undecodable anti-entropy message");
+}
+
+void ReplicatedYancFs::send_pull(Transport::NodeId to,
+                                 const std::vector<std::string>& dirs) {
+  BufWriter w;
+  w.u8(static_cast<std::uint8_t>(Ae::pull));
+  w.u64(lamport_);
+  w.u32(static_cast<std::uint32_t>(dirs.size()));
+  for (const auto& dir : dirs) put_string(w, dir);
+  // A lost pull, like a lost listing, leaves the divergence for the next
+  // round.
+  std::ignore = transport_->send(self_, to, w.take());
+}
+
+void ReplicatedYancFs::serve_pull(Transport::NodeId to, BufReader& r,
+                                  std::span<const std::uint8_t> bytes) {
+  BufWriter w;
+  w.u8(static_cast<std::uint8_t>(Ae::listing));
+  w.u64(lamport_);
+  const std::size_t count_at = w.size();
+  w.u32(0);  // patched below: directories gone since the peer saw them
+             // are left out
+  std::uint32_t listed = 0;
+  std::string path;
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    path.assign(get_view(r, bytes));
+    if (!r.ok()) break;
+    if (auto node = resolve_local(path); node && put_listing(w, *node, path))
+      ++listed;
+  }
+  if (!r.ok()) {
+    log_error("dist", "undecodable anti-entropy pull");
+    return;
+  }
+  w.patch_u16(count_at, static_cast<std::uint16_t>(listed >> 16));
+  w.patch_u16(count_at + 2, static_cast<std::uint16_t>(listed));
+  std::ignore = transport_->send(self_, to, w.take());
+}
+
+bool ReplicatedYancFs::put_listing(BufWriter& w, NodeId dir,
+                                   std::string& path) {
+  auto children = readdir(dir);
+  if (!children) return false;
+  put_string(w, path);
+  w.u32(static_cast<std::uint32_t>(children->size()));
+  // The covered tombstones follow the entries: gather them on the way.
+  std::vector<std::pair<std::string, Version>> dead;
+  std::string data;
+  walk_dir(
+      known_.find(path), path, *children,
+      [&](const vfs::DirEntry& child, const Known* below) {
+        const std::uint8_t type = entry_type(child.type);
+        data.clear();
+        if (type == kSymlink) {
+          if (auto target = readlink(child.node)) data = std::move(*target);
+        } else if (type == kFile) {
+          if (auto content =
+                  read(child.node, 0, std::numeric_limits<std::uint64_t>::max(),
+                       Credentials::root()))
+            data = std::move(*content);
+        }
+        Version version = below ? below->version : Version{};
+        w.u8(type);
+        w.u64(version.first);
+        w.u64(version.second);
+        w.u64(below && type == kDir ? below->digest : 0);
+        put_string(w, child.name);
+        put_string(w, data);
+      },
+      [&](std::string_view tomb, Version version) {
+        dead.emplace_back(tomb, version);
+      });
+  w.u32(static_cast<std::uint32_t>(dead.size()));
+  for (const auto& [tomb, version] : dead) {
+    w.u64(version.first);
+    w.u64(version.second);
+    put_string(w, tomb);
+  }
+  return true;
+}
+
+void ReplicatedYancFs::merge_listing(const Listing& listing,
+                                     std::vector<std::string>& next) {
+  ++pulls_;
+  if (ae_pull_metric_) ae_pull_metric_->add();
   // Deletions first: adopt tombstones we have not seen, and tear down any
   // local subtree the tombstone out-ranks.  A strictly newer local write
   // survives, and the entries below re-teach it to replicas that lack it.
-  for (const auto& [path, version] : snap.tombstones) {
-    bool existed = resolve_local(path).ok();
+  for (const auto& [path, version] : listing.tombstones) {
+    const Known* known = known_.find(path);
+    bool existed = known && known->exists;
     record_tombstone(path, version);
     if (existed && !(newest_in_subtree(path) > version)) {
       remove_subtree_local(std::string(path));
       count_repair();
     }
   }
-  // Then creations and content, parents before children (preorder).
-  // `dirs` is the chain of directories above the current entry, so each
-  // entry costs one lookup in its parent.  A tombstoned directory stays
-  // on the chain unresolved (kInvalidNode): it is recreated, without a
-  // version of its own, only when an entry below it outlives the
-  // tombstone and needs a parent.
-  struct Dir {
-    std::string_view path;
-    NodeId node;
-  };
-  std::vector<Dir> dirs{{"", root()}};
+  // Then creations and content.  An entry is dead when a tombstone at its
+  // path, or at or above the directory (`cover`, probed once per
+  // listing), is at least as new.  The directory itself is resolved on
+  // first need, and recreated when a deletion removed it but an entry
+  // outlives that tombstone.
+  const std::optional<Version> cover = covering_tombstone(listing.dir);
+  const Known* dir_known = known_.find(listing.dir);
+  std::optional<NodeId> parent;
+  std::string path(listing.dir);
   std::string leaf;
-  auto resolve_chain = [&]() -> NodeId {
-    std::size_t i = dirs.size();
-    while (dirs[i - 1].node == vfs::kInvalidNode) --i;  // root is resolved
-    for (; i < dirs.size(); ++i) {
-      leaf.assign(dirs[i].path.substr(dirs[i].path.rfind('/') + 1));
-      auto node = lookup(dirs[i - 1].node, leaf);
-      if (!node) {
-        node = mkdir(dirs[i - 1].node, leaf, 0755, Credentials{});
-        if (!node) return vfs::kInvalidNode;
-        count_repair();
+  const std::size_t len = path.size();
+  for (const auto& entry : listing.entries) {
+    path.resize(len);
+    path += '/';
+    path += entry.name;
+    const Known* known = dir_known ? dir_known->find(entry.name) : nullptr;
+    std::optional<Version> dead = cover;
+    if (known && known->tombstone && (!dead || *dead < *known->tombstone))
+      dead = known->tombstone;
+    if (!dead || entry.version > *dead) {
+      if (!parent) {
+        auto found = resolve_local(listing.dir, /*recreate=*/true);
+        parent = found ? *found : vfs::kInvalidNode;
       }
-      dirs[i].node = *node;
+      if (*parent == vfs::kInvalidNode) continue;
+      leaf.assign(entry.name);
+      merge_entry_local(*parent, leaf, entry.type, path,
+                        known ? known->version : Version{}, entry.version,
+                        entry.data);
     }
-    return dirs.back().node;
-  };
-  for (const auto& entry : snap.entries) {
-    std::string_view path = entry.path;
-    while (dirs.size() > 1 && !is_below(path, dirs.back().path))
-      dirs.pop_back();
-    std::size_t slash = path.rfind('/');
-    std::string_view parent =
-        path.substr(0, slash == std::string_view::npos ? 0 : slash);
-    bool parent_on_chain = dirs.back().path == parent;
-    if (tombstoned(path, entry.version)) {
-      if (entry.type == Snapshot::dir && parent_on_chain)
-        dirs.push_back({path, vfs::kInvalidNode});
-      continue;
-    }
-    NodeId parent_node = vfs::kInvalidNode;
-    if (parent_on_chain)
-      parent_node = resolve_chain();
-    else if (auto found = resolve_local(parent))
-      parent_node = *found;  // the parent's own merge failed, or out of order
-    if (parent_node == vfs::kInvalidNode) continue;
-    leaf.assign(path.substr(slash + 1));
-    NodeId node = merge_entry_local(parent_node, leaf, entry.type, path,
-                                    entry.version, entry.data);
-    if (entry.type == Snapshot::dir && node != vfs::kInvalidNode)
-      dirs.push_back({path, node});
+    // Whether merged or deleted here (the peer may list entries below it
+    // that outlive the tombstone), descend where the digests still
+    // differ; a missing directory counts as empty.
+    if (entry.type != kDir) continue;
+    if (!known) known = known_.find(path);
+    const bool mine_is_dir = known && known->exists && known->type == kDir;
+    if ((mine_is_dir ? known->digest : 0) != entry.digest)
+      next.push_back(path);
   }
-  applying_remote_ = false;
 }
 
 void ReplicatedYancFs::remove_subtree_local(const std::string& path) {
@@ -666,17 +1001,15 @@ NodeId ReplicatedYancFs::merge_entry_local(NodeId parent,
                                            const std::string& leaf,
                                            std::uint8_t type,
                                            std::string_view path,
-                                           Version version,
+                                           Version local, Version version,
                                            std::string_view data) {
   Credentials root_creds;
-  Version local = version_of(path);
   if (auto node = lookup(parent, leaf)) {
     if (!(version > local)) return *node;  // ours is as new or newer
-    if (type == Snapshot::file) {
-      // Adopt the newer content wholesale (anti-entropy ships whole
-      // files, not deltas).
-      if (truncate(*node, 0, root_creds)) return *node;
-      if (!data.empty() && !write(*node, 0, data, root_creds)) return *node;
+    if (type == kFile) {
+      // Adopt the newer content wholesale, in one step (listings ship
+      // whole files, not deltas).
+      if (!replace(*node, data, root_creds)) return *node;
       count_repair();
     }
     set_version(path, version);  // dirs/symlinks: version only
@@ -685,20 +1018,22 @@ NodeId ReplicatedYancFs::merge_entry_local(NodeId parent,
   // Missing locally: recreate it.
   Result<NodeId> created = Errc::not_found;
   switch (type) {
-    case Snapshot::dir:
+    case kDir:
       created = mkdir(parent, leaf, 0755, root_creds);
       break;
-    case Snapshot::file:
+    case kFile:
       created = create(parent, leaf, 0644, root_creds);
       if (created && !data.empty())
         (void)write(*created, 0, data, root_creds);
       break;
-    case Snapshot::symlink:
+    case kSymlink:
       created = symlink(parent, leaf, std::string(data), root_creds);
       break;
   }
   if (!created) return vfs::kInvalidNode;
-  set_version(path, std::max(local, version));
+  // The version of what was created, even when a newer one was heard of:
+  // the digests then keep differing until that newer write arrives.
+  set_version(path, version);
   count_repair();
   return *created;
 }
@@ -710,11 +1045,12 @@ Result<NodeId> ReplicatedYancFs::mkdir(NodeId parent, const std::string& name,
                                        const Credentials& creds) {
   auto parent_path = path_of(parent);
   auto r = YancFs::mkdir(parent, name, mode, creds);
-  if (r && !applying_remote_ && parent_path) {
+  if (r && parent_path) {
     Op op;
     op.kind = Op::Kind::mkdir;
-    op.path = (*parent_path == "/" ? "" : *parent_path) + "/" + name;
+    op.path = child_path(*parent_path, name);
     op.mode = mode;
+    note_namespace_change(op.path);
     emit(std::move(op));
   }
   return r;
@@ -725,11 +1061,12 @@ Result<NodeId> ReplicatedYancFs::create(NodeId parent, const std::string& name,
                                         const Credentials& creds) {
   auto parent_path = path_of(parent);
   auto r = YancFs::create(parent, name, mode, creds);
-  if (r && !applying_remote_ && parent_path) {
+  if (r && parent_path) {
     Op op;
     op.kind = Op::Kind::create;
-    op.path = (*parent_path == "/" ? "" : *parent_path) + "/" + name;
+    op.path = child_path(*parent_path, name);
     op.mode = mode;
+    note_namespace_change(op.path);
     emit(std::move(op));
   }
   return r;
@@ -771,23 +1108,17 @@ Status ReplicatedYancFs::truncate(NodeId node, std::uint64_t size,
 Result<std::uint64_t> ReplicatedYancFs::replace(NodeId node,
                                                 std::string_view data,
                                                 const Credentials& creds) {
-  // Locally atomic (MemFs swaps content under one shard lock); on the wire
-  // it is the existing truncate+write pair — remote application is already
-  // asynchronous, so the two-op window adds nothing new there.
+  // Locally atomic (MemFs swaps content under one shard lock), and one op
+  // on the wire, which the peer applies with replace(): no peer ever
+  // reads the file empty between a truncate and a write.
   auto r = YancFs::replace(node, data, creds);
   if (r && !applying_remote_) {
     if (auto path = path_of(node)) {
-      Op t;
-      t.kind = Op::Kind::truncate;
-      t.path = *path;
-      t.offset = 0;
-      emit(std::move(t));
-      Op w;
-      w.kind = Op::Kind::write;
-      w.path = *path;
-      w.offset = 0;
-      w.data = data;
-      emit(std::move(w));
+      Op op;
+      op.kind = Op::Kind::replace;
+      op.path = *path;
+      op.data = data;
+      emit(std::move(op));
     }
   }
   return r;
@@ -797,10 +1128,11 @@ Status ReplicatedYancFs::unlink(NodeId parent, const std::string& name,
                                 const Credentials& creds) {
   auto parent_path = path_of(parent);
   auto ec = YancFs::unlink(parent, name, creds);
-  if (!ec && !applying_remote_ && parent_path) {
+  if (!ec && parent_path) {
     Op op;
     op.kind = Op::Kind::unlink;
-    op.path = (*parent_path == "/" ? "" : *parent_path) + "/" + name;
+    op.path = child_path(*parent_path, name);
+    note_namespace_change(op.path);
     emit(std::move(op));
   }
   return ec;
@@ -810,10 +1142,11 @@ Status ReplicatedYancFs::rmdir(NodeId parent, const std::string& name,
                                const Credentials& creds) {
   auto parent_path = path_of(parent);
   auto ec = YancFs::rmdir(parent, name, creds);
-  if (!ec && !applying_remote_ && parent_path) {
+  if (!ec && parent_path) {
     Op op;
     op.kind = Op::Kind::rmdir;
-    op.path = (*parent_path == "/" ? "" : *parent_path) + "/" + name;
+    op.path = child_path(*parent_path, name);
+    note_namespace_change(op.path);
     emit(std::move(op));
   }
   return ec;
@@ -826,11 +1159,14 @@ Status ReplicatedYancFs::rename(NodeId old_parent, const std::string& old_name,
   auto from_path = path_of(old_parent);
   auto to_path = path_of(new_parent);
   auto ec = YancFs::rename(old_parent, old_name, new_parent, new_name, creds);
-  if (!ec && !applying_remote_ && from_path && to_path) {
+  if (!ec && from_path && to_path) {
     Op op;
     op.kind = Op::Kind::rename;
-    op.path = (*from_path == "/" ? "" : *from_path) + "/" + old_name;
-    op.aux = (*to_path == "/" ? "" : *to_path) + "/" + new_name;
+    op.path = child_path(*from_path, old_name);
+    op.aux = child_path(*to_path, new_name);
+    // The moved subtree's digests hash the paths of what it covers.
+    note_namespace_change(op.path);
+    note_namespace_change(op.aux);
     emit(std::move(op));
   }
   return ec;
@@ -842,11 +1178,12 @@ Result<NodeId> ReplicatedYancFs::symlink(NodeId parent,
                                          const Credentials& creds) {
   auto parent_path = path_of(parent);
   auto r = YancFs::symlink(parent, name, target, creds);
-  if (r && !applying_remote_ && parent_path) {
+  if (r && parent_path) {
     Op op;
     op.kind = Op::Kind::symlink;
-    op.path = (*parent_path == "/" ? "" : *parent_path) + "/" + name;
+    op.path = child_path(*parent_path, name);
     op.aux = target;
+    note_namespace_change(op.path);
     emit(std::move(op));
   }
   return r;

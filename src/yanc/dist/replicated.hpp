@@ -19,6 +19,8 @@
 //              asynchronously, last-writer-wins on conflicting content.
 #pragma once
 
+#include <map>
+#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -94,18 +96,30 @@ class ReplicatedYancFs : public netfs::YancFs {
   /// dist/replication_lag_ns in `registry` (typically the registry of the
   /// Vfs this replica is mounted into).  Lag is virtual time from the
   /// origin's emit to this node's apply.  Also registers
-  /// dist/anti_entropy_{round,repair}_total.
+  /// dist/anti_entropy_{round,repair,pull}_total.
   void bind_metrics(obs::Registry& registry);
 
-  /// Anti-entropy (§6 made honest about lossy links): broadcasts a
-  /// summary of this replica's whole tree — every path with its
-  /// last-writer version and content, plus deletion tombstones.
-  /// Receivers repair divergence: recreate what they missed, adopt newer
-  /// content, and honour deletions they never saw.  Op-log replication
-  /// keeps replicas converged when every message arrives; this pass
-  /// restores convergence when some did not.  One full round =
-  /// Cluster::anti_entropy_round() (every node broadcasts once).
+  /// Anti-entropy (§6 made honest about lossy links), a Merkle-style pull.
+  /// Every directory has a 64-bit digest over its children's names, types
+  /// and last-writer versions, each subdirectory's own digest, and the
+  /// deletion tombstones below it.  This sends each peer only the root
+  /// digest.  A peer whose root digest differs pulls this replica's
+  /// listings one level at a time — one request per level, naming every
+  /// directory whose digest differs — and repairs its divergence from
+  /// them: recreate what it missed, adopt newer content, and honour
+  /// deletions it never saw.  Op-log replication keeps replicas
+  /// converged when every message arrives; this pass restores
+  /// convergence when some did not, and a lost digest, pull or listing
+  /// leaves the divergence for the next round.  One full round =
+  /// Cluster::anti_entropy_round() (every node sends once).
   void send_anti_entropy();
+
+  /// The root digest, as this replica keeps it current on every local and
+  /// remote change.
+  std::uint64_t root_digest() const noexcept { return known_.digest; }
+  /// The same digest hashed from scratch — the whole tree, every version
+  /// and tombstone: what root_digest() must always equal.
+  std::uint64_t root_digest_uncached();
 
   // --- statistics --------------------------------------------------------
   std::uint64_t local_ops() const noexcept { return local_ops_; }
@@ -115,12 +129,14 @@ class ReplicatedYancFs : public netfs::YancFs {
   std::uint64_t sync_delay_ns() const noexcept { return sync_delay_ns_; }
   /// Nodes/files this replica fixed up during anti-entropy merges.
   std::uint64_t repairs_applied() const noexcept { return repairs_; }
+  /// Directory listings this replica pulled during anti-entropy.
+  std::uint64_t listings_pulled() const noexcept { return pulls_; }
 
  private:
   friend class Cluster;
 
   struct Op;
-  struct Snapshot;
+  struct Listing;
   void handle_message(Transport::NodeId from,
                       const std::vector<std::uint8_t>& bytes);
   /// Applies a (possibly remote) op; returns false on conflict.
@@ -128,30 +144,101 @@ class ReplicatedYancFs : public netfs::YancFs {
   /// Replicates an op after local success.
   void emit(Op op);
   Mode mode_for(vfs::NodeId node) const;
-  Result<vfs::NodeId> resolve_local(std::string_view path);
+  /// Resolves `path` from the root.  With `recreate`, missing directories
+  /// on the way are recreated (without versions of their own, each counted
+  /// as a repair).
+  Result<vfs::NodeId> resolve_local(std::string_view path,
+                                    bool recreate = false);
 
   using Version = std::pair<std::uint64_t, std::uint64_t>;  // (ts, origin)
+  /// What this replica knows about one path, in a trie keyed by path
+  /// component (the root is known_): the last writer's version of the path,
+  /// its newest deletion, whether the local tree has a node there, and the
+  /// digest bookkeeping, kept current on every change.  A directory's
+  /// digest is the sum of what its trie children count:
+  ///   counted = entry hash (name, type, version, digest) if it exists
+  ///           + its own tombstone's hash
+  ///           + the tombstones below it, unless it is a directory here,
+  /// so a tombstone below a path that is no longer a directory is counted
+  /// by its nearest directory ancestor.
+  struct Known {
+    Version version{};                 // {0, 0}: no write known
+    std::optional<Version> tombstone;  // a deletion covers its subtree
+    bool exists = false;               // mirrors the local tree
+    std::uint8_t type = 0;             // its listing entry type, if so
+    std::uint64_t digest = 0;       // sum of the children's `counted`
+    std::uint64_t tombs_below = 0;  // sum of the tombstone hashes below
+    std::uint64_t tomb_hash = 0;    // this path's own tombstone's hash
+    // What this node last added to its parent's digest / tombs_below.
+    std::uint64_t counted = 0;
+    std::uint64_t counted_tombs = 0;
+    std::map<std::string, std::unique_ptr<Known>, std::less<>> children;
+
+    /// The node of `path` below this one; nullptr when nothing is known.
+    const Known* find(std::string_view path) const;
+    /// The child `name`, created when missing.
+    Known& child(std::string_view name);
+    /// Recomputes what this node (named `name`) adds to its parent,
+    /// adding the difference to `parent`.
+    void recount(Known& parent, std::string_view name);
+    /// Recomputes the digest bookkeeping of this whole subtree.
+    void rebuild();
+    /// Marks this subtree as absent from the local tree.
+    void forget_tree();
+    /// Erases the versions in this subtree that `newer` out-ranks; true
+    /// when any went.
+    bool drop_versions(Version newer);
+    /// Moves every version in this subtree into `out`, keyed by its path
+    /// with `path` as this node's (extended and restored in place).
+    void take_versions(std::string& path,
+                       std::vector<std::pair<std::string, Version>>& out);
+    Version newest() const;
+  };
+  /// Applies `change` to the trie node of `path` (created when missing),
+  /// then recounts every node on the way back up to the root.  `change`
+  /// must leave the node's own subtree consistent (rebuild() it when it
+  /// touched more than the node).
+  template <typename Change>
+  void update(std::string_view path, Change change);
+  /// Mirrors the local subtree of `node` (of `type`) into `known`.
+  void mirror(Known& known, vfs::NodeId node, vfs::FileType type);
+  /// After a node was created, removed or renamed at `path`.
+  void note_namespace_change(std::string_view path);
   Version version_of(std::string_view path) const;
   void set_version(std::string_view path, Version version);
   Version newest_in_subtree(std::string_view path) const;
-  /// True when `path` (or an ancestor) has a tombstone at least as new
-  /// as `version`: one tombstones_ probe per `/`-boundary prefix.
-  bool tombstoned(std::string_view path, Version version) const;
+  /// The newest tombstone at `dir` or above it.
+  std::optional<Version> covering_tombstone(std::string_view dir) const;
   void record_tombstone(std::string_view path, Version version);
-  /// Folds one (local or remote) op into write_versions_/tombstones_.
+  /// Folds one (local or remote) op into known_.
   void note_version(const Op& op);
-  /// Appends the Snapshot entries of `node`'s subtree to `out` in
-  /// preorder; `path` is `node`'s path, extended and restored in place.
-  void snapshot_subtree(vfs::NodeId node, std::string& path, BufWriter& out,
-                        std::uint32_t& count);
-  void apply_anti_entropy(const Snapshot& snap);
+  /// Digest of the directory `dir` at `path` ("" = root) hashed from the
+  /// local tree and `known` (its trie node; nullptr: none) alone; `path`
+  /// is extended and restored in place.
+  std::uint64_t hash_dir(vfs::NodeId dir, const Known* known,
+                         std::string& path);
+
+  // --- anti-entropy exchange ---------------------------------------------
+  void handle_anti_entropy(Transport::NodeId from,
+                           const std::vector<std::uint8_t>& bytes);
+  void send_pull(Transport::NodeId to, const std::vector<std::string>& dirs);
+  /// Answers a pull: one listing per named directory that exists here.
+  void serve_pull(Transport::NodeId to, BufReader& r,
+                  std::span<const std::uint8_t> bytes);
+  /// Appends the listing of the directory `dir` at `path`; false (and
+  /// nothing written) when `dir` is not a directory.
+  bool put_listing(BufWriter& w, vfs::NodeId dir, std::string& path);
+  /// Merges one listing; appends the subdirectories whose digests still
+  /// differ to `next`.
+  void merge_listing(const Listing& listing, std::vector<std::string>& next);
   void remove_subtree_local(const std::string& path);
-  /// Merges one snapshot entry named `leaf` inside the local directory
-  /// `parent`; returns its local node, or kInvalidNode when it is missing
-  /// and could not be created.
+  /// Merges one listing entry named `leaf` inside the local directory
+  /// `parent`, whose local version is `local`; returns its local node, or
+  /// kInvalidNode when it is missing and could not be created.
   vfs::NodeId merge_entry_local(vfs::NodeId parent, const std::string& leaf,
                                 std::uint8_t type, std::string_view path,
-                                Version version, std::string_view data);
+                                Version local, Version version,
+                                std::string_view data);
   void count_repair();
 
   ReplicaOptions options_;
@@ -160,21 +247,22 @@ class ReplicatedYancFs : public netfs::YancFs {
   Transport::NodeId primary_ = 0;
   bool applying_remote_ = false;
   std::uint64_t lamport_ = 0;
-  // Last-writer-wins bookkeeping: path -> (ts, origin) of the newest
-  // content write or node creation seen for that path.
-  std::map<std::string, Version, std::less<>> write_versions_;
-  // Deletions survive as tombstones so anti-entropy never resurrects a
-  // path a newer unlink/rmdir removed.  A tombstone covers its subtree.
-  std::map<std::string, Version, std::less<>> tombstones_;
+  // Last-writer-wins bookkeeping: the (ts, origin) of the newest content
+  // write or node creation seen for each path, and the deletions, kept as
+  // tombstones so anti-entropy never resurrects a path a newer
+  // unlink/rmdir removed.
+  Known known_;
   std::uint64_t local_ops_ = 0;
   std::uint64_t remote_ops_ = 0;
   std::uint64_t conflicts_ = 0;
   std::uint64_t sync_delay_ns_ = 0;
   std::uint64_t repairs_ = 0;
+  std::uint64_t pulls_ = 0;
   obs::Counter* apply_metric_ = nullptr;
   obs::Counter* conflict_metric_ = nullptr;
   obs::Counter* ae_round_metric_ = nullptr;
   obs::Counter* ae_repair_metric_ = nullptr;
+  obs::Counter* ae_pull_metric_ = nullptr;
   obs::Histogram* lag_metric_ = nullptr;
 };
 
@@ -203,9 +291,10 @@ class Cluster {
     transport_.set_partitioned(a, b, false);
   }
 
-  /// One anti-entropy round: every replica broadcasts its tree summary.
-  /// Run the scheduler afterwards, then repeat once more if repairs on
-  /// one node must propagate knowledge back to the others.
+  /// One anti-entropy round: every replica sends its root digest to every
+  /// peer, and the peers that differ pull what they lack.  Run the
+  /// scheduler afterwards, then repeat once more if repairs on one node
+  /// must propagate knowledge back to the others.
   void anti_entropy_round() {
     for (auto& replica : replicas_) replica->send_anti_entropy();
   }

@@ -831,6 +831,11 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
       // By reference: only a consumed packet-out erases the context it
       // runs for, and handle_aux_event is done with it by then.
       const WatchContext& ctx = ctx_it->second;
+      // A superseded connection's leftover events name nodes whose
+      // contexts its successor owns now: acting on them would re-register
+      // the successor's watches under this connection, and its reap would
+      // then drop them.
+      if (ctx.conn != &conn) continue;
       if (handle_aux_event(conn, event, ctx, seen_level_triggered))
         continue;
 

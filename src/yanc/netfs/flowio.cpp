@@ -370,11 +370,18 @@ Result<FlowStats> read_flow_stats(Vfs& vfs, const std::string& dir,
 
 Status write_flow_stats(Vfs& vfs, const std::string& dir,
                         const FlowStats& stats, const Credentials& creds) {
-  if (auto ec = vfs.write_file(dir + "/counters/packets",
-                               std::to_string(stats.packets), creds); ec)
+  // Most replies repeat the counters the mirror already holds (every
+  // audit asks for them): a file that holds its value is left alone, so
+  // the repeat bumps no version, fires no watch and replicates nothing.
+  auto mirror = [&](const std::string& path, std::uint64_t value) {
+    std::string text = std::to_string(value);
+    if (auto held = vfs.read_file(path, creds); held && *held == text)
+      return ok_status();
+    return vfs.write_file(path, text, creds);
+  };
+  if (auto ec = mirror(dir + "/counters/packets", stats.packets); ec)
     return ec;
-  return vfs.write_file(dir + "/counters/bytes", std::to_string(stats.bytes),
-                        creds);
+  return mirror(dir + "/counters/bytes", stats.bytes);
 }
 
 }  // namespace yanc::netfs

@@ -45,7 +45,8 @@ Result<flow::FlowStats> read_flow_stats(vfs::Vfs& vfs,
                                         const std::string& flow_dir,
                                         const vfs::Credentials& creds = {});
 
-/// Writes the flow's counters/ directory (driver-side stats sync).
+/// Writes the flow's counters/ directory (driver-side stats sync); a
+/// counter file that already holds its value is not written.
 [[nodiscard]] Status write_flow_stats(vfs::Vfs& vfs, const std::string& flow_dir,
                         const flow::FlowStats& stats,
                         const vfs::Credentials& creds = {});

@@ -179,6 +179,41 @@ TEST(ClusterTest, RevivedNodeReleasesStaleOwnershipAndStaysFenced) {
             1u);
 }
 
+// After a revive every replica holds the same root digest, and each one's
+// maintained digest equals one hashed from scratch: the digests follow
+// trees that drivers, lease managers and the stats mirror all write.
+TEST(ClusterTest, ReviveLeavesEqualHonestDigests) {
+  Harness h(HarnessOptions{.nodes = 3, .switches = 2});
+  h.settle();
+  for (std::uint16_t i = 0; i < 6; ++i)
+    ASSERT_FALSE(h.commit_flow(i % 3, 1 + i % 2, "f" + std::to_string(i),
+                               make_spec(static_cast<std::uint16_t>(100 + i))));
+  h.settle();
+  const std::size_t victim = *h.owner_of(1);
+  h.kill(victim);
+  ASSERT_FALSE(h.commit_flow((victim + 1) % 3, 1, "late", make_spec(200)));
+  h.settle(30);
+  // The dead node missed that commit; the revive's rounds bring it.
+  const auto survivor = h.fs_flows((victim + 1) % 3, 1);
+  ASSERT_NE(h.fs_flows(victim, 1), survivor);
+  h.revive(victim);
+  EXPECT_EQ(h.fs_flows(victim, 1), survivor);
+
+  auto replica = [&](std::size_t node) {
+    auto net = h.vfs(node)->resolve("/net", vfs::Credentials::root());
+    return net ? std::dynamic_pointer_cast<dist::ReplicatedYancFs>(net->fs)
+               : nullptr;
+  };
+  const auto first = replica(0);
+  ASSERT_TRUE(first);
+  for (std::size_t node = 0; node < 3; ++node) {
+    auto fs = replica(node);
+    ASSERT_TRUE(fs) << node;
+    EXPECT_EQ(fs->root_digest(), fs->root_digest_uncached()) << node;
+    EXPECT_EQ(fs->root_digest(), first->root_digest()) << node;
+  }
+}
+
 // --- lease edge cases ---------------------------------------------------------
 
 TEST(ClusterTest, ExpiryDuringTakeoverStillConverges) {

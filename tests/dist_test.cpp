@@ -4,11 +4,15 @@
 // controller node appearing on another.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+
 #include "yanc/dist/replicated.hpp"
 #include "yanc/faults/injector.hpp"
 #include "yanc/netfs/flowio.hpp"
 #include "yanc/netfs/handles.hpp"
 #include "yanc/obs/metrics.hpp"
+#include "yanc/util/rng.hpp"
 #include "yanc/util/strings.hpp"
 
 namespace yanc::dist {
@@ -210,6 +214,35 @@ TEST_F(ClusterTest, WritesReplicateContent) {
   settle();
   EXPECT_EQ(content(1, "/switches/sw1/id"), "0xabc");
   EXPECT_EQ(content(2, "/switches/sw1/id"), "0xabc");
+}
+
+// A whole-file write is one op per peer, which the peer applies in one
+// step: no read there ever finds the file emptied by a truncate.
+TEST_F(ClusterTest, WholeFileWriteReplicatesAsOneOp) {
+  auto fs0 = cluster.fs(0);
+  auto vfs0 = std::make_shared<vfs::Vfs>();
+  ASSERT_FALSE(vfs0->mkdir("/net"));
+  ASSERT_FALSE(vfs0->mount("/net", fs0));
+  ASSERT_TRUE(fs0->mkdir(*fs0->lookup(fs0->root(), "switches"), "sw1", 0755,
+                         {}).ok());
+  ASSERT_FALSE(vfs0->write_file("/net/switches/sw1/id", "0xa"));
+  settle();
+  ASSERT_EQ(content(1, "/switches/sw1/id"), "0xa");
+
+  const auto sent = cluster.transport().messages_sent();
+  ASSERT_FALSE(vfs0->write_file("/net/switches/sw1/id", "0xbc"));
+  EXPECT_EQ(cluster.transport().messages_sent() - sent,
+            cluster.size() - 1);
+  // Deliver one event at a time; every read in between sees old or new.
+  while (scheduler.pending() > 0) {
+    scheduler.run_for(std::chrono::microseconds(1));
+    for (std::size_t node : {1u, 2u}) {
+      auto now = content(node, "/switches/sw1/id");
+      EXPECT_TRUE(now == "0xa" || now == "0xbc") << node << ": " << now;
+    }
+  }
+  EXPECT_EQ(content(1, "/switches/sw1/id"), "0xbc");
+  EXPECT_EQ(content(2, "/switches/sw1/id"), "0xbc");
 }
 
 TEST_F(ClusterTest, StrictModeChargesRoundTripOnSecondary) {
@@ -686,6 +719,359 @@ TEST(AntiEntropy, WriteNewerThanAncestorTombstoneConverges) {
   EXPECT_EQ(read_at(*fs1, "/switches/x/id"), "0x5");
   EXPECT_EQ(read_at(*fs0, "/switches/x/id"), "0x5");
   EXPECT_EQ(tree(*fs0, "/switches/x"), tree(*fs1, "/switches/x"));
+}
+
+// Replicas that agree have equal root digests, so a round costs one digest
+// message per peer and pulls nothing: no whole tree on the wire.
+TEST(AntiEntropy, ConvergedReplicasExchangeOnlyDigests) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  ASSERT_TRUE(fs0->mkdir(*resolve(*fs0, "/switches"), "sw1", 0755, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_TRUE(
+      fs1->write(*resolve(*fs1, "/switches/sw1/id"), 0, "0x1", {}).ok());
+  ASSERT_TRUE(fs0->mkdir(*resolve(*fs0, "/switches"), "sw2", 0755, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_FALSE(fs1->rmdir(*resolve(*fs1, "/switches"), "sw2", {}));
+  scheduler.run_until_idle();
+  ASSERT_EQ(fs0->root_digest(), fs1->root_digest());
+
+  const auto messages = cluster.transport().messages_sent();
+  const auto bytes = cluster.transport().bytes_sent();
+  cluster.anti_entropy_round();
+  scheduler.run_until_idle();
+  EXPECT_EQ(cluster.transport().messages_sent() - messages, 2u);
+  // Kind byte, Lamport clock and digest: 17 bytes per message.
+  EXPECT_EQ(cluster.transport().bytes_sent() - bytes, 2u * 17u);
+  EXPECT_EQ(fs0->listings_pulled() + fs1->listings_pulled(), 0u);
+  EXPECT_EQ(fs0->repairs_applied() + fs1->repairs_applied(), 0u);
+}
+
+// A tombstone below a path that is no longer a directory is covered by the
+// nearest directory above it: the replica that never saw it learns it, and
+// the digests agree only once it has.
+TEST(AntiEntropy, TombstoneBelowRemovedDirectoryIsCovered) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  ASSERT_TRUE(fs0->mkdir(fs0->root(), ".p", 0755, {}).ok());
+  ASSERT_TRUE(fs0->mkdir(*resolve(*fs0, "/.p"), "d", 0755, {}).ok());
+  ASSERT_TRUE(fs0->create(*resolve(*fs0, "/.p/d"), "f", 0644, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_EQ(fs0->root_digest(), fs1->root_digest());
+
+  // Node 1 hears of the file's removal but not of its directory's.
+  ASSERT_FALSE(fs0->unlink(*resolve(*fs0, "/.p/d"), "f", {}));
+  scheduler.run_until_idle();
+  drop_all(cluster);
+  ASSERT_FALSE(fs0->rmdir(*resolve(*fs0, "/.p"), "d", {}));
+  scheduler.run_until_idle();
+  heal_links(cluster);
+  ASSERT_TRUE(resolve(*fs1, "/.p/d").ok());
+  EXPECT_NE(fs0->root_digest(), fs1->root_digest());
+
+  fs0->send_anti_entropy();
+  scheduler.run_until_idle();
+  EXPECT_FALSE(resolve(*fs1, "/.p/d").ok());
+  EXPECT_EQ(fs0->root_digest(), fs1->root_digest());
+  const auto pulled = fs0->listings_pulled() + fs1->listings_pulled();
+  cluster.anti_entropy_round();
+  scheduler.run_until_idle();
+  EXPECT_EQ(fs0->listings_pulled() + fs1->listings_pulled(), pulled);
+}
+
+// --- anti-entropy properties: seeded random histories ----------------------
+//
+// Tier 1 runs seeds [1, 6); scripts/stress.sh sweeps 50 more via
+// YANC_PROP_SEED (each run covers [base, base+5)).  The histories live in
+// the plain subtree /.p, plus switch objects for schema-populated trees.
+
+std::uint64_t prop_seed_base() {
+  const char* env = std::getenv("YANC_PROP_SEED");
+  return env ? std::strtoull(env, nullptr, 10) : 1;
+}
+
+/// Loses each replica message with probability `p`, drawn from `rng`.
+void drop_some(Cluster& cluster, util::Rng& rng, double p) {
+  cluster.transport().set_fault_filter(
+      [&rng, p](Transport::NodeId, Transport::NodeId,
+                std::vector<std::uint8_t>&) {
+        Transport::LinkFate fate;
+        fate.drop = rng.chance(p);
+        return fate;
+      });
+}
+
+/// The parent directory and leaf of `path` on one replica.
+std::pair<Result<vfs::NodeId>, std::string> parent_of(
+    ReplicatedYancFs& fs, const std::string& path) {
+  auto slash = path.rfind('/');
+  return {resolve(fs, path.substr(0, slash)), path.substr(slash + 1)};
+}
+
+/// One random local op on a random replica of `cluster`, or a round.
+void random_step(Cluster& cluster, util::Rng& rng, std::uint64_t& serial) {
+  auto& fs = *cluster.fs(rng.below(cluster.size()));
+  std::vector<std::string> dirs, files;
+  for (const auto& [path, what] : tree(fs, "/.p"))
+    (what == "dir" ? dirs : files).push_back(path);
+  if (dirs.empty()) return;
+  const std::string& dir = dirs[rng.below(dirs.size())];
+  const std::string name = "n" + std::to_string(serial++);
+  const std::string file = files.empty() ? "" : files[rng.below(files.size())];
+  const std::string victim = dirs.size() > 1 && rng.chance(0.5)
+                                 ? dirs[1 + rng.below(dirs.size() - 1)]
+                                 : file;
+  switch (rng.below(10)) {
+    case 0:
+      (void)fs.mkdir(*resolve(fs, dir), name, 0755, {});
+      break;
+    case 1:
+      (void)fs.create(*resolve(fs, dir), name, 0644, {});
+      break;
+    case 2:
+      if (!file.empty())
+        (void)fs.replace(*resolve(fs, file), name, {});
+      break;
+    case 3:
+      if (!file.empty())
+        (void)fs.write(*resolve(fs, file), rng.below(4), name, {});
+      break;
+    case 4:
+      if (!file.empty()) {
+        auto [parent, leaf] = parent_of(fs, file);
+        (void)fs.unlink(*parent, leaf, {});
+      }
+      break;
+    case 5:
+      if (dirs.size() > 1) {  // fails unless empty
+        const std::string& doomed = dirs[1 + rng.below(dirs.size() - 1)];
+        auto [parent, leaf] = parent_of(fs, doomed);
+        (void)fs.rmdir(*parent, leaf, {});
+      }
+      break;
+    case 6:
+      if (!victim.empty()) {  // fails when moving a directory into itself
+        auto [parent, leaf] = parent_of(fs, victim);
+        (void)fs.rename(*parent, leaf, *resolve(fs, dir), name, {});
+      }
+      break;
+    case 7: {  // a schema-populated object, created or removed whole
+      auto switches = resolve(fs, "/switches");
+      auto existing = fs.readdir(*switches);
+      if (existing && !existing->empty() && rng.chance(0.5))
+        (void)fs.rmdir(*switches,
+                       (*existing)[rng.below(existing->size())].name, {});
+      else
+        (void)fs.mkdir(*switches, name, 0755, {});
+      break;
+    }
+    default:
+      cluster.anti_entropy_round();
+      break;
+  }
+}
+
+void run_digest_case(std::uint64_t seed) {
+  SCOPED_TRACE("YANC_PROP_SEED=" + std::to_string(seed));
+  util::Rng rng(seed);
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 3,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  ASSERT_TRUE(cluster.fs(0)->mkdir(cluster.fs(0)->root(), ".p", 0755, {}).ok());
+  scheduler.run_until_idle();
+  drop_some(cluster, rng, 0.3);
+  std::uint64_t serial = 0;
+  for (int step = 0; step < 150; ++step) {
+    random_step(cluster, rng, serial);
+    scheduler.run_until_idle();
+    for (std::size_t node = 0; node < cluster.size(); ++node)
+      ASSERT_EQ(cluster.fs(node)->root_digest(),
+                cluster.fs(node)->root_digest_uncached())
+          << "node " << node << " after step " << step;
+  }
+  cluster.transport().set_fault_filter(nullptr);
+}
+
+// Every local and remote op, lost or not, and every merge keeps each
+// replica's maintained digest equal to one hashed from scratch.
+TEST(AntiEntropyProperty, MaintainedDigestMatchesRecomputed) {
+  const std::uint64_t base = prop_seed_base();
+  for (std::uint64_t seed = base; seed < base + 5; ++seed)
+    run_digest_case(seed);
+}
+
+/// The expected tree below /.p, in tree()'s format, and what was deleted.
+struct Model {
+  std::map<std::string, std::string> live;
+  std::set<std::string> dead;
+
+  std::map<std::string, std::string> below(const std::string& path) const {
+    std::map<std::string, std::string> out;
+    for (auto it = live.lower_bound(path);
+         it != live.end() && (it->first == path ||
+                              it->first.starts_with(path + "/"));
+         ++it)
+      out.insert(*it);
+    return out;
+  }
+};
+
+/// The replicas whose subtree at `path` is exactly the model's: they have
+/// seen every write there, so their next op there out-ranks all of them.
+std::vector<std::size_t> current_at(Cluster& cluster, const Model& model,
+                                    const std::string& path) {
+  std::vector<std::size_t> out;
+  const auto want = model.below(path);
+  for (std::size_t node = 0; node < cluster.size(); ++node)
+    if (tree(*cluster.fs(node), path) == want) out.push_back(node);
+  return out;
+}
+
+/// The replicas on which `dir` is a directory.
+std::vector<std::size_t> having_dir(Cluster& cluster, const std::string& dir) {
+  std::vector<std::size_t> out;
+  for (std::size_t node = 0; node < cluster.size(); ++node)
+    if (auto found = resolve(*cluster.fs(node), dir))
+      if (auto st = cluster.fs(node)->getattr(*found); st && st->is_dir())
+        out.push_back(node);
+  return out;
+}
+
+template <typename T>
+const T& pick(util::Rng& rng, const std::vector<T>& from) {
+  return from[rng.below(from.size())];
+}
+
+/// One random op of a lossy history the model can predict: writes and
+/// deletes happen on a replica current on what they touch, so each
+/// out-ranks everything before it there, and nothing is ever written
+/// below a deleted path.  A rename moves a subtree every replica is
+/// current on: rename carries no content, so moving a stale copy would
+/// leave two equal versions with different bytes.
+void lossy_step(Cluster& cluster, Model& model, util::Rng& rng,
+                std::uint64_t& serial) {
+  std::vector<std::string> dirs, files, movable;
+  for (const auto& [path, what] : model.live) {
+    (what == "dir" ? dirs : files).push_back(path);
+    if (path != "/.p") movable.push_back(path);
+  }
+  const std::string name = "n" + std::to_string(serial++);
+  switch (rng.below(6)) {
+    case 0:
+    case 1: {  // mkdir or create below a live directory
+      const std::string& dir = pick(rng, dirs);
+      auto have = having_dir(cluster, dir);
+      if (have.empty()) return;
+      auto& fs = *cluster.fs(pick(rng, have));
+      bool is_dir = rng.chance(0.4);
+      auto made = is_dir ? fs.mkdir(*resolve(fs, dir), name, 0755, {})
+                         : fs.create(*resolve(fs, dir), name, 0644, {});
+      ASSERT_TRUE(made.ok());
+      model.live[dir + "/" + name] = is_dir ? "dir" : "file:";
+      return;
+    }
+    case 2:
+    case 3: {  // a whole-file write
+      if (files.empty()) return;
+      const std::string& file = pick(rng, files);
+      auto current = current_at(cluster, model, file);
+      if (current.empty()) return;
+      auto& fs = *cluster.fs(pick(rng, current));
+      ASSERT_TRUE(fs.replace(*resolve(fs, file), name, {}).ok());
+      model.live[file] = "file:" + name;
+      return;
+    }
+    case 4: {  // delete a subtree, bottom-up
+      if (movable.empty()) return;
+      const std::string& path = pick(rng, movable);
+      auto current = current_at(cluster, model, path);
+      if (current.empty()) return;
+      auto& fs = *cluster.fs(pick(rng, current));
+      auto doomed = model.below(path);
+      for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
+        auto [parent, leaf] = parent_of(fs, it->first);
+        ASSERT_FALSE(it->second == "dir" ? fs.rmdir(*parent, leaf, {})
+                                         : fs.unlink(*parent, leaf, {}));
+        model.live.erase(it->first);
+        model.dead.insert(it->first);
+      }
+      return;
+    }
+    default: {  // rename a subtree into a live directory outside it
+      if (movable.empty()) return;
+      const std::string& from = pick(rng, movable);
+      std::vector<std::string> into;
+      for (const auto& dir : dirs)
+        if (dir != from && !dir.starts_with(from + "/")) into.push_back(dir);
+      if (into.empty() ||
+          current_at(cluster, model, from).size() != cluster.size())
+        return;
+      const std::string& dir = pick(rng, into);
+      const std::string to = dir + "/" + name;
+      auto have = having_dir(cluster, dir);
+      if (have.empty()) return;
+      auto& fs = *cluster.fs(pick(rng, have));
+      auto [parent, leaf] = parent_of(fs, from);
+      auto [to_parent, to_leaf] = parent_of(fs, to);
+      ASSERT_FALSE(fs.rename(*parent, leaf, *to_parent, to_leaf, {}));
+      for (const auto& [path, what] : model.below(from)) {
+        model.live.erase(path);
+        model.dead.insert(path);
+        model.live[to + path.substr(from.size())] = what;
+      }
+      return;
+    }
+  }
+}
+
+void run_lossy_case(std::uint64_t seed) {
+  SCOPED_TRACE("YANC_PROP_SEED=" + std::to_string(seed));
+  util::Rng rng(seed);
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 3,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  ASSERT_TRUE(cluster.fs(0)->mkdir(cluster.fs(0)->root(), ".p", 0755, {}).ok());
+  scheduler.run_until_idle();
+  Model model;
+  model.live["/.p"] = "dir";
+  drop_some(cluster, rng, 0.3);
+  std::uint64_t serial = 0;
+  for (int step = 0; step < 120; ++step) {
+    lossy_step(cluster, model, rng, serial);
+    if (rng.chance(0.05)) cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  cluster.transport().set_fault_filter(nullptr);
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  EXPECT_FALSE(model.dead.empty());
+  for (std::size_t node = 0; node < cluster.size(); ++node) {
+    auto& fs = *cluster.fs(node);
+    // Identical trees, each file holding its newest write...
+    EXPECT_EQ(tree(fs, "/.p"), model.live) << "node " << node;
+    // ...and nothing deleted came back.
+    for (const auto& path : model.dead)
+      EXPECT_FALSE(resolve(fs, path).ok()) << "node " << node << ": " << path;
+  }
+}
+
+// Lossy 3-replica histories converge within two rounds.
+TEST(AntiEntropyProperty, LossyHistoriesConvergeInTwoRounds) {
+  const std::uint64_t base = prop_seed_base();
+  for (std::uint64_t seed = base; seed < base + 5; ++seed)
+    run_lossy_case(seed);
 }
 
 }  // namespace

@@ -387,6 +387,33 @@ TEST_P(DriverTest, ReconnectReusesDirectoryAndReinstallsFlows) {
   EXPECT_EQ(resyncs->value() - resyncs_before, 1u);
 }
 
+// A switch that reconnects while its old channel is still open leaves a
+// superseded connection whose queue may still hold events.  A flow created
+// between the handshake's two polls queues its `created` event there; the
+// superseded connection must not act on it, or it takes the flow's commit
+// watch from its successor and drops it when it is reaped.
+TEST_P(DriverTest, SupersededConnectionLeavesItsSuccessorsWatchesAlone) {
+  auto old_sw = make_switch(0x42);
+  settle({old_sw.get()});
+  auto new_sw = make_switch(0x42);
+  driver->poll();  // accepts: HELLO + FEATURES_REQUEST
+  new_sw->pump();
+  scheduler.run_until_idle();  // FEATURES_REPLY is waiting
+  FlowSpec spec;
+  spec.match.tp_dst = 22;
+  spec.actions = {Action::output(1)};
+  ASSERT_FALSE(net().switch_at("sw1").add_flow("ssh", spec));
+  settle({old_sw.get(), new_sw.get()});
+  ASSERT_EQ(new_sw->table().size(), 1u);
+
+  // The second commit reaches the new switch too.
+  spec.actions = {Action::output(2)};
+  ASSERT_FALSE(net().switch_at("sw1").add_flow("ssh", spec));
+  settle({old_sw.get(), new_sw.get()});
+  ASSERT_EQ(new_sw->table().size(), 1u);
+  EXPECT_EQ(new_sw->table().entries()[0].spec.actions, spec.actions);
+}
+
 TEST_P(DriverTest, EndToEndForwardingAfterFsFlow) {
   auto s = make_switch(0x42);
   settle({s.get()});

@@ -421,6 +421,34 @@ TEST_F(FlowIoTest, StatsRoundTrip) {
   EXPECT_EQ(stats->bytes, 45678u);
 }
 
+// A stats reply that repeats the held counters (every audit sends one)
+// writes nothing: no version bump, no `modified` event.  A counter that
+// did move is still written.
+TEST_F(FlowIoTest, RepeatedStatsLeaveCountersAlone) {
+  ASSERT_FALSE(vfs->mkdir(flow_dir));
+  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {123, 45678}));
+  const std::string packets = flow_dir + "/counters/packets";
+  const std::string bytes = flow_dir + "/counters/bytes";
+  const auto packets_version = vfs->stat(packets)->version;
+  const auto bytes_version = vfs->stat(bytes)->version;
+  auto q = std::make_shared<vfs::WatchQueue>();
+  auto watch_packets = vfs->watch(packets, vfs::event::modified, q);
+  auto watch_bytes = vfs->watch(bytes, vfs::event::modified, q);
+  ASSERT_TRUE(watch_packets.ok());
+  ASSERT_TRUE(watch_bytes.ok());
+
+  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {123, 45678}));
+  EXPECT_EQ(vfs->stat(packets)->version, packets_version);
+  EXPECT_EQ(vfs->stat(bytes)->version, bytes_version);
+  EXPECT_TRUE(q->drain().empty());
+
+  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {124, 45678}));
+  EXPECT_GT(vfs->stat(packets)->version, packets_version);
+  EXPECT_EQ(vfs->stat(bytes)->version, bytes_version);
+  EXPECT_EQ(q->drain().size(), 1u);
+  EXPECT_EQ(read_flow_stats(*vfs, flow_dir)->packets, 124u);
+}
+
 // --- typed handles ---------------------------------------------------------------
 
 class HandlesTest : public YancFsTest {
