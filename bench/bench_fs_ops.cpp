@@ -57,6 +57,36 @@ void BM_ReadFile(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadFile);
 
+// The same write and read from the file's directory, resolved once outside
+// the loop as a dirfd is opened once: each op walks one component.
+void BM_WriteFileAt(benchmark::State& state) {
+  auto v = fresh_fs();
+  auto dir = v->resolve("/net/switches/sw1", {});
+  if (!dir) {
+    state.SkipWithError("resolve failed");
+    return;
+  }
+  v->reset_counters();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(v->write_file(*dir, "id", "0xabcdef"));
+  report_syscalls(state, *v);
+}
+BENCHMARK(BM_WriteFileAt);
+
+void BM_ReadFileAt(benchmark::State& state) {
+  auto v = fresh_fs();
+  (void)v->write_file("/net/switches/sw1/id", "0xabcdef");
+  auto dir = v->resolve("/net/switches/sw1", {});
+  if (!dir) {
+    state.SkipWithError("resolve failed");
+    return;
+  }
+  v->reset_counters();
+  for (auto _ : state) benchmark::DoNotOptimize(v->read_file(*dir, "id"));
+  report_syscalls(state, *v);
+}
+BENCHMARK(BM_ReadFileAt);
+
 void BM_Stat(benchmark::State& state) {
   auto v = fresh_fs();
   v->reset_counters();

@@ -74,24 +74,32 @@ Status LearningSwitch::flood(const std::string& datapath,
                              std::uint16_t in_port, const std::string& data) {
   ++floods_;
   (void)in_port;  // the switch's flood action already excludes the ingress
-  std::string dir = options_.net_root + "/switches/" + datapath +
-                    "/packet_out/l2_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  (void)vfs_->write_file(dir + "/in_port", std::to_string(in_port));
-  (void)vfs_->write_file(dir + "/out", "flood");
-  (void)vfs_->write_file(dir + "/data", data);
-  return vfs_->write_file(dir + "/send", "1");
+  auto dir = new_packet_out(datapath);
+  if (!dir) return dir.error();
+  (void)vfs_->write_file(*dir, "in_port", std::to_string(in_port));
+  (void)vfs_->write_file(*dir, "out", "flood");
+  (void)vfs_->write_file(*dir, "data", data);
+  return vfs_->write_file(*dir, "send", "1");
 }
 
 Status LearningSwitch::packet_out(const std::string& datapath,
                                   std::uint16_t out_port,
                                   const std::string& data) {
-  std::string dir = options_.net_root + "/switches/" + datapath +
-                    "/packet_out/l2_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  (void)vfs_->write_file(dir + "/out", std::to_string(out_port));
-  (void)vfs_->write_file(dir + "/data", data);
-  return vfs_->write_file(dir + "/send", "1");
+  auto dir = new_packet_out(datapath);
+  if (!dir) return dir.error();
+  (void)vfs_->write_file(*dir, "out", std::to_string(out_port));
+  (void)vfs_->write_file(*dir, "data", data);
+  return vfs_->write_file(*dir, "send", "1");
+}
+
+Result<vfs::Vfs::Resolved> LearningSwitch::new_packet_out(
+    const std::string& datapath) {
+  std::string name = "l2_" + std::to_string(next_out_++);
+  auto outbox = vfs_->resolve(
+      options_.net_root + "/switches/" + datapath + "/packet_out", {});
+  if (!outbox) return outbox.error();
+  if (auto ec = vfs_->mkdir(*outbox, name); ec) return ec;
+  return vfs_->resolve(*outbox, name, {});
 }
 
 }  // namespace yanc::apps

@@ -135,6 +135,17 @@ std::uint64_t Manager::wall_ns() const {
 
 void Manager::tick() {
   std::vector<Pending> fired;
+  // Writes are planned under the lock and made after it is released: a
+  // write to the replicated tree sends replication traffic, and a send may
+  // block.  The tick reads each file it writes before writing it, so no
+  // read sees a difference, and the writes keep their order.
+  struct LeaseWrite {
+    std::uint64_t dpid;
+    Lease lease;
+    bool claim;  // an election claim, else a renewal
+  };
+  std::vector<LeaseWrite> writes;
+  std::uint64_t heartbeat = 0;
   {
     dbg::LockGuard lock(mu_);
     ++tick_;
@@ -142,9 +153,7 @@ void Manager::tick() {
     // Lamport fast-forward: a node revived after a long kill jumps past
     // every heartbeat it can see, so its TTL math is in the present.
     for (const auto& [node, beat] : beats) tick_ = std::max(tick_, beat);
-    if (vfs_->write_file(heartbeat_path(options_.node_id),
-                         std::to_string(tick_) + "\n"))
-      log_error("cluster", "heartbeat write failed");
+    heartbeat = tick_;
     discover_shards();
 
     for (auto& [dpid, shard] : shards_) {
@@ -201,9 +210,7 @@ void Manager::tick() {
         if (lease->expiry - tick_ <= options_.lease_ttl / 2) {
           Lease renewed = *lease;
           renewed.expiry = tick_ + options_.lease_ttl;
-          if (!vfs_->write_file(lease_path(dpid), renewed.format())) {
-            if (renew_metric_) renew_metric_->add();
-          }
+          writes.push_back({dpid, renewed, false});
         }
         continue;
       }
@@ -240,11 +247,7 @@ void Manager::tick() {
       claim.holder = options_.node_id;
       claim.epoch = shard.max_epoch + 1;
       claim.expiry = tick_ + options_.lease_ttl;
-      if (!vfs_->write_file(lease_path(dpid), claim.format())) {
-        shard.claiming = true;
-        shard.claim = claim;
-        if (election_metric_) election_metric_->add();
-      }
+      writes.push_back({dpid, claim, true});
     }
 
     if (shards_owned_metric_) {
@@ -252,6 +255,30 @@ void Manager::tick() {
       for (const auto& [dpid, shard] : shards_)
         owned += shard.owned ? 1 : 0;
       shards_owned_metric_->set(owned);
+    }
+  }
+
+  if (vfs_->write_file(heartbeat_path(options_.node_id),
+                       std::to_string(heartbeat) + "\n"))
+    log_error("cluster", "heartbeat write failed");
+  std::vector<bool> written;
+  written.reserve(writes.size());
+  for (const auto& w : writes)
+    written.push_back(!vfs_->write_file(lease_path(w.dpid), w.lease.format()));
+  if (!writes.empty()) {
+    dbg::LockGuard lock(mu_);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      if (!written[i]) continue;
+      const LeaseWrite& w = writes[i];
+      if (!w.claim) {
+        if (renew_metric_) renew_metric_->add();
+        continue;
+      }
+      auto it = shards_.find(w.dpid);
+      if (it == shards_.end()) continue;
+      it->second.claiming = true;
+      it->second.claim = w.lease;
+      if (election_metric_) election_metric_->add();
     }
   }
 

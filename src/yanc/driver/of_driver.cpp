@@ -294,7 +294,7 @@ void OfDriver::flush_egress(Connection& conn) {
     // Nothing queued; still settle any counter bumps owed (deletes whose
     // encode failed cannot happen, but keep the invariant simple).
     if (eg.counter_delta) {
-      bump_counter(conn.path + "/counters/flow_mods", eg.counter_delta);
+      bump_counter(conn, "flow_mods", eg.counter_delta);
       eg.counter_delta = 0;
     }
     return;
@@ -323,7 +323,7 @@ void OfDriver::flush_egress(Connection& conn) {
   eg = Connection::Egress{};
 
   if (counter_delta)
-    bump_counter(conn.path + "/counters/flow_mods", counter_delta);
+    bump_counter(conn, "flow_mods", counter_delta);
   if (!ok) {
     // Peer gone (or a fault hook severed the link mid-burst): the reap /
     // reconnect resync re-pushes from the FS record.
@@ -537,14 +537,18 @@ void OfDriver::on_features(Connection& conn,
 
   // Reconnect support: reuse an existing directory whose id matches.
   std::string switches = options_.net_root + "/switches";
-  if (auto entries = vfs_->readdir(switches)) {
-    for (const auto& e : *entries) {
-      auto id = vfs_->read_file(switches + "/" + e.name + "/id");
-      if (!id) continue;
-      auto parsed = parse_hex_u64(trim(*id));
-      if (parsed && *parsed == conn.dpid && *parsed != 0) {
-        conn.name = e.name;
-        break;
+  if (auto dir = vfs_->resolve(switches, Credentials::root())) {
+    if (auto entries = vfs_->readdir(*dir)) {
+      for (const auto& e : *entries) {
+        auto sw = vfs_->resolve(*dir, e.name, Credentials::root());
+        if (!sw) continue;
+        auto id = vfs_->read_file(*sw, "id");
+        if (!id) continue;
+        auto parsed = parse_hex_u64(trim(*id));
+        if (parsed && *parsed == conn.dpid && *parsed != 0) {
+          conn.name = e.name;
+          break;
+        }
       }
     }
   }
@@ -564,19 +568,21 @@ void OfDriver::on_features(Connection& conn,
     return;
   }
 
-  (void)vfs_->write_file(conn.path + "/id", "0x" + to_hex(conn.dpid, 8));
-  (void)vfs_->write_file(conn.path + "/num_buffers",
-                         std::to_string(features.n_buffers));
-  (void)vfs_->write_file(conn.path + "/num_tables",
-                         std::to_string(features.n_tables));
-  (void)vfs_->write_file(conn.path + "/capabilities",
-                         "0x" + to_hex(features.capabilities, 4));
-  (void)vfs_->write_file(conn.path + "/actions",
-                         "0x" + to_hex(features.actions, 4));
-  (void)vfs_->write_file(conn.path + "/protocol_version",
-                         ofp::version_name(options_.version));
-  (void)vfs_->write_file(conn.path + "/connected", "1");
-  (void)vfs_->write_file(conn.path + "/status", "up");
+  if (auto dir = vfs_->resolve(conn.path, Credentials::root())) {
+    (void)vfs_->write_file(*dir, "id", "0x" + to_hex(conn.dpid, 8));
+    (void)vfs_->write_file(*dir, "num_buffers",
+                           std::to_string(features.n_buffers));
+    (void)vfs_->write_file(*dir, "num_tables",
+                           std::to_string(features.n_tables));
+    (void)vfs_->write_file(*dir, "capabilities",
+                           "0x" + to_hex(features.capabilities, 4));
+    (void)vfs_->write_file(*dir, "actions",
+                           "0x" + to_hex(features.actions, 4));
+    (void)vfs_->write_file(*dir, "protocol_version",
+                           ofp::version_name(options_.version));
+    (void)vfs_->write_file(*dir, "connected", "1");
+    (void)vfs_->write_file(*dir, "status", "up");
+  }
 
   create_switch_tree(conn, features.ports);
   conn.state = Connection::State::ready;
@@ -596,11 +602,16 @@ vfs::NodeId OfDriver::add_watch(const std::string& path, std::uint32_t mask,
                                 WatchContext ctx) {
   auto resolved = vfs_->resolve(path, Credentials::root());
   if (!resolved) return vfs::kInvalidNode;
-  auto id = resolved->fs->watch(resolved->node, mask, ctx.conn->fs_queue);
+  return add_watch(*resolved, mask, std::move(ctx));
+}
+
+vfs::NodeId OfDriver::add_watch(const vfs::Vfs::Resolved& target,
+                                std::uint32_t mask, WatchContext ctx) {
+  auto id = target.fs->watch(target.node, mask, ctx.conn->fs_queue);
   if (!id) return vfs::kInvalidNode;
-  ctx.watch = std::make_unique<vfs::WatchHandle>(resolved->fs, *id);
-  watch_contexts_.insert_or_assign(resolved->node, std::move(ctx));
-  return resolved->node;
+  ctx.watch = std::make_unique<vfs::WatchHandle>(target.fs, *id);
+  watch_contexts_.insert_or_assign(target.node, std::move(ctx));
+  return target.node;
 }
 
 void OfDriver::create_switch_tree(Connection& conn,
@@ -626,26 +637,28 @@ void OfDriver::create_port_dir(Connection& conn, const ofp::PortDesc& port) {
   if (auto ec = vfs_->mkdir(port_path);
       ec && ec != make_error_code(Errc::exists))
     return;
-  (void)vfs_->write_file(port_path + "/port_no",
-                         std::to_string(port.port_no));
-  (void)vfs_->write_file(port_path + "/hw_addr", port.hw_addr.to_string());
-  (void)vfs_->write_file(port_path + "/name", port.name);
-  (void)vfs_->write_file(port_path + "/config.port_down",
-                         port.port_down ? "1" : "0");
-  (void)vfs_->write_file(port_path + "/state.link_down",
-                         port.link_down ? "1" : "0");
-  (void)vfs_->write_file(port_path + "/curr_speed",
-                         std::to_string(port.curr_speed_kbps));
-  (void)vfs_->write_file(port_path + "/max_speed",
-                         std::to_string(port.max_speed_kbps));
   conn.port_hw_config[port.port_no] = {port.port_down, port.no_flood};
+  auto dir = vfs_->resolve(port_path, Credentials::root());
+  if (!dir) return;
+  (void)vfs_->write_file(*dir, "port_no", std::to_string(port.port_no));
+  (void)vfs_->write_file(*dir, "hw_addr", port.hw_addr.to_string());
+  (void)vfs_->write_file(*dir, "name", port.name);
+  (void)vfs_->write_file(*dir, "config.port_down",
+                         port.port_down ? "1" : "0");
+  (void)vfs_->write_file(*dir, "state.link_down",
+                         port.link_down ? "1" : "0");
+  (void)vfs_->write_file(*dir, "curr_speed",
+                         std::to_string(port.curr_speed_kbps));
+  (void)vfs_->write_file(*dir, "max_speed",
+                         std::to_string(port.max_speed_kbps));
 
   // Administrative changes to the port flow back as PORT_MOD (§3.1's
   // `echo 1 > config.port_down`).
   for (const char* file : {"config.port_down", "config.no_flood"})
-    add_watch(port_path + "/" + file, vfs::event::modified,
-              WatchContext{WatchContext::Kind::port_config, &conn,
-                           std::to_string(port.port_no)});
+    if (auto target = vfs_->resolve(*dir, file, Credentials::root()))
+      add_watch(*target, vfs::event::modified,
+                WatchContext{WatchContext::Kind::port_config, &conn,
+                             std::to_string(port.port_no)});
 }
 
 void OfDriver::watch_flow(Connection& conn, const std::string& flow_name) {
@@ -723,17 +736,19 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
       return false;
     case WatchContext::Kind::port_config: {
       if (!seen_level_triggered.insert(event.node).second) return true;
-      std::string port_path = conn.path + "/ports/" + ctx.name;
       ofp::PortMod pm;
       pm.port_no =
           static_cast<std::uint16_t>(parse_u64(ctx.name).value_or(0));
-      if (auto mac = vfs_->read_file(port_path + "/hw_addr"))
-        if (auto parsed = MacAddress::parse(trim(*mac)))
-          pm.hw_addr = *parsed;
-      if (auto down = vfs_->read_file(port_path + "/config.port_down"))
-        pm.port_down = trim(*down) == "1";
-      if (auto nf = vfs_->read_file(port_path + "/config.no_flood"))
-        pm.no_flood = trim(*nf) == "1";
+      if (auto dir = vfs_->resolve(conn.path + "/ports/" + ctx.name,
+                                   Credentials::root())) {
+        if (auto mac = vfs_->read_file(*dir, "hw_addr"))
+          if (auto parsed = MacAddress::parse(trim(*mac)))
+            pm.hw_addr = *parsed;
+        if (auto down = vfs_->read_file(*dir, "config.port_down"))
+          pm.port_down = trim(*down) == "1";
+        if (auto nf = vfs_->read_file(*dir, "config.no_flood"))
+          pm.no_flood = trim(*nf) == "1";
+      }
       auto known = conn.port_hw_config.find(pm.port_no);
       if (known != conn.port_hw_config.end() &&
           known->second == std::make_pair(pm.port_down, pm.no_flood))
@@ -743,23 +758,29 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
     }
     case WatchContext::Kind::pktout_dir:
       if (event.is(vfs::event::created)) {
-        std::string send_path =
-            conn.path + "/packet_out/" + event.name + "/send";
-        NodeId send_node = add_watch(
-            send_path, vfs::event::modified,
-            WatchContext{WatchContext::Kind::pktout_send, &conn, event.name});
+        auto dir = vfs_->resolve(conn.path + "/packet_out/" + event.name,
+                                 Credentials::root());
+        if (!dir) return true;
+        NodeId send_node = vfs::kInvalidNode;
+        if (auto send = vfs_->resolve(*dir, "send", Credentials::root()))
+          send_node = add_watch(
+              *send, vfs::event::modified,
+              WatchContext{WatchContext::Kind::pktout_send, &conn,
+                           event.name});
         // The app may have set send=1 before this watch existed.
-        if (auto flag = vfs_->read_file(send_path);
+        if (auto flag = vfs_->read_file(*dir, "send");
             flag && trim(*flag) == "1")
-          send_packet_out_dir(conn, event.name, send_node);
+          send_packet_out_dir(conn, *dir, event.name, send_node);
       }
       return true;
     case WatchContext::Kind::pktout_send: {
       if (!seen_level_triggered.insert(event.node).second) return true;
-      std::string send_path =
-          conn.path + "/packet_out/" + ctx.name + "/send";
-      if (auto flag = vfs_->read_file(send_path); flag && trim(*flag) == "1")
-        send_packet_out_dir(conn, ctx.name, event.node);
+      auto dir = vfs_->resolve(conn.path + "/packet_out/" + ctx.name,
+                               Credentials::root());
+      if (!dir) return true;
+      if (auto flag = vfs_->read_file(*dir, "send");
+          flag && trim(*flag) == "1")
+        send_packet_out_dir(conn, *dir, ctx.name, event.node);
       return true;
     }
   }
@@ -1170,27 +1191,27 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
   }
 }
 
-void OfDriver::send_packet_out_dir(Connection& conn, const std::string& name,
-                                   NodeId send_node) {
-  std::string dir = conn.path + "/packet_out/" + name;
+void OfDriver::send_packet_out_dir(Connection& conn,
+                                   const vfs::Vfs::Resolved& dir,
+                                   const std::string& name, NodeId send_node) {
   ofp::PacketOut po;
-  if (auto in = vfs_->read_file(dir + "/in_port"))
+  if (auto in = vfs_->read_file(dir, "in_port"))
     po.in_port =
         static_cast<std::uint16_t>(parse_u64(trim(*in)).value_or(0));
-  if (auto out = vfs_->read_file(dir + "/out")) {
+  if (auto out = vfs_->read_file(dir, "out")) {
     for (const auto& tok : split_nonempty(trim(*out), ' ')) {
       auto action = flow::parse_action("out", tok);
       if (action) po.actions.push_back(*action);
     }
   }
-  if (auto data = vfs_->read_file(dir + "/data"))
+  if (auto data = vfs_->read_file(dir, "data"))
     po.data.assign(data->begin(), data->end());
   send(conn, po);
-  bump_counter(conn.path + "/counters/packet_outs");
+  bump_counter(conn, "packet_outs");
 
   // Consume the request, and drop its send file's watch with the watch's
   // context (last: `name` may be that context's).
-  (void)vfs_->rmdir(dir);
+  (void)vfs_->rmdir(conn.path + "/packet_out/" + name);
   watch_contexts_.erase(send_node);
 }
 
@@ -1206,9 +1227,11 @@ void OfDriver::on_packet_in(Connection& conn, const ofp::PacketIn& pi,
   obs::Span trace_span(handoff.ref, "driver", "packet_in",
                        handoff ? obs::Tracer::now_ns() - handoff.ts_ns : 0);
   obs::TraceScope trace_scope(trace_span.ref());
-  bump_counter(conn.path + "/counters/packet_ins");
+  bump_counter(conn, "packet_ins");
   std::string events_dir = options_.net_root + "/events";
-  auto apps = vfs_->readdir(events_dir);
+  auto events = vfs_->resolve(events_dir, Credentials::root());
+  if (!events) return;
+  auto apps = vfs_->readdir(*events);
   if (!apps) return;
   // Concurrent delivery to every interested application (§3.5): each app's
   // private buffer receives its own copy.
@@ -1217,26 +1240,26 @@ void OfDriver::on_packet_in(Connection& conn, const ofp::PacketIn& pi,
                 static_cast<unsigned long long>(next_pkt_seq_++));
   for (const auto& app : *apps) {
     if (app.type != vfs::FileType::directory) continue;
-    std::string pkt_dir = events_dir + "/" + app.name + "/" + seq;
-    if (vfs_->mkdir(pkt_dir)) continue;
-    (void)vfs_->write_file(pkt_dir + "/datapath", conn.name);
-    (void)vfs_->write_file(pkt_dir + "/in_port",
-                           std::to_string(pi.in_port));
-    (void)vfs_->write_file(pkt_dir + "/reason",
+    auto buffer = vfs_->resolve(*events, app.name, Credentials::root());
+    if (!buffer || vfs_->mkdir(*buffer, seq)) continue;
+    auto pkt = vfs_->resolve(*buffer, seq, Credentials::root());
+    if (!pkt) continue;
+    (void)vfs_->write_file(*pkt, "datapath", conn.name);
+    (void)vfs_->write_file(*pkt, "in_port", std::to_string(pi.in_port));
+    (void)vfs_->write_file(*pkt, "reason",
                            pi.reason == ofp::PacketIn::Reason::no_match
                                ? "no_match"
                                : "action");
-    (void)vfs_->write_file(pkt_dir + "/buffer_id",
-                           std::to_string(pi.buffer_id));
-    (void)vfs_->write_file(pkt_dir + "/total_len",
-                           std::to_string(pi.total_len));
+    (void)vfs_->write_file(*pkt, "buffer_id", std::to_string(pi.buffer_id));
+    (void)vfs_->write_file(*pkt, "total_len", std::to_string(pi.total_len));
     (void)vfs_->write_file(
-        pkt_dir + "/data",
+        *pkt, "data",
         std::string_view(reinterpret_cast<const char*>(pi.data.data()),
                          pi.data.size()));
     // Each app drains its buffer on its own thread; hand the context over
-    // keyed by the pkt directory (the only identity that crosses).
-    obs::tracer().path_put(pkt_dir, trace_span.ref());
+    // keyed by the pkt directory's path (the only identity that crosses).
+    if (obs::TraceRef ref = trace_span.ref())
+      obs::tracer().path_put(events_dir + "/" + app.name + "/" + seq, ref);
   }
 }
 
@@ -1253,16 +1276,18 @@ void OfDriver::on_port_status(Connection& conn, const ofp::PortStatus& ps) {
     case ofp::PortStatus::Reason::modify:
       conn.port_hw_config[ps.desc.port_no] = {ps.desc.port_down,
                                               ps.desc.no_flood};
-      (void)vfs_->write_file(port_path + "/state.link_down",
-                             ps.desc.link_down ? "1" : "0");
-      (void)vfs_->write_file(port_path + "/config.port_down",
-                             ps.desc.port_down ? "1" : "0");
+      if (auto dir = vfs_->resolve(port_path, Credentials::root())) {
+        (void)vfs_->write_file(*dir, "state.link_down",
+                               ps.desc.link_down ? "1" : "0");
+        (void)vfs_->write_file(*dir, "config.port_down",
+                               ps.desc.port_down ? "1" : "0");
+      }
       break;
   }
 }
 
 void OfDriver::on_flow_removed(Connection& conn, const ofp::FlowRemoved& fr) {
-  bump_counter(conn.path + "/counters/flow_expirations");
+  bump_counter(conn, "flow_expirations");
   for (auto& [name, state] : conn.flows) {
     if (state.pushed.match == fr.match &&
         state.pushed.priority == fr.priority) {
@@ -1287,9 +1312,11 @@ void OfDriver::on_stats_reply(Connection& conn, const ofp::StatsReply& sr,
   }
   switch (sr.kind) {
     case ofp::StatsKind::desc:
-      (void)vfs_->write_file(conn.path + "/manufacturer", sr.manufacturer);
-      (void)vfs_->write_file(conn.path + "/hw_desc", sr.hw_desc);
-      (void)vfs_->write_file(conn.path + "/sw_desc", sr.sw_desc);
+      if (auto dir = vfs_->resolve(conn.path, Credentials::root())) {
+        (void)vfs_->write_file(*dir, "manufacturer", sr.manufacturer);
+        (void)vfs_->write_file(*dir, "hw_desc", sr.hw_desc);
+        (void)vfs_->write_file(*dir, "sw_desc", sr.sw_desc);
+      }
       break;
     case ofp::StatsKind::port_desc:
       for (const auto& port : sr.port_descs) create_port_dir(conn, port);
@@ -1314,28 +1341,36 @@ void OfDriver::on_stats_reply(Connection& conn, const ofp::StatsReply& sr,
         std::string queue_dir = conn.path + "/ports/" +
                                 std::to_string(q.port_no) + "/queues/q" +
                                 std::to_string(q.queue_id);
-        if (auto st = vfs_->stat(queue_dir); !st) {
+        auto queue = vfs_->resolve(queue_dir, Credentials::root());
+        if (!queue) {
           if (vfs_->mkdir(queue_dir)) continue;
-          (void)vfs_->write_file(queue_dir + "/queue_id",
+          queue = vfs_->resolve(queue_dir, Credentials::root());
+          if (!queue) continue;
+          (void)vfs_->write_file(*queue, "queue_id",
                                  std::to_string(q.queue_id));
         }
-        (void)vfs_->write_file(queue_dir + "/counters/tx_packets",
+        auto counters = vfs_->resolve(*queue, "counters", Credentials::root());
+        if (!counters) continue;
+        (void)vfs_->write_file(*counters, "tx_packets",
                                std::to_string(q.tx_packets));
-        (void)vfs_->write_file(queue_dir + "/counters/tx_bytes",
+        (void)vfs_->write_file(*counters, "tx_bytes",
                                std::to_string(q.tx_bytes));
       }
       break;
     case ofp::StatsKind::port:
       for (const auto& port : sr.ports) {
-        std::string counters = conn.path + "/ports/" +
-                               std::to_string(port.port_no) + "/counters";
-        (void)vfs_->write_file(counters + "/rx_packets",
+        auto counters = vfs_->resolve(conn.path + "/ports/" +
+                                          std::to_string(port.port_no) +
+                                          "/counters",
+                                      Credentials::root());
+        if (!counters) continue;
+        (void)vfs_->write_file(*counters, "rx_packets",
                                std::to_string(port.rx_packets));
-        (void)vfs_->write_file(counters + "/tx_packets",
+        (void)vfs_->write_file(*counters, "tx_packets",
                                std::to_string(port.tx_packets));
-        (void)vfs_->write_file(counters + "/rx_bytes",
+        (void)vfs_->write_file(*counters, "rx_bytes",
                                std::to_string(port.rx_bytes));
-        (void)vfs_->write_file(counters + "/tx_bytes",
+        (void)vfs_->write_file(*counters, "tx_bytes",
                                std::to_string(port.tx_bytes));
       }
       break;
@@ -1369,11 +1404,14 @@ void OfDriver::ping_switches() {
   }
 }
 
-void OfDriver::bump_counter(const std::string& path, std::uint64_t delta) {
+void OfDriver::bump_counter(Connection& conn, std::string_view name,
+                            std::uint64_t delta) {
+  auto counters = vfs_->resolve(conn.path + "/counters", Credentials::root());
+  if (!counters) return;
   std::uint64_t value = 0;
-  if (auto current = vfs_->read_file(path))
+  if (auto current = vfs_->read_file(*counters, name))
     value = parse_u64(trim(*current)).value_or(0);
-  (void)vfs_->write_file(path, std::to_string(value + delta));
+  (void)vfs_->write_file(*counters, name, std::to_string(value + delta));
 }
 
 }  // namespace yanc::driver

@@ -160,16 +160,20 @@ class OfDriver {
   /// kInvalidNode when the path cannot be watched.
   vfs::NodeId add_watch(const std::string& path, std::uint32_t mask,
                         WatchContext ctx);
+  vfs::NodeId add_watch(const vfs::Vfs::Resolved& target, std::uint32_t mask,
+                        WatchContext ctx);
   void watch_flow(Connection& conn, const std::string& flow_name);
   /// Queues the flow's committed spec unless hardware already has it;
   /// returns whether it queued one.
   bool push_flow(Connection& conn, const std::string& flow_name,
                  std::uint32_t retries = 0);
-  /// Sends packet_out/<name> and consumes it; `send_node` is its send
-  /// file, whose watch goes with it.
-  void send_packet_out_dir(Connection& conn, const std::string& name,
-                           vfs::NodeId send_node);
-  void bump_counter(const std::string& path, std::uint64_t delta = 1);
+  /// Sends packet_out/<name>, resolved as `dir`, and consumes it;
+  /// `send_node` is its send file, whose watch goes with it.
+  void send_packet_out_dir(Connection& conn, const vfs::Vfs::Resolved& dir,
+                           const std::string& name, vfs::NodeId send_node);
+  /// Adds `delta` to the switch's counters/<name> file.
+  void bump_counter(Connection& conn, std::string_view name,
+                    std::uint64_t delta = 1);
   /// Encodes and transmits any message but a FLOW_MOD (those go through
   /// send_flow_mod); returns the xid used, or 0 when the message could
   /// not be encoded or the peer is gone (counted in send_fail_total).

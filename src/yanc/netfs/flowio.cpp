@@ -19,12 +19,33 @@ using vfs::Vfs;
 
 namespace {
 
+// The two write-side counters of `vfs`'s registry, registered once: a
+// thread keeps the handles of the registry it used last.  The weak_ptr
+// keeps that registry's control block allocated, so a registry that died
+// cannot pass for a new one.
+struct FlowCounters {
+  obs::Counter* write_total = nullptr;
+  obs::Counter* commit_total = nullptr;
+};
+
+const FlowCounters& flow_counters(Vfs& vfs) {
+  thread_local std::weak_ptr<obs::Registry> owner;
+  thread_local FlowCounters handles;
+  const auto& registry = vfs.metrics();
+  if (owner.owner_before(registry) || registry.owner_before(owner)) {
+    owner = registry;
+    handles = {registry->counter("netfs/flow_write_total"),
+               registry->counter("netfs/flow_commit_total")};
+  }
+  return handles;
+}
+
 // Reads <dir>/<name>; nullopt when the file does not exist or is empty
 // (absent and empty both mean "unset": wildcard / schema default).
-std::optional<std::string> read_field(Vfs& vfs, const std::string& dir,
-                                      const char* name,
+std::optional<std::string> read_field(Vfs& vfs, const Vfs::Resolved& dir,
+                                      std::string_view name,
                                       const Credentials& creds) {
-  auto data = vfs.read_file(dir + "/" + name, creds);
+  auto data = vfs.read_file(dir, name, creds);
   if (!data) return std::nullopt;
   auto trimmed = trim(*data);
   if (trimmed.empty()) return std::nullopt;
@@ -36,7 +57,7 @@ std::optional<std::string> read_field(Vfs& vfs, const std::string& dir,
 // set lookup instead of a negative path resolution.
 struct FieldReader {
   Vfs& vfs;
-  const std::string& dir;
+  const Vfs::Resolved& dir;
   const Credentials& creds;
   const std::set<std::string, std::less<>>& present;
 
@@ -90,18 +111,33 @@ Status load_action(const FieldReader& field, const char* name,
 
 // Writes <dir>/<name>, or removes it when `value` is unset and `listing`
 // (the directory's entries) has it: an absent field costs no operation.
-Status write_or_remove(Vfs& vfs, const std::string& dir, const char* name,
+Status write_or_remove(Vfs& vfs, const Vfs::Resolved& dir, const char* name,
                        const std::optional<std::string>& value,
                        const std::vector<vfs::DirEntry>& listing,
                        const Credentials& creds) {
-  if (value) return vfs.write_file(dir + "/" + name, *value, creds);
+  if (value) return vfs.write_file(dir, name, *value, creds);
   bool listed =
       std::any_of(listing.begin(), listing.end(),
                   [&](const vfs::DirEntry& e) { return e.name == name; });
   if (!listed) return ok_status();
-  auto ec = vfs.unlink(dir + "/" + name, creds);
+  auto ec = vfs.unlink(dir, name, creds);
   if (ec == make_error_code(Errc::not_found)) return ok_status();
   return ec;
+}
+
+// The version file's §3.4 bump, in a flow directory already resolved.
+Result<std::uint64_t> bump_version(Vfs& vfs, const Vfs::Resolved& dir,
+                                   const Credentials& creds) {
+  std::uint64_t current = 0;
+  if (auto t = read_field(vfs, dir, "version", creds)) {
+    auto v = parse_u64(*t);
+    if (v) current = *v;
+  }
+  std::uint64_t next = current + 1;
+  if (auto ec = vfs.write_file(dir, "version", std::to_string(next), creds);
+      ec)
+    return ec;
+  return next;
 }
 
 Result<FlowSpec> read_flow_impl(const FieldReader& field) {
@@ -208,48 +244,56 @@ Result<FlowSpec> read_flow_impl(const FieldReader& field) {
 
 Result<FlowSpec> read_flow(Vfs& vfs, const std::string& dir,
                            const Credentials& creds) {
-  // The listing doubles as the existence check: a deleted flow reports
-  // not_found.
-  auto entries = vfs.readdir(dir, creds);
+  // The directory is walked once; the listing doubles as the existence
+  // check (a deleted flow reports not_found), and each field it lists is
+  // one walk step from there.
+  auto flow = vfs.resolve(dir, creds);
+  if (!flow) return flow.error();
+  auto entries = vfs.readdir(*flow, creds);
   if (!entries) return entries.error();
   std::set<std::string, std::less<>> present;
   for (auto& e : *entries) present.insert(std::move(e.name));
-  return read_flow_impl(FieldReader{vfs, dir, creds, present});
+  return read_flow_impl(FieldReader{vfs, *flow, creds, present});
 }
 
-Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
+Status write_flow(Vfs& vfs, const std::string& path, const FlowSpec& spec,
                   const Credentials& creds, bool commit) {
-  vfs.metrics()->counter("netfs/flow_write_total")->add();
+  flow_counters(vfs).write_total->add();
   // A user write into the FS *is* the API (§3.1), which makes it a trace
   // ingress: if the thread carries no context, start one here so the
   // chain runs write -> watch event -> driver commit -> wire.  A caller
   // already inside a span (an app handling a packet-in) keeps its own.
   obs::TraceRef root;
   if (!obs::current_trace() && obs::tracer().enabled())
-    root = obs::tracer().mint("netfs", "write_flow", dir);
+    root = obs::tracer().mint("netfs", "write_flow", path);
   obs::TraceScope trace_scope(root);
-  // One listing tells which fields exist, so only a field that is there
-  // and must go costs an unlink.  It doubles as the existence check.
-  auto listing = vfs.readdir(dir, creds);
-  if (!listing && listing.error() == make_error_code(Errc::not_found)) {
-    if (auto ec = vfs.mkdir(dir, 0755, creds); ec) return ec;
-    listing = vfs.readdir(dir, creds);
+  // The directory is walked once (made first if absent); every field
+  // below is one walk step from it.
+  auto flow = vfs.resolve(path, creds);
+  if (!flow && flow.error() == make_error_code(Errc::not_found)) {
+    if (auto ec = vfs.mkdir(path, 0755, creds); ec) return ec;
+    flow = vfs.resolve(path, creds);
   }
+  if (!flow) return flow.error();
+  const Vfs::Resolved& dir = *flow;
+  // One listing tells which fields exist, so only a field that is there
+  // and must go costs an unlink.
+  auto listing = vfs.readdir(dir, creds);
   if (!listing) return listing.error();
 
-  if (auto ec = vfs.write_file(dir + "/priority",
+  if (auto ec = vfs.write_file(dir, "priority",
                                std::to_string(spec.priority), creds); ec)
     return ec;
-  if (auto ec = vfs.write_file(dir + "/idle_timeout",
+  if (auto ec = vfs.write_file(dir, "idle_timeout",
                                std::to_string(spec.idle_timeout), creds); ec)
     return ec;
-  if (auto ec = vfs.write_file(dir + "/hard_timeout",
+  if (auto ec = vfs.write_file(dir, "hard_timeout",
                                std::to_string(spec.hard_timeout), creds); ec)
     return ec;
-  if (auto ec = vfs.write_file(dir + "/cookie", "0x" + to_hex(spec.cookie, 8),
+  if (auto ec = vfs.write_file(dir, "cookie", "0x" + to_hex(spec.cookie, 8),
                                creds); ec)
     return ec;
-  if (auto ec = vfs.write_file(dir + "/table_id",
+  if (auto ec = vfs.write_file(dir, "table_id",
                                std::to_string(spec.table_id), creds); ec)
     return ec;
   if (auto ec = write_or_remove(
@@ -322,14 +366,14 @@ Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
           ec)
         return ec;
     } else {
-      if (auto ec = vfs.write_file(dir + "/" + it->first, it->second, creds);
-          ec)
+      if (auto ec = vfs.write_file(dir, it->first, it->second, creds); ec)
         return ec;
     }
   }
 
   if (commit) {
-    auto v = commit_flow(vfs, dir, creds);
+    flow_counters(vfs).commit_total->add();
+    auto v = bump_version(vfs, dir, creds);
     if (!v) return v.error();
   }
   return ok_status();
@@ -337,30 +381,25 @@ Status write_flow(Vfs& vfs, const std::string& dir, const FlowSpec& spec,
 
 Result<std::uint64_t> commit_flow(Vfs& vfs, const std::string& dir,
                                   const Credentials& creds) {
-  vfs.metrics()->counter("netfs/flow_commit_total")->add();
+  flow_counters(vfs).commit_total->add();
   // Same ingress rule as write_flow: a bare commit (bumping version on an
   // already-written flow) starts its own trace when none is active.
   obs::TraceRef root;
   if (!obs::current_trace() && obs::tracer().enabled())
     root = obs::tracer().mint("netfs", "commit_flow", dir);
   obs::TraceScope trace_scope(root);
-  std::uint64_t current = 0;
-  if (auto t = read_field(vfs, dir, "version", creds)) {
-    auto v = parse_u64(*t);
-    if (v) current = *v;
-  }
-  std::uint64_t next = current + 1;
-  if (auto ec = vfs.write_file(dir + "/version", std::to_string(next), creds);
-      ec)
-    return ec;
-  return next;
+  auto flow = vfs.resolve(dir, creds);
+  if (!flow) return flow.error();
+  return bump_version(vfs, *flow, creds);
 }
 
 Result<FlowStats> read_flow_stats(Vfs& vfs, const std::string& dir,
                                   const Credentials& creds) {
   FlowStats stats;
-  auto p = read_field(vfs, dir, "counters/packets", creds);
-  auto b = read_field(vfs, dir, "counters/bytes", creds);
+  auto counters = vfs.resolve(dir + "/counters", creds);
+  if (!counters) return stats;
+  auto p = read_field(vfs, *counters, "packets", creds);
+  auto b = read_field(vfs, *counters, "bytes", creds);
   if (p)
     if (auto v = parse_u64(*p)) stats.packets = *v;
   if (b)
@@ -370,18 +409,19 @@ Result<FlowStats> read_flow_stats(Vfs& vfs, const std::string& dir,
 
 Status write_flow_stats(Vfs& vfs, const std::string& dir,
                         const FlowStats& stats, const Credentials& creds) {
+  auto counters = vfs.resolve(dir + "/counters", creds);
+  if (!counters) return counters.error();
   // Most replies repeat the counters the mirror already holds (every
   // audit asks for them): a file that holds its value is left alone, so
   // the repeat bumps no version, fires no watch and replicates nothing.
-  auto mirror = [&](const std::string& path, std::uint64_t value) {
+  auto mirror = [&](std::string_view name, std::uint64_t value) {
     std::string text = std::to_string(value);
-    if (auto held = vfs.read_file(path, creds); held && *held == text)
-      return ok_status();
-    return vfs.write_file(path, text, creds);
+    auto held = vfs.read_file(*counters, name, creds);
+    if (held && *held == text) return ok_status();
+    return vfs.write_file(*counters, name, text, creds);
   };
-  if (auto ec = mirror(dir + "/counters/packets", stats.packets); ec)
-    return ec;
-  return mirror(dir + "/counters/bytes", stats.bytes);
+  if (auto ec = mirror("packets", stats.packets); ec) return ec;
+  return mirror("bytes", stats.bytes);
 }
 
 }  // namespace yanc::netfs

@@ -28,6 +28,14 @@ Result<std::uint64_t> read_u64_file(Vfs& vfs, const std::string& path,
   return parse_u64(trim(*data));
 }
 
+Result<std::uint64_t> read_u64_file(Vfs& vfs, const Vfs::Resolved& dir,
+                                    std::string_view name,
+                                    const Credentials& creds) {
+  auto data = vfs.read_file(dir, name, creds);
+  if (!data) return data.error();
+  return parse_u64(trim(*data));
+}
+
 Result<bool> read_flag_file(Vfs& vfs, const std::string& path,
                             const Credentials& creds) {
   auto data = vfs.read_file(path, creds);
@@ -327,25 +335,27 @@ Result<std::vector<std::string>> EventBufferHandle::pending() const {
 }
 
 Result<PacketInInfo> EventBufferHandle::read(const std::string& name) const {
-  std::string dir = path_ + "/" + name;
+  std::string path = path_ + "/" + name;
+  auto dir = vfs_->resolve(path, creds_);
+  if (!dir) return dir.error();
   PacketInInfo info;
   info.name = name;
-  auto dp = vfs_->read_file(dir + "/datapath", creds_);
+  auto dp = vfs_->read_file(*dir, "datapath", creds_);
   if (!dp) return dp.error();
   info.datapath = trim(*dp);
-  if (auto v = read_u64_file(*vfs_, dir + "/in_port", creds_))
+  if (auto v = read_u64_file(*vfs_, *dir, "in_port", creds_))
     info.in_port = static_cast<std::uint16_t>(*v);
-  if (auto r = vfs_->read_file(dir + "/reason", creds_))
+  if (auto r = vfs_->read_file(*dir, "reason", creds_))
     info.reason = trim(*r);
-  if (auto v = read_u64_file(*vfs_, dir + "/buffer_id", creds_))
+  if (auto v = read_u64_file(*vfs_, *dir, "buffer_id", creds_))
     info.buffer_id = static_cast<std::uint32_t>(*v);
-  if (auto d = vfs_->read_file(dir + "/data", creds_)) info.data = *d;
+  if (auto d = vfs_->read_file(*dir, "data", creds_)) info.data = *d;
   // Claim the causal context the driver staged under this directory's
   // path (first reader wins — matching consume(), which also races at
   // most one winner).  The elapsed time since the driver's put is the
   // event's buffer wait.
   if (obs::tracer().enabled()) {
-    if (auto handoff = obs::tracer().path_take(dir)) {
+    if (auto handoff = obs::tracer().path_take(path)) {
       info.trace = handoff.ref;
       std::uint64_t now = obs::Tracer::now_ns();
       info.trace_queue_ns = now > handoff.ts_ns ? now - handoff.ts_ns : 0;

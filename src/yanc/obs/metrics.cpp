@@ -70,6 +70,23 @@ std::size_t Registry::size() const {
   return entries_.size();
 }
 
+namespace {
+
+// The rows a histogram exports, `<name><suffix>`, in sorted order.  The
+// sum of a service-time histogram is the stage's busy time.
+constexpr std::string_view kHistogramRows[] = {"_count", "_p50", "_p90",
+                                               "_p99", "_sum"};
+
+std::string histogram_row(const Histogram& h, std::string_view suffix) {
+  if (suffix == "_count") return std::to_string(h.count());
+  if (suffix == "_sum") return std::to_string(h.sum());
+  if (suffix == "_p50") return std::to_string(h.percentile(50));
+  if (suffix == "_p90") return std::to_string(h.percentile(90));
+  return std::to_string(h.percentile(99));
+}
+
+}  // namespace
+
 void Registry::export_entry(const std::string& name, const Entry& entry,
                             std::vector<ExportedValue>& out) {
   switch (entry.kind) {
@@ -80,14 +97,9 @@ void Registry::export_entry(const std::string& name, const Entry& entry,
       out.push_back({name, std::to_string(entry.gauge->value())});
       break;
     case MetricKind::histogram:
-      out.push_back(
-          {name + "_count", std::to_string(entry.histogram->count())});
-      out.push_back(
-          {name + "_p50", std::to_string(entry.histogram->percentile(50))});
-      out.push_back(
-          {name + "_p90", std::to_string(entry.histogram->percentile(90))});
-      out.push_back(
-          {name + "_p99", std::to_string(entry.histogram->percentile(99))});
+      for (std::string_view suffix : kHistogramRows)
+        out.push_back({name + std::string(suffix),
+                       histogram_row(*entry.histogram, suffix)});
       break;
   }
 }
@@ -104,8 +116,8 @@ std::vector<std::string> Registry::export_paths() const {
   dbg::LockGuard lock(mu_);
   for (const auto& [name, entry] : entries_) {
     if (entry.kind == MetricKind::histogram) {
-      for (const char* suffix : {"_count", "_p50", "_p90", "_p99"})
-        out.push_back(name + suffix);
+      for (std::string_view suffix : kHistogramRows)
+        out.push_back(name + std::string(suffix));
     } else {
       out.push_back(name);
     }
@@ -128,20 +140,15 @@ std::optional<std::string> Registry::value_of(const std::string& path) const {
     return std::nullopt;
   }
   // Histogram sub-file: strip a known suffix and look the base name up.
-  for (const char* suffix : {"_count", "_p50", "_p90", "_p99"}) {
-    std::string_view sv(suffix);
-    if (path.size() <= sv.size() ||
-        path.compare(path.size() - sv.size(), sv.size(), sv) != 0)
+  for (std::string_view suffix : kHistogramRows) {
+    if (path.size() <= suffix.size() ||
+        path.compare(path.size() - suffix.size(), suffix.size(), suffix) != 0)
       continue;
-    auto base = entries_.find(path.substr(0, path.size() - sv.size()));
+    auto base = entries_.find(path.substr(0, path.size() - suffix.size()));
     if (base == entries_.end() ||
         base->second.kind != MetricKind::histogram)
       continue;
-    const Histogram* h = base->second.histogram;
-    if (sv == "_count") return std::to_string(h->count());
-    if (sv == "_p50") return std::to_string(h->percentile(50));
-    if (sv == "_p90") return std::to_string(h->percentile(90));
-    return std::to_string(h->percentile(99));
+    return histogram_row(*base->second.histogram, suffix);
   }
   return std::nullopt;
 }

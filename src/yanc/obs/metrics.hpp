@@ -17,7 +17,7 @@
 //     /yanc/.stats turns each segment into a directory level.  Counters
 //     end in `_total`, gauges describe a level (`_depth`, `_bytes`),
 //     histograms end in their unit (`_ns`) and export
-//     `<name>_{count,p50,p90,p99}`.
+//     `<name>_{count,p50,p90,p99,sum}`.
 #pragma once
 
 #include <array>
@@ -149,7 +149,8 @@ class Registry {
   }
 
   /// Flat export of every metric: counters and gauges one row each,
-  /// histograms expanded to _count/_p50/_p90/_p99 rows.  Sorted by path.
+  /// histograms expanded to _count/_p50/_p90/_p99/_sum rows.  Sorted by
+  /// path.
   std::vector<ExportedValue> export_values() const;
 
   /// Export paths only (values are formatted on demand by value_of) —

@@ -169,6 +169,13 @@ struct Vfs::Walk {
   std::vector<FilesystemPtr> pins;
   // Components looked up so far; resolve() counts them with one add.
   std::uint64_t lookups = 0;
+  // Set when stack[0] is a directory handle's frame below its namespace
+  // root, whose ancestors the walk does not know.  A step that would leave
+  // that frame (".." there, or an absolute symlink target) stops the walk
+  // with what is still to walk in `escaped`: "..[/rest]", relative to
+  // stack[0], or "/target[/rest]", from the namespace root.
+  bool detached = false;
+  std::string escaped;
 
   std::uint32_t pin(const FilesystemPtr& fs) {
     for (std::size_t i = 0; i < pins.size(); ++i)
@@ -182,16 +189,16 @@ struct Vfs::Walk {
   }
 };
 
-// Walks the components of `norm` (a normal path) on top of `w.stack`.
-// `base_depth` is the ".." floor: the walk can never pop below it, and
-// absolute symlink targets re-anchor there (this is what confines a
-// Namespace to its subtree).  Components are views into `norm`, or into
-// `spliced` once a symlink's target has been put in front of the rest.
-Status Vfs::walk(Walk& w, std::string_view norm, const Credentials& creds,
+// Walks the components of `rest` (a normal path without its leading '/')
+// on top of `w.stack`.  `base_depth` is the ".." floor: the walk can never
+// pop below it, and absolute symlink targets re-anchor there (this is what
+// confines a Namespace to its subtree).  Components are views into `rest`,
+// or into `spliced` once a symlink's target has been put in front of the
+// rest.  A detached walk stops where it would leave stack[0] (Walk::escaped).
+Status Vfs::walk(Walk& w, std::string_view rest, const Credentials& creds,
                  bool follow_final, std::size_t base_depth,
                  int& symlinks_left) {
   std::string spliced;
-  std::string_view rest = norm.substr(1);
   while (!rest.empty()) {
     std::size_t slash = rest.find('/');
     std::string_view comp = rest.substr(0, slash);
@@ -199,7 +206,16 @@ Status Vfs::walk(Walk& w, std::string_view norm, const Credentials& creds,
                                            : rest.substr(slash + 1);
 
     if (comp == "..") {
-      if (w.stack.size() > base_depth) w.truncate_to(w.stack.size() - 1);
+      if (w.stack.size() > base_depth) {
+        w.truncate_to(w.stack.size() - 1);
+      } else if (w.detached) {
+        w.escaped = "..";
+        if (!rest.empty()) {
+          w.escaped += '/';
+          w.escaped += rest;
+        }
+        return ok_status();
+      }
       continue;
     }
 
@@ -216,12 +232,17 @@ Status Vfs::walk(Walk& w, std::string_view norm, const Credentials& creds,
       if (--symlinks_left < 0) return make_error_code(Errc::symlink_loop);
       auto target = fs.readlink(step->node);
       if (!target) return target.error();
-      if (starts_with(*target, "/")) w.truncate_to(base_depth);
+      const bool absolute = starts_with(*target, "/");
       std::string next = normalize_path(*target);
       if (!rest.empty()) {
         if (next.size() > 1) next += '/';
         next += rest;  // `rest` may view the old `spliced`: append first
       }
+      if (absolute && w.detached) {
+        w.escaped = std::move(next);
+        return ok_status();
+      }
+      if (absolute) w.truncate_to(base_depth);
       spliced = std::move(next);
       rest = std::string_view(spliced).substr(1);
       continue;
@@ -271,6 +292,32 @@ std::string_view normal_view(std::string_view path, std::string& storage) {
   return storage;
 }
 
+/// True when `name` is one component a directory-relative call accepts.
+bool is_component(std::string_view name) {
+  return !name.empty() && name != "." && name != ".." &&
+         name.find('/') == std::string_view::npos;
+}
+
+/// The path a path call on `name` in `dir` would be given: dir's logical
+/// path inside its namespace root, then "/" + name.
+std::string path_in(const Vfs::Resolved& dir, std::string_view name) {
+  std::string path(std::string_view(dir.logical).substr(dir.root_len));
+  path += '/';
+  path += name;
+  return path;
+}
+
+/// The trace a call with no active context mints as pipeline ingress: a
+/// user (or an app outside any traced scope) pushing new intent into the
+/// FS.  Minting makes the whole downstream chain (watch emit, driver
+/// commit, OpenFlow egress) children of the call.  `path()` builds the
+/// span's path only when there is one to mint.
+template <class PathFn>
+obs::TraceRef mint_ingress(std::string_view name, PathFn&& path) {
+  if (obs::current_trace() || !obs::tracer().enabled()) return {};
+  return obs::tracer().mint("vfs", name, path());
+}
+
 }  // namespace
 
 Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
@@ -285,30 +332,86 @@ Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
   // Sized once, so that a walk of ordinary depth never regrows either.
   w.stack.reserve(16);
   w.logical.reserve(norm_root.size() + norm.size());
+  int symlinks_left = kMaxSymlinkDepth;
+  // Stage 1: anchor at the namespace root.
+  Status ec = anchor(w, norm_root, creds, symlinks_left);
+  const auto root_len = static_cast<std::uint32_t>(w.logical.size());
+  // Stage 2: walk the user-supplied path, confined above the root.
+  if (!ec)
+    ec = walk(w, norm.substr(1), creds, follow_final, w.stack.size(),
+              symlinks_left);
+  return finish(w, ec, root_len);
+}
+
+Status Vfs::anchor(Walk& w, std::string_view norm_root,
+                   const Credentials& creds, int& symlinks_left) {
   {
     dbg::SharedLock lock(mounts_mu_);
     const Mount& m = mounts_.at("/");
     w.stack.push_back(Frame{w.pin(m.fs), 0, m.fs->root(),
                             FileType::directory, m.options.read_only});
   }
-  int symlinks_left = kMaxSymlinkDepth;
-  Status ec;
-  // Stage 1: anchor at the namespace root (always following symlinks).
-  if (norm_root.size() > 1) {
-    ec = walk(w, norm_root, creds, true, 1, symlinks_left);
-    if (!ec && w.stack.back().type != FileType::directory)
-      ec = make_error_code(Errc::not_dir);
-  }
-  // Stage 2: walk the user-supplied path, confined above the root.
-  if (!ec)
-    ec = walk(w, norm, creds, follow_final, w.stack.size(), symlinks_left);
+  if (norm_root.size() <= 1) return ok_status();
+  if (auto ec = walk(w, norm_root.substr(1), creds, true, 1, symlinks_left);
+      ec)
+    return ec;
+  if (w.stack.back().type != FileType::directory)
+    return make_error_code(Errc::not_dir);
+  return ok_status();
+}
+
+Result<Vfs::Resolved> Vfs::finish(Walk& w, Status ec,
+                                  std::uint32_t root_len) {
   // One add per resolution, whether it failed or not.
   if (w.lookups != 0) count_op(OpKind::lookup, w.lookups);
   if (ec) return ec;
-
   const Frame& top = w.stack.back();
   return Resolved{std::move(w.pins[top.pin]), top.node, top.type,
-                  top.read_only, std::move(w.logical)};
+                  top.read_only, std::move(w.logical), root_len};
+}
+
+Result<Vfs::Resolved> Vfs::resolve(const Resolved& dir, std::string_view name,
+                                   const Credentials& creds,
+                                   bool follow_final) {
+  if (!is_component(name)) return Errc::invalid_argument;
+  // The walk resumes from dir's frame, as if it had just been pushed.
+  Walk w;
+  w.stack.reserve(2);
+  w.logical.reserve(dir.logical.size() + 1 + name.size());
+  w.logical = dir.logical;
+  w.stack.push_back(Frame{w.pin(dir.fs),
+                          static_cast<std::uint32_t>(dir.logical.size()),
+                          dir.node, dir.type, dir.read_only});
+  // At the namespace root, ".." and absolute targets stop at dir's frame,
+  // as they do in the path walk; below it they leave the frame.
+  w.detached = dir.logical.size() > dir.root_len;
+  int symlinks_left = kMaxSymlinkDepth;
+  Status ec = walk(w, name, creds, follow_final, 1, symlinks_left);
+  if (ec || w.escaped.empty()) return finish(w, ec, dir.root_len);
+
+  // A symlink's target left `dir`: the path walk from the namespace root
+  // finishes it.  A ".." target gets there through dir's path, which must
+  // still reach dir's node: a directory that moved gives not_found, and
+  // one made later under its old name is never entered.
+  Walk p;
+  p.stack.reserve(16);
+  p.lookups = w.lookups;
+  std::string_view root(dir.logical.data(), dir.root_len);
+  ec = anchor(p, root.empty() ? std::string_view("/") : root, creds,
+              symlinks_left);
+  const std::size_t base_depth = p.stack.size();
+  std::string_view rest = w.escaped;
+  if (!ec && rest.front() == '/') {
+    rest.remove_prefix(1);
+  } else if (!ec) {
+    ec = walk(p, std::string_view(dir.logical).substr(dir.root_len + 1),
+              creds, true, base_depth, symlinks_left);
+    const Frame& top = p.stack.back();
+    if (!ec && (top.node != dir.node || p.pins[top.pin] != dir.fs))
+      ec = make_error_code(Errc::not_found);
+  }
+  if (!ec) ec = walk(p, rest, creds, follow_final, base_depth, symlinks_left);
+  return finish(p, ec, dir.root_len);
 }
 
 Result<Vfs::Resolved> Vfs::resolve_parent(std::string_view path,
@@ -341,43 +444,66 @@ Result<Vfs::OpenTarget> Vfs::open_target(std::string_view path, int flags,
                                          const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
+  auto resolved = resolve(path, creds, true, root);
+  if (resolved) return open_found(*resolved, flags, creds);
+  if (resolved.error() != make_error_code(Errc::not_found) ||
+      !(flags & open_flags::create))
+    return resolved.error();
+  std::string leaf;
+  auto parent = resolve_parent(path, creds, &leaf, root);
+  if (!parent) return parent.error();
+  return create_in(*parent, leaf, mode, creds);
+}
+
+Result<Vfs::OpenTarget> Vfs::open_target(const Resolved& dir,
+                                         std::string_view name, int flags,
+                                         std::uint32_t mode,
+                                         const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::metadata);
+  auto resolved = resolve(dir, name, creds, true);
+  if (resolved) return open_found(*resolved, flags, creds);
+  if (resolved.error() != make_error_code(Errc::not_found) ||
+      !(flags & open_flags::create))
+    return resolved.error();
+  // `dir` is the parent: no second walk.  A removed `dir` has no node, so
+  // the create fails with not_found and makes nothing.
+  return create_in(dir, name, mode, creds);
+}
+
+Result<Vfs::OpenTarget> Vfs::open_found(Resolved& found, int flags,
+                                        const Credentials& creds) {
   namespace of = open_flags;
   int acc = flags & of::accmode;
   bool want_read = acc == of::read_only || acc == of::read_write;
   bool want_write = acc == of::write_only || acc == of::read_write ||
                     (flags & (of::truncate | of::append));
 
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) {
-    if (resolved.error() == make_error_code(Errc::not_found) &&
-        (flags & of::create)) {
-      std::string leaf;
-      auto parent = resolve_parent(path, creds, &leaf, root);
-      if (!parent) return parent.error();
-      if (parent->read_only) return Errc::read_only;
-      auto node = parent->fs->create(parent->node, leaf, mode, creds);
-      if (!node) return node.error();
-      return OpenTarget{std::move(parent->fs), *node};
-    }
-    return resolved.error();
-  }
   if ((flags & of::create) && (flags & of::excl)) return Errc::exists;
 
-  if (resolved->type == FileType::directory) return Errc::is_dir;
-  if (want_write && resolved->read_only) return Errc::read_only;
+  if (found.type == FileType::directory) return Errc::is_dir;
+  if (want_write && found.read_only) return Errc::read_only;
 
   std::uint8_t want = 0;
   if (want_read) want |= 4;
   if (want_write) want |= 2;
   if (want)
-    if (auto ec = resolved->fs->access(resolved->node, want, creds); ec)
-      return ec;
+    if (auto ec = found.fs->access(found.node, want, creds); ec) return ec;
 
   if (flags & of::truncate)
-    if (auto ec = resolved->fs->truncate(resolved->node, 0, creds); ec)
-      return ec;
+    if (auto ec = found.fs->truncate(found.node, 0, creds); ec) return ec;
 
-  return OpenTarget{std::move(resolved->fs), resolved->node};
+  return OpenTarget{std::move(found.fs), found.node};
+}
+
+Result<Vfs::OpenTarget> Vfs::create_in(const Resolved& parent,
+                                       std::string_view leaf,
+                                       std::uint32_t mode,
+                                       const Credentials& creds) {
+  if (parent.read_only) return Errc::read_only;
+  auto node = parent.fs->create(parent.node, std::string(leaf), mode, creds);
+  if (!node) return node.error();
+  return OpenTarget{parent.fs, *node};
 }
 
 Result<std::string> Vfs::read_file(std::string_view path,
@@ -385,31 +511,57 @@ Result<std::string> Vfs::read_file(std::string_view path,
                                    const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::read);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->read(resolved->node, 0,
-                            std::numeric_limits<std::uint64_t>::max(), creds);
+  auto target = resolve(path, creds, true, root);
+  if (!target) return target.error();
+  return read_target(*target, creds);
+}
+
+Result<std::string> Vfs::read_file(const Resolved& dir, std::string_view name,
+                                   const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::read);
+  auto target = resolve(dir, name, creds, true);
+  if (!target) return target.error();
+  return read_target(*target, creds);
+}
+
+Result<std::string> Vfs::read_target(const Resolved& target,
+                                     const Credentials& creds) {
+  return target.fs->read(target.node, 0,
+                         std::numeric_limits<std::uint64_t>::max(), creds);
 }
 
 Status Vfs::write_file(std::string_view path, std::string_view data,
                        const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  // A path write with no active context is pipeline ingress: a user (or
-  // an app outside any traced scope) pushing new intent into the FS.
-  // Minting here makes the whole downstream chain — watch emit, driver
-  // commit, OpenFlow egress — children of this write.
-  obs::TraceRef ingress;
-  if (!obs::current_trace() && obs::tracer().enabled())
-    ingress = obs::tracer().mint("vfs", "write", std::string(path));
-  obs::TraceScope trace_scope(ingress);
-  // Deliberately NOT open(O_TRUNC): that truncates in one FS op and writes
-  // in a second, leaving a window where concurrent readers see an empty
-  // file.  replace() commits the new content in a single step.
+  obs::TraceScope trace_scope(
+      mint_ingress("write", [&] { return std::string(path); }));
   auto target = open_target(path, open_flags::write_only | open_flags::create,
                             0644, creds, root);
   if (!target) return target.error();
-  auto written = target->fs->replace(target->node, data, creds);
+  return write_target(*target, data, creds);
+}
+
+Status Vfs::write_file(const Resolved& dir, std::string_view name,
+                       std::string_view data, const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::write);
+  obs::TraceScope trace_scope(
+      mint_ingress("write", [&] { return path_in(dir, name); }));
+  auto target = open_target(dir, name,
+                            open_flags::write_only | open_flags::create, 0644,
+                            creds);
+  if (!target) return target.error();
+  return write_target(*target, data, creds);
+}
+
+Status Vfs::write_target(const OpenTarget& target, std::string_view data,
+                         const Credentials& creds) {
+  // Deliberately NOT open(O_TRUNC): that truncates in one FS op and writes
+  // in a second, leaving a window where concurrent readers see an empty
+  // file.  replace() commits the new content in a single step.
+  auto written = target.fs->replace(target.node, data, creds);
   return written ? ok_status() : written.error();
 }
 
@@ -452,10 +604,32 @@ Result<std::vector<DirEntry>> Vfs::readdir(std::string_view path,
                                            const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  if (auto ec = resolved->fs->access(resolved->node, 4, creds); ec) return ec;
-  return resolved->fs->readdir(resolved->node);
+  auto target = resolve(path, creds, true, root);
+  if (!target) return target.error();
+  return list_dir(*target, creds);
+}
+
+Result<std::vector<DirEntry>> Vfs::readdir(const Resolved& dir,
+                                           std::string_view name,
+                                           const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::metadata);
+  auto target = resolve(dir, name, creds, true);
+  if (!target) return target.error();
+  return list_dir(*target, creds);
+}
+
+Result<std::vector<DirEntry>> Vfs::readdir(const Resolved& dir,
+                                           const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::metadata);
+  return list_dir(dir, creds);
+}
+
+Result<std::vector<DirEntry>> Vfs::list_dir(const Resolved& target,
+                                            const Credentials& creds) {
+  if (auto ec = target.fs->access(target.node, 4, creds); ec) return ec;
+  return target.fs->readdir(target.node);
 }
 
 Status Vfs::mkdir(std::string_view path, std::uint32_t mode,
@@ -466,15 +640,28 @@ Status Vfs::mkdir(std::string_view path, std::uint32_t mode,
   // born, and in a create-then-commit burst the driver dedups the whole
   // burst onto the `created` event — the ref minted here is the one that
   // survives onto the FLOW_MOD train.
-  obs::TraceRef ingress;
-  if (!obs::current_trace() && obs::tracer().enabled())
-    ingress = obs::tracer().mint("vfs", "mkdir", std::string(path));
-  obs::TraceScope trace_scope(ingress);
+  obs::TraceScope trace_scope(
+      mint_ingress("mkdir", [&] { return std::string(path); }));
   std::string leaf;
   auto parent = resolve_parent(path, creds, &leaf, root);
   if (!parent) return parent.error();
-  if (parent->read_only) return make_error_code(Errc::read_only);
-  auto node = parent->fs->mkdir(parent->node, leaf, mode, creds);
+  return mkdir_in(*parent, leaf, mode, creds);
+}
+
+Status Vfs::mkdir(const Resolved& dir, std::string_view name,
+                  std::uint32_t mode, const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::write);
+  obs::TraceScope trace_scope(
+      mint_ingress("mkdir", [&] { return path_in(dir, name); }));
+  if (!is_component(name)) return make_error_code(Errc::invalid_argument);
+  return mkdir_in(dir, name, mode, creds);
+}
+
+Status Vfs::mkdir_in(const Resolved& parent, std::string_view leaf,
+                     std::uint32_t mode, const Credentials& creds) {
+  if (parent.read_only) return make_error_code(Errc::read_only);
+  auto node = parent.fs->mkdir(parent.node, std::string(leaf), mode, creds);
   return node ? ok_status() : node.error();
 }
 
@@ -505,12 +692,27 @@ Status Vfs::unlink(std::string_view path, const Credentials& creds,
   std::string leaf;
   auto parent = resolve_parent(path, creds, &leaf, root);
   if (!parent) return parent.error();
-  if (parent->read_only) return make_error_code(Errc::read_only);
+  return unlink_in(*parent, leaf, creds);
+}
+
+Status Vfs::unlink(const Resolved& dir, std::string_view name,
+                   const Credentials& creds) {
+  OpTimer timer(obs_.op_ns);
+  count_op(OpKind::write);
+  // Like the path unlink, which walks only to the parent: no lookup.
+  if (!is_component(name)) return make_error_code(Errc::invalid_argument);
+  return unlink_in(dir, name, creds);
+}
+
+Status Vfs::unlink_in(const Resolved& parent, std::string_view leaf,
+                      const Credentials& creds) {
+  if (parent.read_only) return make_error_code(Errc::read_only);
+  std::string name(leaf);
   // Mount-point check on the *resolved* logical path: a lexical check
   // misses "/a/../mnt" and symlinked parents, which name the same entry.
-  if (is_mount_point(parent->logical + "/" + leaf))
+  if (is_mount_point(parent.logical + "/" + name))
     return make_error_code(Errc::busy);
-  return parent->fs->unlink(parent->node, leaf, creds);
+  return parent.fs->unlink(parent.node, name, creds);
 }
 
 Status Vfs::rmdir(std::string_view path, const Credentials& creds,
@@ -530,10 +732,8 @@ Status Vfs::remove_all(std::string_view path, const Credentials& creds,
                        const std::string& root) {
   // Ingress for deletions: `rm` of a flow dir drives a delete FLOW_MOD
   // through the same pipeline a commit does.
-  obs::TraceRef ingress;
-  if (!obs::current_trace() && obs::tracer().enabled())
-    ingress = obs::tracer().mint("vfs", "remove", std::string(path));
-  obs::TraceScope trace_scope(ingress);
+  obs::TraceScope trace_scope(
+      mint_ingress("remove", [&] { return std::string(path); }));
   auto st = lstat(path, creds, root);
   if (!st) return st.error();
   if (st->is_dir()) {

@@ -12,6 +12,18 @@
 //     permission checks against the caller's Credentials.
 //   - handles: open() returns a FileHandle implementing read/write with
 //     O_APPEND/O_TRUNC semantics on top of the stateless Filesystem API.
+//   - directory-relative calls: the Resolved that resolve() returns serves
+//     as a directory handle, as a dirfd does for openat(2) and its
+//     siblings.  resolve, read_file, write_file, mkdir, unlink and readdir
+//     take such a handle plus one component name, so a caller that touches
+//     several files of one object directory (a flow's fields, a packet-in's
+//     pkt_* files) walks the directory's path once and each file with one
+//     Filesystem::walk_step.  The handle follows its node: a rename keeps
+//     it valid, an rmdir makes every call on it return not_found, and a
+//     directory made later under the old name is never reached.  One case
+//     differs from a dirfd: a symlink leaf whose target climbs above the
+//     directory ("../x") is finished through the directory's path, so once
+//     the directory has moved it gives not_found.
 //   - accounting: every public call increments an op counter; this is the
 //     "system call" count that §8.1's performance argument is about, and
 //     the benchmarks report it (EXP-1/2/3).
@@ -69,6 +81,9 @@ class Vfs {
     // for mount-point comparisons: lexical prefixes lie about paths that
     // reach a mount root via ".." or a symlink.
     std::string logical;
+    // `logical` begins with the logical path of the namespace root the
+    // walk was confined to, this many bytes long (0 for "/").
+    std::uint32_t root_len = 0;
   };
   /// Resolves `path` to (filesystem, node) by walking it, one
   /// Filesystem::walk_step per component.  `follow_final` controls
@@ -78,6 +93,43 @@ class Vfs {
   Result<Resolved> resolve(std::string_view path, const Credentials& creds,
                            bool follow_final = true,
                            std::string_view root = "/");
+
+  // --- directory-relative calls (openat-style) -----------------------------
+  // Each call takes `dir`, a Resolved from an earlier resolve(), and
+  // `name`, one component; "", ".", ".." and names containing '/' give
+  // invalid_argument.  A call acts as the path call on dir's path + "/" +
+  // name does (permissions, read-only mounts, mount crossings, symlinks,
+  // errors, trace ingress), and resolve(dir) plus the call count what the
+  // path call counts, except that a write_file that creates its file does
+  // not walk the directory a second time and a final symlink whose target
+  // leaves `dir` walks more (below).  `dir` stays confined to the
+  // namespace root it was resolved under.  Keep a handle only for the
+  // work that resolved it: it holds no lock and is never invalidated.
+
+  /// The entry `name` in `dir`: one walk step.  A final symlink to follow
+  /// is walked on from dir's frame while its target stays below `dir`.
+  /// One that leaves it (an absolute target, or ".." above `dir`) is
+  /// finished by the path walk from the namespace root; for ".." that walk
+  /// goes through dir's path and must reach dir's node there, else the
+  /// call gives not_found.
+  Result<Resolved> resolve(const Resolved& dir, std::string_view name,
+                           const Credentials& creds, bool follow_final = true);
+  Result<std::string> read_file(const Resolved& dir, std::string_view name,
+                                const Credentials& creds = {});
+  [[nodiscard]] Status write_file(const Resolved& dir, std::string_view name,
+                                  std::string_view data,
+                                  const Credentials& creds = {});
+  [[nodiscard]] Status mkdir(const Resolved& dir, std::string_view name,
+                             std::uint32_t mode = 0755,
+                             const Credentials& creds = {});
+  [[nodiscard]] Status unlink(const Resolved& dir, std::string_view name,
+                              const Credentials& creds = {});
+  Result<std::vector<DirEntry>> readdir(const Resolved& dir,
+                                        std::string_view name,
+                                        const Credentials& creds = {});
+  /// Lists `dir` itself, as readdir on its path does (fdopendir(3)).
+  Result<std::vector<DirEntry>> readdir(const Resolved& dir,
+                                        const Credentials& creds = {});
 
   // --- file I/O -----------------------------------------------------------
   Result<std::shared_ptr<FileHandle>> open(std::string_view path, int flags,
@@ -197,9 +249,15 @@ class Vfs {
   /// the benchmarks read) and the obs registry (the /yanc/.stats surface).
   enum class OpKind { read, write, metadata, lookup };
 
-  [[nodiscard]] Status walk(Walk& w, std::string_view norm,
+  [[nodiscard]] Status walk(Walk& w, std::string_view rest,
                             const Credentials& creds, bool follow_final,
                             std::size_t base_depth, int& symlinks_left);
+  /// Starts `w` at the root mount and walks it to the namespace root
+  /// `norm_root` (a normal path), always following symlinks.
+  [[nodiscard]] Status anchor(Walk& w, std::string_view norm_root,
+                              const Credentials& creds, int& symlinks_left);
+  /// Counts w's lookups and returns its top frame, or `ec`.
+  Result<Resolved> finish(Walk& w, Status ec, std::uint32_t root_len);
   Result<Resolved> resolve_parent(std::string_view path,
                                   const Credentials& creds, std::string* leaf,
                                   std::string_view root);
@@ -209,6 +267,29 @@ class Vfs {
   Result<OpenTarget> open_target(std::string_view path, int flags,
                                  std::uint32_t mode, const Credentials& creds,
                                  const std::string& root);
+  Result<OpenTarget> open_target(const Resolved& dir, std::string_view name,
+                                 int flags, std::uint32_t mode,
+                                 const Credentials& creds);
+  /// open_target's checks, and its truncation, on a file the walk found.
+  Result<OpenTarget> open_found(Resolved& found, int flags,
+                                const Credentials& creds);
+  /// open_target's O_CREAT of `leaf` in the directory `parent`.
+  Result<OpenTarget> create_in(const Resolved& parent, std::string_view leaf,
+                               std::uint32_t mode, const Credentials& creds);
+  // The bodies that a call and its directory-relative twin share, on what
+  // each has resolved; the public calls keep the timing and the counts.
+  Result<std::string> read_target(const Resolved& target,
+                                  const Credentials& creds);
+  [[nodiscard]] Status write_target(const OpenTarget& target,
+                                    std::string_view data,
+                                    const Credentials& creds);
+  Result<std::vector<DirEntry>> list_dir(const Resolved& target,
+                                         const Credentials& creds);
+  [[nodiscard]] Status mkdir_in(const Resolved& parent, std::string_view leaf,
+                                std::uint32_t mode, const Credentials& creds);
+  [[nodiscard]] Status unlink_in(const Resolved& parent,
+                                 std::string_view leaf,
+                                 const Credentials& creds);
   bool is_mount_point(const std::string& logical_path) const;
   /// Adds `n` operations of one class to both counter sets.
   void count_op(OpKind kind, std::uint64_t n = 1);

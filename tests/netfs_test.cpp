@@ -5,6 +5,8 @@
 
 #include "yanc/netfs/handles.hpp"
 #include "yanc/netfs/yancfs.hpp"
+#include "yanc/obs/stats_fs.hpp"
+#include "yanc/util/strings.hpp"
 
 namespace yanc::netfs {
 namespace {
@@ -447,6 +449,43 @@ TEST_F(FlowIoTest, RepeatedStatsLeaveCountersAlone) {
   EXPECT_EQ(vfs->stat(bytes)->version, bytes_version);
   EXPECT_EQ(q->drain().size(), 1u);
   EXPECT_EQ(read_flow_stats(*vfs, flow_dir)->packets, 124u);
+}
+
+// write_flow and commit_flow count in the Vfs's own registry, visible in
+// /yanc/.stats: one write_flow with commit is one write and one commit.
+TEST_F(FlowIoTest, WriteFlowCountsOnceInStats) {
+  ASSERT_TRUE(obs::mount_stats_fs(*vfs).ok());
+  auto other = std::make_shared<Vfs>();
+  ASSERT_TRUE(mount_yanc_fs(*other).ok());
+  ASSERT_FALSE(other->mkdir("/net/switches/sw1"));
+  auto count = [](Vfs& v, const std::string& name) -> std::uint64_t {
+    auto text = v.read_file("/yanc/.stats/netfs/" + name);
+    if (!text) return 0;  // not registered yet
+    return parse_u64(trim(*text)).value_or(~0ull);
+  };
+  auto writes = [&] { return count(*vfs, "flow_write_total"); };
+  auto commits = [&] { return count(*vfs, "flow_commit_total"); };
+
+  flow::FlowSpec spec;
+  spec.actions = {flow::Action::output(1)};
+  const std::uint64_t writes_before = writes();
+  const std::uint64_t commits_before = commits();
+  ASSERT_FALSE(write_flow(*vfs, flow_dir, spec));
+  EXPECT_EQ(writes(), writes_before + 1);
+  EXPECT_EQ(commits(), commits_before + 1);
+
+  // A write on another Vfs counts in that Vfs's registry only, also when
+  // the calls alternate on one thread.
+  ASSERT_FALSE(write_flow(*other, flow_dir, spec));
+  ASSERT_FALSE(write_flow(*vfs, flow_dir, spec, {}, /*commit=*/false));
+  EXPECT_EQ(writes(), writes_before + 2);
+  EXPECT_EQ(commits(), commits_before + 1);
+  EXPECT_EQ(other->metrics()->counter("netfs/flow_write_total")->value(), 1u);
+
+  ASSERT_TRUE(commit_flow(*vfs, flow_dir).ok());
+  EXPECT_EQ(writes(), writes_before + 2);
+  EXPECT_EQ(commits(), commits_before + 2);
+  EXPECT_EQ(read_flow(*vfs, flow_dir)->version, 2u);
 }
 
 // --- typed handles ---------------------------------------------------------------

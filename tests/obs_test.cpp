@@ -80,12 +80,13 @@ TEST(RegistryTest, ExportPathsAreSortedAndExpanded) {
   reg.histogram("b/lat_ns");
   reg.counter("a/ops_total");
   auto paths = reg.export_paths();
-  ASSERT_EQ(paths.size(), 5u);
+  ASSERT_EQ(paths.size(), 6u);
   EXPECT_EQ(paths[0], "a/ops_total");
   EXPECT_EQ(paths[1], "b/lat_ns_count");
   EXPECT_EQ(paths[2], "b/lat_ns_p50");
   EXPECT_EQ(paths[3], "b/lat_ns_p90");
   EXPECT_EQ(paths[4], "b/lat_ns_p99");
+  EXPECT_EQ(paths[5], "b/lat_ns_sum");
 }
 
 // --- Histogram percentile math ------------------------------------------
@@ -472,6 +473,28 @@ TEST(StatsFsTest, MaterializesRegistryAsTree) {
   EXPECT_NE(std::find(names.begin(), names.end(), "lookup_total"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "op_ns_p99"), names.end());
+}
+
+// A histogram's _sum row is the total of what it recorded, so a stage's
+// service_ns_sum reads as its busy time.
+TEST(StatsFsTest, HistogramSumReadsAsTotal) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  Histogram* service = vfs->metrics()->histogram("pipeline/test/service_ns");
+  for (std::uint64_t ns : {100u, 250u, 650u, 12'000u}) service->record(ns);
+  ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+
+  auto sum = vfs->read_file("/yanc/.stats/pipeline/test/service_ns_sum");
+  ASSERT_TRUE(sum.ok()) << sum.error().message();
+  EXPECT_EQ(trim(*sum), "13000");
+  auto count = vfs->read_file("/yanc/.stats/pipeline/test/service_ns_count");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(trim(*count), "4");
+
+  // Live: the row follows later records.
+  service->record(7);
+  sum = vfs->read_file("/yanc/.stats/pipeline/test/service_ns_sum");
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(trim(*sum), "13007");
 }
 
 TEST(StatsFsTest, CountersReadThroughShellAndIncreaseMonotonically) {

@@ -2,6 +2,7 @@
 // mount/resolution layer, namespaces, and file handles.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -1281,6 +1282,298 @@ TEST_F(VfsTest, ConcurrentDistinctFileWritesAndReads) {
   for (auto& t : threads) t.join();
 }
 
+// --- directory-relative calls ----------------------------------------------
+
+TEST_F(VfsTest, AtCallsActOnTheResolvedDirectory) {
+  ASSERT_FALSE(vfs->mkdir_p("/net/sw1"));
+  auto dir = vfs->resolve("/net/sw1", root);
+  ASSERT_TRUE(dir.ok());
+  ASSERT_FALSE(vfs->write_file(*dir, "id", "0x1"));
+  EXPECT_EQ(*vfs->read_file("/net/sw1/id"), "0x1");
+  ASSERT_FALSE(vfs->write_file(*dir, "id", "0x2"));  // replaces
+  EXPECT_EQ(*vfs->read_file(*dir, "id"), "0x2");
+  ASSERT_FALSE(vfs->mkdir(*dir, "ports"));
+  ASSERT_FALSE(vfs->write_file("/net/sw1/ports/p1", "x"));
+  auto ports = vfs->readdir(*dir, "ports");
+  ASSERT_TRUE(ports.ok());
+  ASSERT_EQ(ports->size(), 1u);
+  EXPECT_EQ((*ports)[0].name, "p1");
+  auto listing = vfs->readdir(*dir);
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(listing->size(), 2u);
+  auto id = vfs->resolve(*dir, "id", root);
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(id->logical, "/net/sw1/id");
+  EXPECT_EQ(id->type, FileType::regular);
+  ASSERT_FALSE(vfs->unlink(*dir, "id"));
+  EXPECT_EQ(vfs->read_file("/net/sw1/id").error(), err(Errc::not_found));
+  EXPECT_EQ(vfs->unlink(*dir, "id"), err(Errc::not_found));
+  EXPECT_EQ(vfs->mkdir(*dir, "ports"), err(Errc::exists));
+  EXPECT_EQ(vfs->write_file(*dir, "ports", "x"), err(Errc::is_dir));
+}
+
+// resolve(dir) plus a call on (dir, name) counts what the path call counts;
+// the call alone counts one lookup, or none for unlink, whose path form
+// walks only to the parent.
+TEST_F(VfsTest, AtCallsCountOneLookupAndTheirClass) {
+  ASSERT_FALSE(vfs->mkdir_p("/a/b"));
+  ASSERT_FALSE(vfs->write_file("/a/b/f", "x"));
+  auto snapshot = [&] {
+    const OpCounters& c = vfs->counters();
+    return std::array<std::uint64_t, 5>{c.total.load(), c.reads.load(),
+                                        c.writes.load(), c.metadata.load(),
+                                        c.lookups.load()};
+  };
+  auto delta = [&](auto op) {
+    auto before = snapshot();
+    op();
+    auto after = snapshot();
+    for (std::size_t i = 0; i < before.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+  // total, reads, writes, metadata, lookups
+  using Counts = std::array<std::uint64_t, 5>;
+  auto dir = vfs->resolve("/a/b", root);
+  ASSERT_TRUE(dir.ok());
+
+  EXPECT_EQ(delta([&] { (void)vfs->read_file(*dir, "f"); }),
+            (Counts{2, 1, 0, 0, 1}));
+  EXPECT_EQ(delta([&] { (void)vfs->write_file(*dir, "f", "y"); }),
+            (Counts{3, 0, 1, 1, 1}));
+  EXPECT_EQ(delta([&] { (void)vfs->readdir(*dir, "f"); }),
+            (Counts{2, 0, 0, 1, 1}));
+  EXPECT_EQ(delta([&] { (void)vfs->readdir(*dir); }), (Counts{1, 0, 0, 1, 0}));
+  EXPECT_EQ(delta([&] { (void)vfs->unlink(*dir, "f"); }),
+            (Counts{1, 0, 1, 0, 0}));
+  EXPECT_EQ(delta([&] { (void)vfs->mkdir(*dir, "d"); }),
+            (Counts{1, 0, 1, 0, 0}));
+
+  // The same calls by path: the walk to /a/b is the difference.
+  ASSERT_FALSE(vfs->write_file("/a/b/f", "x"));
+  auto walk = delta([&] { (void)vfs->resolve("/a/b", root); });
+  auto by_path = delta([&] { (void)vfs->read_file("/a/b/f"); });
+  auto at = delta([&] { (void)vfs->read_file(*dir, "f"); });
+  EXPECT_EQ(by_path[4], walk[4] + at[4]);
+  EXPECT_EQ(by_path[0], walk[0] + at[0]);
+}
+
+TEST_F(VfsTest, AtCallsRejectNamesThatAreNotOneComponent) {
+  ASSERT_FALSE(vfs->mkdir_p("/d/e"));
+  ASSERT_FALSE(vfs->write_file("/d/f", "x"));
+  auto dir = vfs->resolve("/d", root);
+  ASSERT_TRUE(dir.ok());
+  const auto einval = err(Errc::invalid_argument);
+  for (std::string_view name : {"", ".", "..", "e/f", "/f", "f/", "e/.."}) {
+    SCOPED_TRACE(std::string(name));
+    EXPECT_EQ(vfs->resolve(*dir, name, root).error(), einval);
+    EXPECT_EQ(vfs->read_file(*dir, name).error(), einval);
+    EXPECT_EQ(vfs->write_file(*dir, name, "x"), einval);
+    EXPECT_EQ(vfs->mkdir(*dir, name), einval);
+    EXPECT_EQ(vfs->unlink(*dir, name), einval);
+    EXPECT_EQ(vfs->readdir(*dir, name).error(), einval);
+  }
+  EXPECT_EQ(*vfs->read_file("/d/f"), "x");
+  EXPECT_TRUE(vfs->stat("/d/e")->is_dir());
+}
+
+TEST_F(VfsTest, AtCallsKeepPermissionsReadOnlyMountsAndCrossings) {
+  ASSERT_FALSE(vfs->mkdir("/d", 0755));
+  ASSERT_FALSE(vfs->write_file("/d/secret", "s"));
+  ASSERT_FALSE(vfs->chmod("/d/secret", 0600));
+  ASSERT_FALSE(vfs->mkdir("/d/m"));
+  auto mounted = std::make_shared<MemFs>();
+  ASSERT_TRUE(mounted->create(mounted->root(), "inside", 0644, root).ok());
+  ASSERT_FALSE(vfs->mount("/d/m", mounted, MountOptions{.read_only = true}));
+  auto dir = vfs->resolve("/d", alice());
+  ASSERT_TRUE(dir.ok());
+
+  EXPECT_EQ(vfs->read_file(*dir, "secret", alice()).error(),
+            err(Errc::access_denied));
+  EXPECT_EQ(vfs->write_file(*dir, "new", "x", alice()),
+            err(Errc::access_denied));  // /d is 0755 root-owned
+  auto m = vfs->resolve(*dir, "m", alice());
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m->fs.get(), mounted.get());
+  EXPECT_EQ(m->node, mounted->root());
+  EXPECT_TRUE(m->read_only);
+  EXPECT_EQ(vfs->write_file(*m, "inside", "x"), err(Errc::read_only));
+  EXPECT_EQ(vfs->write_file(*m, "other", "x"), err(Errc::read_only));
+  EXPECT_EQ(vfs->unlink(*m, "inside"), err(Errc::read_only));
+  EXPECT_EQ(vfs->unlink(*dir, "m"), err(Errc::busy));  // a mount point
+
+  // A directory the caller may not search refuses the step, as the path
+  // walk does.
+  ASSERT_FALSE(vfs->chmod("/d", 0700));
+  EXPECT_EQ(vfs->read_file(*dir, "secret", alice()).error(),
+            err(Errc::access_denied));
+  EXPECT_EQ(vfs->read_file("/d/secret", alice()).error(),
+            err(Errc::access_denied));
+}
+
+TEST_F(VfsTest, AtCallsFollowSymlinksLikeThePathWalk) {
+  ASSERT_FALSE(vfs->mkdir_p("/a/b"));
+  ASSERT_FALSE(vfs->write_file("/a/target", "t"));
+  ASSERT_FALSE(vfs->symlink("../target", "/a/b/up"));
+  ASSERT_FALSE(vfs->symlink("/a/target", "/a/b/abs"));
+  auto dir = vfs->resolve("/a/b", root);
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(*vfs->read_file(*dir, "up"), "t");
+  EXPECT_EQ(*vfs->read_file(*dir, "abs"), "t");
+  auto link = vfs->resolve(*dir, "up", root, /*follow_final=*/false);
+  ASSERT_TRUE(link.ok());
+  EXPECT_EQ(link->type, FileType::symlink);
+
+  // Inside a namespace an absolute target re-anchors at its root.
+  ASSERT_FALSE(vfs->mkdir_p("/ns/a"));
+  ASSERT_FALSE(vfs->write_file("/ns/a/target", "inner"));
+  ASSERT_FALSE(vfs->symlink("/a/target", "/ns/a/abs"));
+  auto ns_dir = vfs->resolve("/a", root, true, "/ns");
+  ASSERT_TRUE(ns_dir.ok());
+  EXPECT_EQ(ns_dir->logical, "/ns/a");
+  EXPECT_EQ(*vfs->read_file(*ns_dir, "abs"), "inner");
+  EXPECT_EQ(*vfs->read_file("/a/abs", root, "/ns"), "inner");
+}
+
+// A handle follows its directory's node, as a dirfd does.
+TEST_F(VfsTest, AtCallsOnARemovedDirectoryFindAndMakeNothing) {
+  auto memfs = std::dynamic_pointer_cast<MemFs>(vfs->mounted_at("/"));
+  ASSERT_TRUE(memfs);
+  ASSERT_FALSE(vfs->mkdir("/d"));
+  ASSERT_FALSE(vfs->write_file("/d/f", "x"));
+  auto dir = vfs->resolve("/d", root);
+  ASSERT_TRUE(dir.ok());
+  ASSERT_FALSE(vfs->remove_all("/d"));
+  const std::size_t inodes = memfs->inode_count();
+
+  const auto enoent = err(Errc::not_found);
+  EXPECT_EQ(vfs->resolve(*dir, "f", root).error(), enoent);
+  EXPECT_EQ(vfs->read_file(*dir, "f").error(), enoent);
+  EXPECT_EQ(vfs->write_file(*dir, "f", "y"), enoent);
+  EXPECT_EQ(vfs->write_file(*dir, "g", "y"), enoent);
+  EXPECT_EQ(vfs->mkdir(*dir, "sub"), enoent);
+  EXPECT_EQ(vfs->unlink(*dir, "f"), enoent);
+  EXPECT_EQ(vfs->readdir(*dir, "f").error(), enoent);
+  EXPECT_EQ(vfs->readdir(*dir).error(), enoent);
+  EXPECT_EQ(memfs->inode_count(), inodes);
+  EXPECT_EQ(vfs->stat("/d").error(), enoent);
+}
+
+TEST_F(VfsTest, AtCallsFollowARenamedDirectory) {
+  ASSERT_FALSE(vfs->mkdir("/d"));
+  ASSERT_FALSE(vfs->write_file("/d/f", "x"));
+  ASSERT_FALSE(vfs->write_file("/t", "top"));
+  // Symlink leaves whose targets stay in /d, re-anchor at the root and
+  // climb above /d.
+  ASSERT_FALSE(vfs->symlink("f", "/d/in"));
+  ASSERT_FALSE(vfs->symlink("/t", "/d/abs"));
+  ASSERT_FALSE(vfs->symlink("../t", "/d/up"));
+  auto dir = vfs->resolve("/d", root);
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(*vfs->read_file(*dir, "up"), "top");
+  ASSERT_FALSE(vfs->rename("/d", "/e"));
+  EXPECT_EQ(*vfs->read_file(*dir, "f"), "x");
+  EXPECT_EQ(*vfs->read_file(*dir, "in"), "x");
+  EXPECT_EQ(*vfs->read_file(*dir, "abs"), "top");
+  // A ".." target is finished through the directory's path, which no
+  // longer reaches its node.
+  EXPECT_EQ(vfs->read_file(*dir, "up").error(), err(Errc::not_found));
+  ASSERT_FALSE(vfs->write_file(*dir, "g", "y"));
+  EXPECT_EQ(*vfs->read_file("/e/g"), "y");
+  ASSERT_FALSE(vfs->unlink(*dir, "f"));
+  EXPECT_EQ(vfs->read_file("/e/f").error(), err(Errc::not_found));
+  EXPECT_EQ(vfs->stat("/d").error(), err(Errc::not_found));
+
+  // A directory made under the old name is reached neither by a step nor
+  // by the ".." target's walk.
+  ASSERT_FALSE(vfs->mkdir("/d"));
+  ASSERT_FALSE(vfs->write_file("/d/g", "new"));
+  ASSERT_FALSE(vfs->symlink("../t", "/d/up"));
+  EXPECT_EQ(*vfs->read_file(*dir, "g"), "y");
+  EXPECT_EQ(vfs->read_file(*dir, "up").error(), err(Errc::not_found));
+  EXPECT_EQ(*vfs->read_file(*dir, "abs"), "top");
+}
+
+TEST_F(VfsTest, AtCallsNeverReachADirectoryRecreatedUnderTheOldName) {
+  ASSERT_FALSE(vfs->mkdir("/d"));
+  auto dir = vfs->resolve("/d", root);
+  ASSERT_TRUE(dir.ok());
+  ASSERT_FALSE(vfs->rmdir("/d"));
+  ASSERT_FALSE(vfs->mkdir("/d"));
+  ASSERT_FALSE(vfs->write_file("/d/f", "new"));
+
+  EXPECT_EQ(vfs->read_file(*dir, "f").error(), err(Errc::not_found));
+  EXPECT_EQ(vfs->write_file(*dir, "g", "x"), err(Errc::not_found));
+  EXPECT_EQ(vfs->mkdir(*dir, "sub"), err(Errc::not_found));
+  EXPECT_EQ(vfs->stat("/d/g").error(), err(Errc::not_found));
+  EXPECT_EQ(vfs->stat("/d/sub").error(), err(Errc::not_found));
+  EXPECT_EQ(*vfs->read_file("/d/f"), "new");
+}
+
+// Three threads read and write through handles to /d while a fourth
+// removes it (moved aside, then rmdir'd) and recreates it: every call finds
+// the directory or reports not_found, and none fails another way.
+TEST_F(VfsTest, AtCallsRaceRemoveAndRecreate) {
+  constexpr int kRecreates = 300;
+  ASSERT_FALSE(vfs->mkdir("/d"));
+  std::atomic<bool> done{false};
+  std::atomic<int> ok{0}, missing{0}, other{0};
+  auto tally = [&](std::error_code ec) {
+    if (!ec)
+      ++ok;
+    else if (ec == err(Errc::not_found))
+      ++missing;
+    else
+      ++other;
+  };
+  // Waits until the readers have made another call, so every removal and
+  // recreation overlaps reader calls however the threads are scheduled.
+  auto await_reader_call = [&] {
+    const int seen = ok.load() + missing.load() + other.load();
+    while (ok.load() + missing.load() + other.load() == seen)
+      std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string mine = "f" + std::to_string(t);
+      while (!done.load()) {
+        auto dir = vfs->resolve("/d", Credentials::root());
+        if (!dir) {
+          tally(dir.error());
+          continue;
+        }
+        tally(vfs->write_file(*dir, mine, "x"));
+        auto read = vfs->read_file(*dir, mine);
+        tally(read ? std::error_code() : read.error());
+        auto listing = vfs->readdir(*dir);
+        tally(listing ? std::error_code() : listing.error());
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (ok.load() == 0) std::this_thread::yield();
+    for (int i = 0; i < kRecreates; ++i) {
+      // Out of the readers' way first: they resolve /d afresh for every
+      // round, so only handles they already hold can refill the directory
+      // between remove_all's unlinks and its rmdir.
+      EXPECT_FALSE(vfs->rename("/d", "/old"));
+      await_reader_call();
+      Status ec;
+      do {
+        ec = vfs->remove_all("/old", Credentials::root());
+      } while (ec == err(Errc::not_empty));
+      EXPECT_FALSE(ec);
+      await_reader_call();
+      EXPECT_FALSE(vfs->mkdir("/d"));
+      await_reader_call();
+    }
+    done.store(true);
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_GT(missing.load(), 0);
+}
+
 // --- namespaces ---------------------------------------------------------------
 
 class NamespaceTest : public ::testing::Test {
@@ -1623,6 +1916,47 @@ TEST(ResolverDifferentialTest, MatchesReferenceWalkerOverRandomTrees) {
         if (got->logical.starts_with("/m")) ++seen["mounted"];
       }
 
+      // The at-call on the path's last component, from its parent resolved
+      // with the same credentials and root, reaches what the path does.
+      std::string norm = normalize_path(path);
+      std::size_t slash = norm.rfind('/');
+      std::string leaf = norm.substr(slash + 1);
+      if (norm != "/" && leaf != "..") {
+        std::string parent_path = slash == 0 ? "/" : norm.substr(0, slash);
+        auto parent = tree.vfs->resolve(parent_path, creds, true, root);
+        for (bool follow : {true, false}) {
+          auto want = tree.vfs->resolve(path, creds, follow, root);
+          auto got = parent ? tree.vfs->resolve(*parent, leaf, creds, follow)
+                            : Result<Vfs::Resolved>(parent.error());
+          std::string ctx =
+              where + (follow ? " at (follow)" : " at (nofollow)");
+          if (got.ok() != want.ok() || (!got && got.error() != want.error())) {
+            note(ctx + ": got " + (got ? "ok" : got.error().message()) +
+                 ", want " + (want ? "ok" : want.error().message()));
+            continue;
+          }
+          if (!got) {
+            ++seen["at " + got.error().message()];
+            continue;
+          }
+          if (got->fs != want->fs || got->node != want->node ||
+              got->type != want->type || got->read_only != want->read_only ||
+              got->logical != want->logical) {
+            note(ctx + ": got node " + std::to_string(got->node) + " '" +
+                 got->logical + "', want node " + std::to_string(want->node) +
+                 " '" + want->logical + "'");
+            continue;
+          }
+          ++seen["at ok"];
+          if (got->read_only) ++seen["at read_only"];
+          if (got->logical.starts_with("/m")) ++seen["at mounted"];
+          if (!follow) {
+            auto st = got->fs->getattr(got->node);
+            if (st && st->is_symlink()) ++seen["at symlink"];
+          }
+        }
+      }
+
       // stat follows a final symlink, lstat does not; both walk the path
       // again, as every resolution does.
       for (bool follow : {true, false}) {
@@ -1650,6 +1984,15 @@ TEST(ResolverDifferentialTest, MatchesReferenceWalkerOverRandomTrees) {
   EXPECT_GT(seen["ok"], 1000);
   EXPECT_GT(seen["read_only"], 0);
   EXPECT_GT(seen["mounted"], 0);
+  // The at-call reaches every outcome too, symlink leaves included.
+  for (Errc e : {Errc::not_found, Errc::not_dir, Errc::access_denied,
+                 Errc::symlink_loop})
+    EXPECT_GT(seen["at " + make_error_code(e).message()], 0)
+        << make_error_code(e).message();
+  EXPECT_GT(seen["at ok"], 500);
+  EXPECT_GT(seen["at read_only"], 0);
+  EXPECT_GT(seen["at mounted"], 0);
+  EXPECT_GT(seen["at symlink"], 0);
 }
 
 }  // namespace
