@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-shot correctness gate: everything a change must pass before merge.
 #
-# Usage: scripts/check.sh [--fast]
+# Usage: scripts/check.sh [--fast] [--base <rev>]
 #
 #   default — configure + build (lockdep ON), full ctest tier (which
 #             includes the yanc-lint and yanc-analyze gates and their
@@ -15,18 +15,36 @@
 #             "correct": true and "failed": 0 — then ASan/UBSan over the
 #             full suite, the stress sweeps under ASan/UBSan
 #             (scripts/stress.sh: the 100-seed fault matrix, the 50-history
-#             batched-pipeline property sweep and the 20-seed cluster
-#             chaos sweep, which exercise overflow rescan, expiry,
-#             reconnect resync and failover), and TSan over every suite
-#             that starts threads (vfs, netfs, obs, faults, dbg, fast) via
-#             scripts/sanitize.sh.
+#             batched-pipeline and anti-entropy property sweeps and the
+#             20-seed cluster chaos sweep, which exercise overflow rescan,
+#             expiry, reconnect resync, anti-entropy and failover), and
+#             TSan over the concurrency-sensitive suites (vfs, netfs, obs,
+#             faults, dbg, fast; the set scripts/sanitize.sh tsan runs).
+#   --base <rev>
+#           — the perf gate: scripts/bench_ab.sh <rev>, an interleaved A/B
+#             of the end-to-end benchmark between <rev> and the working
+#             tree (10 pairs of every BENCHMARK.json workload, each side
+#             built from its own checkout).  It fails when a run fails or
+#             is not correct (exit 1) or a metric is worse than its bound
+#             (exit 2).  Without --base the step is skipped.
 #   --fast  — static-only yanc-analyze, stop before the coverage sweep
 #             and sanitizer rebuilds.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+usage() {
+  echo "usage: scripts/check.sh [--fast] [--base <rev>]" >&2
+  exit 64
+}
 FAST=0
-[[ "${1:-}" == "--fast" ]] && FAST=1
+BASE=""
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --fast) FAST=1; shift ;;
+    --base) [[ $# -ge 2 ]] || usage; BASE="$2"; shift 2 ;;
+    *) usage ;;
+  esac
+done
 
 echo "=== build (YANC_DBG_LOCKS=ON) ==="
 cmake -B build -S . -DYANC_DBG_LOCKS=ON
@@ -47,40 +65,6 @@ if [[ "$FAST" == 1 ]]; then
 else
   scripts/analyze.sh --coverage build
 fi
-
-# Perf gate: when two recorded baselines of the same variant exist
-# (BENCH_<date>.json, or BENCH_<date>_<variant>.json), diff the two
-# newest.  Cross-day baselines carry ambient machine drift well beyond
-# the tolerance (EXPERIMENTS.md EXP-10 saw +31…+63% day-to-day swings on
-# untouched code), so by default a regression here is REPORTED but does
-# not fail the gate; set YANC_BENCH_STRICT=1 to make it fatal — correct
-# when both files came from the same session (scripts/bench_diff.sh on
-# an interleaved A/B pair is always strict when invoked directly).
-echo "=== bench diff (recorded baselines) ==="
-for variant in $(ls BENCH_*.json 2>/dev/null \
-                   | sed -E 's/^BENCH_[0-9]+(_)?//; s/\.json$//; s/^$/@default/' \
-                   | sort -u); do
-  if [[ "$variant" != "@default" ]]; then
-    files=(BENCH_*_"$variant".json)
-  else
-    variant=""
-    files=($(ls BENCH_*.json 2>/dev/null | grep -E '^BENCH_[0-9]+\.json$' || true))
-  fi
-  if (( ${#files[@]} >= 2 )); then
-    prev="${files[-2]}" latest="${files[-1]}"
-    echo "--- ${variant:-default}: $prev -> $latest"
-    if ! scripts/bench_diff.sh "$prev" "$latest"; then
-      if [[ "${YANC_BENCH_STRICT:-0}" == 1 ]]; then
-        echo "bench diff: regression beyond tolerance (YANC_BENCH_STRICT=1)"
-        exit 1
-      fi
-      echo "bench diff: regression reported (advisory — cross-day baselines;"
-      echo "            set YANC_BENCH_STRICT=1 to enforce)"
-    fi
-  else
-    echo "--- ${variant:-default}: single baseline, nothing to diff"
-  fi
-done
 
 echo "=== release build (YANC_DBG_LOCKS=OFF: wrappers must compile away) ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DYANC_DBG_LOCKS=OFF
@@ -113,6 +97,15 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
   echo "--- $workload: correct, 0 failed"
 done
 
+# The one perf step: the benchmark's own workloads, run as interleaved
+# pairs against the base revision, judged by BENCHMARK.json's bounds.
+echo "=== perf: interleaved A/B against --base ==="
+if [[ -n "$BASE" ]]; then
+  scripts/bench_ab.sh "$BASE"
+else
+  echo "perf: skipped (give --base <rev> to compare the working tree with it)"
+fi
+
 if [[ "$FAST" == 1 ]]; then
   echo "check.sh --fast: OK (sanitizers skipped)"
   exit 0
@@ -125,6 +118,6 @@ echo "=== stress sweeps (asan+ubsan) ==="
 scripts/stress.sh
 
 echo "=== tsan (concurrency suites + lockdep + SPSC ring / packet pool) ==="
-scripts/sanitize.sh tsan build-tsan -R '(vfs|netfs|obs|faults|dbg|fast)_test'
+scripts/sanitize.sh tsan
 
 echo "check.sh: all gates passed"

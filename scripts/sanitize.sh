@@ -6,10 +6,11 @@
 #
 #   asan  — ASan+UBSan over the full test suite (default dir: build-asan)
 #   tsan  — ThreadSanitizer over the concurrency-sensitive suites
-#           (vfs_test, netfs_test, obs_test, faults_test, and fast_test
-#           for the SPSC ring and the packet pool; default dir:
-#           build-tsan).  Extra ctest args after the build dir are passed
-#           through, e.g. scripts/sanitize.sh tsan build-tsan -R vfs_test
+#           (vfs_test, netfs_test, obs_test, faults_test, dbg_test for
+#           the lock wrappers, and fast_test for the SPSC ring and the
+#           packet pool; default dir: build-tsan).  Extra ctest args after
+#           the build dir replace that set, e.g.
+#           scripts/sanitize.sh tsan build-tsan -R vfs_test
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,7 +32,7 @@ if [[ "$MODE" == tsan ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
   else
     ctest --test-dir "$BUILD_DIR" --output-on-failure \
-      -R '(vfs|netfs|obs|faults|fast)_test'
+      -R '(vfs|netfs|obs|faults|dbg|fast)_test'
   fi
 else
   BUILD_DIR="${1:-build-asan}"; shift || true

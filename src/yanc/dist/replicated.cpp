@@ -240,6 +240,15 @@ struct ReplicatedYancFs::Op {
   std::uint32_t mode = 0;
   std::uint32_t uid = 0;
   std::uint32_t gid = 0;
+  // The origin's version of `path` before the op, carried (and encoded)
+  // only by the ops that change a copy instead of replacing it: a receiver
+  // whose copy has another version cannot end with the origin's bytes.
+  Version base{};
+
+  bool carries_base() const {
+    return kind == Kind::write || kind == Kind::truncate ||
+           kind == Kind::rename;
+  }
 
   std::vector<std::uint8_t> encode() const {
     BufWriter w;
@@ -252,6 +261,10 @@ struct ReplicatedYancFs::Op {
     w.u32(mode);
     w.u32(uid);
     w.u32(gid);
+    if (carries_base()) {
+      w.u64(base.first);
+      w.u64(base.second);
+    }
     put_string(w, path);
     put_string(w, aux);
     put_string(w, data);
@@ -270,6 +283,10 @@ struct ReplicatedYancFs::Op {
     op.mode = r.u32();
     op.uid = r.u32();
     op.gid = r.u32();
+    if (op.carries_base()) {
+      op.base.first = r.u64();
+      op.base.second = r.u64();
+    }
     op.path = get_view(r, bytes);
     op.aux = get_view(r, bytes);
     op.data = get_view(r, bytes);
@@ -506,7 +523,8 @@ bool ReplicatedYancFs::apply(const Op& op) {
       // Last-writer-wins on content: a concurrently newer local write
       // (greater ts, or equal ts from a higher node id) survives.
       Version version{op.ts, op.origin};
-      if (version_of(op.path) > version) return done(false);
+      const Version local = version_of(op.path);
+      if (local > version) return done(false);
       auto node = resolve_local(op.path);
       if (!node) return done(false);
       bool ok;
@@ -516,7 +534,12 @@ bool ReplicatedYancFs::apply(const Op& op) {
         ok = replace(*node, op.data, root_creds).ok();
       else
         ok = !truncate(*node, op.offset, root_creds);
-      if (ok) set_version(op.path, version);
+      // A replace brings the whole content.  A write at an offset or a
+      // truncate yields the origin's bytes only on the origin's copy (the
+      // op's base); on another copy this replica keeps its own version,
+      // so its digest differs and the next round pulls the origin's copy.
+      if (ok && (op.kind == Op::Kind::replace || local == op.base))
+        set_version(op.path, version);
       return done(ok);
     }
     case Op::Kind::unlink: {
@@ -705,7 +728,11 @@ void ReplicatedYancFs::note_version(const Op& op) {
       break;
     case Op::Kind::rename: {
       // Content knowledge follows the subtree to its new name; the old
-      // name gets a tombstone so stale copies of it stay dead.
+      // name gets a tombstone so stale copies of it stay dead.  The new
+      // name takes the rename's version only over the copy the origin
+      // renamed (the op's base): a stale copy keeps the version it had,
+      // so the digests differ until anti-entropy pulls the origin's copy.
+      const bool renamed_base = version_of(op.path) == op.base;
       std::vector<std::pair<std::string, Version>> moved;
       update(op.path, [&](Known& from) {
         std::string dest = op.aux;
@@ -714,7 +741,7 @@ void ReplicatedYancFs::note_version(const Op& op) {
       });
       record_tombstone(op.path, version);
       for (auto& [path, v] : moved) raise(path, v);
-      raise(op.aux, version);
+      if (renamed_base) raise(op.aux, version);
       break;
     }
     default:
@@ -1082,6 +1109,7 @@ Result<std::uint64_t> ReplicatedYancFs::write(NodeId node,
       Op op;
       op.kind = Op::Kind::write;
       op.path = *path;
+      op.base = version_of(op.path);
       op.offset = offset;
       op.data = data;
       emit(std::move(op));
@@ -1098,6 +1126,7 @@ Status ReplicatedYancFs::truncate(NodeId node, std::uint64_t size,
       Op op;
       op.kind = Op::Kind::truncate;
       op.path = *path;
+      op.base = version_of(op.path);
       op.offset = size;
       emit(std::move(op));
     }
@@ -1163,6 +1192,7 @@ Status ReplicatedYancFs::rename(NodeId old_parent, const std::string& old_name,
     Op op;
     op.kind = Op::Kind::rename;
     op.path = child_path(*from_path, old_name);
+    op.base = version_of(op.path);
     op.aux = child_path(*to_path, new_name);
     // The moved subtree's digests hash the paths of what it covers.
     note_namespace_change(op.path);

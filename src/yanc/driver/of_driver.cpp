@@ -4,6 +4,7 @@
 #include <chrono>
 #include <optional>
 #include <set>
+#include <tuple>
 
 #include "yanc/obs/tracer.hpp"
 #include "yanc/util/log.hpp"
@@ -182,6 +183,20 @@ class CommitTrace {
   obs::Span span_;
   obs::TraceScope scope_;
 };
+
+/// A flow entry's identity: what an OpenFlow add replaces and a
+/// remove_strict names.  It borrows from the spec or reply entry it keys.
+using Identity = std::tuple<const flow::Match&, const std::uint16_t&,
+                            const std::uint8_t&>;
+
+Identity identity(const FlowSpec& spec) {
+  return {spec.match, spec.priority, spec.table_id};
+}
+
+/// A reply entry sits in the table the switch reports it in.
+Identity identity(const ofp::FlowStatsEntry& entry) {
+  return {entry.spec.match, entry.spec.priority, entry.table_id};
+}
 
 }  // namespace
 
@@ -661,23 +676,30 @@ void OfDriver::create_port_dir(Connection& conn, const ofp::PortDesc& port) {
                              std::to_string(port.port_no)});
 }
 
-void OfDriver::watch_flow(Connection& conn, const std::string& flow_name) {
+Result<vfs::Vfs::Resolved> OfDriver::resolve_flows(const Connection& conn) {
+  return vfs_->resolve(conn.path + "/flows", Credentials::root());
+}
+
+void OfDriver::watch_flow(Connection& conn, const std::string& flow_name,
+                          const vfs::Vfs::Resolved& dir) {
+  auto version = vfs_->resolve(dir, "version", Credentials::root());
+  if (!version) return;
   NodeId node = add_watch(
-      conn.path + "/flows/" + flow_name + "/version", vfs::event::modified,
+      *version, vfs::event::modified,
       WatchContext{WatchContext::Kind::flow_version, &conn, flow_name});
   if (node != vfs::kInvalidNode) conn.flows[flow_name].version_node = node;
 }
 
 bool OfDriver::push_flow(Connection& conn, const std::string& flow_name,
+                         const vfs::Vfs::Resolved& dir,
                          std::uint32_t retries) {
   auto state_it = conn.flows.find(flow_name);
   if (state_it == conn.flows.end()) return false;
   auto& state = state_it->second;
 
-  std::string flow_dir = conn.path + "/flows/" + flow_name;
-  auto spec = netfs::read_flow(*vfs_, flow_dir);
+  auto spec = netfs::read_flow(*vfs_, dir);
   if (!spec) {
-    log_error("driver", "unreadable flow " + flow_dir + ": " +
+    log_error("driver", "unreadable flow " + dir.logical + ": " +
                             spec.error().message());
     return false;
   }
@@ -809,8 +831,8 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
   // pattern — costs one FS read instead of two.  Deletions are handled
   // in event order (so a delete queued between two commits still lands
   // between the surviving pushes on the wire), and a flow deleted after
-  // being marked dirty simply fails the final read and pushes nothing:
-  // the terminal state wins.
+  // being marked dirty simply fails to resolve at the push and pushes
+  // nothing: the terminal state wins.
   std::vector<std::string> dirty;
   std::set<std::string> dirty_set;
   auto mark_dirty = [&](const std::string& name) {
@@ -862,8 +884,7 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
 
       if (ctx.kind == WatchContext::Kind::flows_dir) {
         if (event.is(vfs::event::created)) {
-          watch_flow(conn, event.name);
-          mark_dirty(event.name);
+          mark_dirty(event.name);  // watched at its push, below
           absorb_trace(event.name, event);
         } else if (event.is(vfs::event::deleted)) {
           CommitTrace trace(event.trace, event.trace_ts_ns);
@@ -879,23 +900,32 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
     }
     batch.clear();
   }
-  // Push every dirty flow once, in first-marked order; push_flow reads
-  // the *current* FS state, so a recreate during the burst pushes the
-  // new incarnation and a deletion pushes nothing.
+  // Push every dirty flow once, in first-marked order, each directory
+  // resolved once from flows/: push_flow reads the *current* FS state, so
+  // a recreate during the burst pushes the new incarnation and a deletion
+  // pushes nothing.  A flow the driver holds no state for (created in the
+  // burst, or recreated after its retire) gets its commit watch first.
+  if (dirty.empty()) return handled;
+  auto flows = resolve_flows(conn);
   for (const auto& name : dirty) {
     auto traced = flow_traces.find(name);
     CommitTrace trace(
         traced == flow_traces.end() ? std::vector<obs::TraceRef>{}
                                     : traced->second.refs,
         traced == flow_traces.end() ? 0 : traced->second.ts_ns);
-    push_flow(conn, name);
+    if (!flows) continue;
+    auto dir = vfs_->resolve(*flows, name, Credentials::root());
+    if (!dir) continue;
+    if (!conn.flows.count(name)) watch_flow(conn, name, *dir);
+    push_flow(conn, name, *dir);
   }
   return handled;
 }
 
 std::size_t OfDriver::rescan_flows(Connection& conn) {
-  std::string flows_dir = conn.path + "/flows";
-  auto names = vfs_->readdir(flows_dir);
+  auto flows = resolve_flows(conn);
+  if (!flows) return 0;
+  auto names = vfs_->readdir(*flows);
   if (!names) return 0;
 
   // Deletions whose events were lost: the hardware entry must go too,
@@ -912,24 +942,27 @@ std::size_t OfDriver::rescan_flows(Connection& conn) {
 
   std::size_t pushed = 0;
   for (const auto& e : *names) {
+    auto dir = vfs_->resolve(*flows, e.name, Credentials::root());
     auto it = conn.flows.find(e.name);
     if (it != conn.flows.end()) {
       // The flow may have been deleted and recreated under the same name
       // while events were being lost, leaving our version watch armed on
       // a dead inode.  Compare nodes and re-arm when they differ.
-      auto resolved = vfs_->resolve(flows_dir + "/" + e.name + "/version",
-                                    Credentials::root());
-      if (resolved && resolved->node == it->second.version_node) {
-        pushed += push_flow(conn, e.name);
-        continue;
+      if (dir) {
+        auto version = vfs_->resolve(*dir, "version", Credentials::root());
+        if (version && version->node == it->second.version_node) {
+          pushed += push_flow(conn, e.name, *dir);
+          continue;
+        }
       }
       // Different version node: the flow was deleted and recreated.  The
       // spec the dead incarnation pushed is no longer in the FS, so take
       // it off the hardware before adopting the new one.
       retire_flow(conn, e.name);
     }
-    watch_flow(conn, e.name);
-    pushed += push_flow(conn, e.name);
+    if (!dir) continue;
+    watch_flow(conn, e.name, *dir);
+    pushed += push_flow(conn, e.name, *dir);
   }
   return pushed;
 }
@@ -999,11 +1032,14 @@ void OfDriver::retry_request(Connection& conn,
                             request.traces.end());
   // The lost barrier vouched for every commit on its train: re-push them
   // all, gathered into one new train at flush.
+  auto flows = resolve_flows(conn);
   for (const auto& flow_name : request.flows) {
     auto it = conn.flows.find(flow_name);
     if (it == conn.flows.end()) continue;  // deleted; audit covers it
     it->second.pushed_version = 0;         // force the re-send
-    push_flow(conn, flow_name, retries);
+    if (!flows) continue;
+    if (auto dir = vfs_->resolve(*flows, flow_name, Credentials::root()))
+      push_flow(conn, flow_name, *dir, retries);
   }
   // The retry count rides the next train even if push_flow skipped work.
   conn.egress.retries = std::max(conn.egress.retries, retries);
@@ -1138,30 +1174,41 @@ void OfDriver::absorb_duplicate_dirs(Connection& conn) {
 
 void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
   // Ground truth is the FS: every committed flows/<name> must be on the
-  // hardware, and nothing else may be.
-  std::string flows_dir = conn.path + "/flows";
-  auto names = vfs_->readdir(flows_dir);
+  // hardware, and nothing else may be.  The driver already holds the spec
+  // it pushed at each version, so a flow whose version file still reads
+  // that version is compared as that spec: the commit point, not fields
+  // edited since, is what hardware must hold.  Any other version is read
+  // whole.
+  auto flows = resolve_flows(conn);
+  if (!flows) return;
+  auto names = vfs_->readdir(*flows);
   if (!names) return;
 
-  std::vector<const flow::FlowSpec*> hardware;
-  for (const auto& entry : sr.flows) hardware.push_back(&entry.spec);
-  std::vector<bool> claimed(hardware.size(), false);
+  // The reply indexed by identity; each committed flow claims its entry.
+  std::multimap<Identity, const ofp::FlowStatsEntry*> unclaimed;
+  for (const auto& entry : sr.flows) unclaimed.emplace(identity(entry), &entry);
 
   for (const auto& e : *names) {
-    auto spec = netfs::read_flow(*vfs_, flows_dir + "/" + e.name);
-    if (!spec || spec->version == 0) continue;  // uncommitted: not expected
-    bool found = false;
-    for (std::size_t i = 0; i < hardware.size(); ++i) {
-      if (claimed[i]) continue;
-      if (hardware[i]->match == spec->match &&
-          hardware[i]->priority == spec->priority &&
-          hardware[i]->table_id == spec->table_id) {
-        claimed[i] = found = true;
-        break;
-      }
-    }
-    if (found) continue;
+    auto dir = vfs_->resolve(*flows, e.name, Credentials::root());
+    if (!dir) continue;
+    auto text = vfs_->read_file(*dir, "version");
+    if (!text) continue;
+    auto version = parse_u64(trim(*text));
+    if (!version || *version == 0) continue;  // uncommitted: not expected
     auto it = conn.flows.find(e.name);
+    Result<FlowSpec> read = Errc::not_found;
+    const FlowSpec* spec = nullptr;
+    if (it != conn.flows.end() && it->second.pushed_version == *version) {
+      spec = &it->second.pushed;
+    } else {
+      read = netfs::read_flow(*vfs_, *dir);
+      if (!read || read->version == 0) continue;
+      spec = &*read;
+    }
+    if (auto hw = unclaimed.find(identity(*spec)); hw != unclaimed.end()) {
+      unclaimed.erase(hw);
+      continue;
+    }
     // Pushed after the request left: the reply cannot show it yet.
     if (it != conn.flows.end() && it->second.pushed_version == spec->version &&
         it->second.pushed_tick > conn.last_audit_tick)
@@ -1171,22 +1218,22 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
     metrics_.audit_repair_total->add();
     metrics_.resync_total->add();
     if (it == conn.flows.end()) {
-      watch_flow(conn, e.name);
+      watch_flow(conn, e.name, *dir);
       it = conn.flows.find(e.name);
       if (it == conn.flows.end()) continue;
     }
     it->second.pushed_version = 0;
-    push_flow(conn, e.name);
+    push_flow(conn, e.name, *dir);
   }
 
   // Hardware entries no FS flow claims: stale state from a previous life
   // (or a delete whose flow_mod was lost).  Remove them.
-  for (std::size_t i = 0; i < hardware.size(); ++i) {
-    if (claimed[i]) continue;
+  for (const auto& [key, entry] : unclaimed) {
     metrics_.audit_repair_total->add();
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
-    del.spec = *hardware[i];
+    del.spec = entry->spec;
+    del.spec.table_id = entry->table_id;
     send_flow_mod(conn, del);
   }
 }
@@ -1321,19 +1368,25 @@ void OfDriver::on_stats_reply(Connection& conn, const ofp::StatsReply& sr,
     case ofp::StatsKind::port_desc:
       for (const auto& port : sr.port_descs) create_port_dir(conn, port);
       break;
-    case ofp::StatsKind::flow:
+    case ofp::StatsKind::flow: {
+      // Each entry's counters go to the flow that pushed its identity (the
+      // first by name when several did), named from flows/ resolved once.
+      std::map<Identity, const std::string*> pusher;
+      for (const auto& [name, state] : conn.flows)
+        if (state.pushed_version > 0)
+          pusher.try_emplace(identity(state.pushed), &name);
+      if (pusher.empty()) break;
+      auto flows = resolve_flows(conn);
+      if (!flows) break;
       for (const auto& entry : sr.flows) {
-        for (const auto& [name, state] : conn.flows) {
-          if (state.pushed.match == entry.spec.match &&
-              state.pushed.priority == entry.spec.priority) {
-            (void)netfs::write_flow_stats(
-                *vfs_, conn.path + "/flows/" + name,
-                {entry.packet_count, entry.byte_count});
-            break;
-          }
-        }
+        auto it = pusher.find(identity(entry));
+        if (it == pusher.end()) continue;
+        if (auto dir = vfs_->resolve(*flows, *it->second, Credentials::root()))
+          (void)netfs::write_flow_stats(
+              *vfs_, *dir, {entry.packet_count, entry.byte_count});
       }
       break;
+    }
     case ofp::StatsKind::queue:
       for (const auto& q : sr.queues) {
         // Queue directories appear on first use (the switch reports them;

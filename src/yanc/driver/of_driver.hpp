@@ -162,11 +162,17 @@ class OfDriver {
                         WatchContext ctx);
   vfs::NodeId add_watch(const vfs::Vfs::Resolved& target, std::uint32_t mask,
                         WatchContext ctx);
-  void watch_flow(Connection& conn, const std::string& flow_name);
-  /// Queues the flow's committed spec unless hardware already has it;
-  /// returns whether it queued one.
+  /// Watches the version file of the flow `flow_name`, whose directory
+  /// the caller has resolved as `dir`.
+  void watch_flow(Connection& conn, const std::string& flow_name,
+                  const vfs::Vfs::Resolved& dir);
+  /// Queues the flow's committed spec, read from its resolved directory
+  /// `dir`, unless hardware already has it; returns whether it queued one.
   bool push_flow(Connection& conn, const std::string& flow_name,
-                 std::uint32_t retries = 0);
+                 const vfs::Vfs::Resolved& dir, std::uint32_t retries = 0);
+  /// The switch's flows/ directory; every caller that walks several flows
+  /// names each from it with one walk step.
+  Result<vfs::Vfs::Resolved> resolve_flows(const Connection& conn);
   /// Sends packet_out/<name>, resolved as `dir`, and consumes it;
   /// `send_node` is its send file, whose watch goes with it.
   void send_packet_out_dir(Connection& conn, const vfs::Vfs::Resolved& dir,
@@ -207,7 +213,9 @@ class OfDriver {
   void retry_request(Connection& conn, const PendingRequest& request);
   /// Reconciles the FS flow directories against an audit flow-stats
   /// reply: re-pushes committed flows missing from hardware, deletes
-  /// hardware entries no FS flow claims.
+  /// hardware entries no FS flow claims.  A flow still at the version the
+  /// driver pushed costs one read of its version file and is compared as
+  /// the spec pushed then; only another version is read whole.
   void audit_reconcile(Connection& conn, const ofp::StatsReply& sr);
   /// Full flows/ rescan: retires flows whose deletions were missed,
   /// re-arms stale watches and pushes missed commits.  Runs after a

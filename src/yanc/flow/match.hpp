@@ -8,6 +8,7 @@
 // a header-space slice).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -51,6 +52,9 @@ struct Match {
   std::optional<std::uint16_t> tp_dst;
 
   bool operator==(const Match&) const = default;
+  /// Field by field, in declaration order: an order for indexing flow
+  /// entries by identity, not a measure of width.
+  auto operator<=>(const Match&) const = default;
 
   /// True when this match is satisfied by the packet's field values.
   bool matches(const FieldValues& fields) const;

@@ -244,16 +244,21 @@ Result<FlowSpec> read_flow_impl(const FieldReader& field) {
 
 Result<FlowSpec> read_flow(Vfs& vfs, const std::string& dir,
                            const Credentials& creds) {
-  // The directory is walked once; the listing doubles as the existence
-  // check (a deleted flow reports not_found), and each field it lists is
-  // one walk step from there.
+  // The directory is walked once; each field is one walk step from there.
   auto flow = vfs.resolve(dir, creds);
   if (!flow) return flow.error();
-  auto entries = vfs.readdir(*flow, creds);
+  return read_flow(vfs, *flow, creds);
+}
+
+Result<FlowSpec> read_flow(Vfs& vfs, const Vfs::Resolved& flow,
+                           const Credentials& creds) {
+  // The listing doubles as the existence check: a deleted flow reports
+  // not_found.
+  auto entries = vfs.readdir(flow, creds);
   if (!entries) return entries.error();
   std::set<std::string, std::less<>> present;
   for (auto& e : *entries) present.insert(std::move(e.name));
-  return read_flow_impl(FieldReader{vfs, *flow, creds, present});
+  return read_flow_impl(FieldReader{vfs, flow, creds, present});
 }
 
 Status write_flow(Vfs& vfs, const std::string& path, const FlowSpec& spec,
@@ -409,7 +414,14 @@ Result<FlowStats> read_flow_stats(Vfs& vfs, const std::string& dir,
 
 Status write_flow_stats(Vfs& vfs, const std::string& dir,
                         const FlowStats& stats, const Credentials& creds) {
-  auto counters = vfs.resolve(dir + "/counters", creds);
+  auto flow = vfs.resolve(dir, creds);
+  if (!flow) return flow.error();
+  return write_flow_stats(vfs, *flow, stats, creds);
+}
+
+Status write_flow_stats(Vfs& vfs, const Vfs::Resolved& flow,
+                        const FlowStats& stats, const Credentials& creds) {
+  auto counters = vfs.resolve(flow, "counters", creds);
   if (!counters) return counters.error();
   // Most replies repeat the counters the mirror already holds (every
   // audit asks for them): a file that holds its value is left alone, so

@@ -24,6 +24,10 @@ namespace yanc::netfs {
 /// are set lookups, not path resolutions.
 Result<flow::FlowSpec> read_flow(vfs::Vfs& vfs, const std::string& flow_dir,
                                  const vfs::Credentials& creds = {});
+/// The same, on a flow directory the caller has resolved.
+Result<flow::FlowSpec> read_flow(vfs::Vfs& vfs,
+                                 const vfs::Vfs::Resolved& flow_dir,
+                                 const vfs::Credentials& creds = {});
 
 /// Writes `spec` into `flow_dir`, creating the directory if needed,
 /// removing match/action files the spec no longer carries, and — when
@@ -50,5 +54,10 @@ Result<flow::FlowStats> read_flow_stats(vfs::Vfs& vfs,
 [[nodiscard]] Status write_flow_stats(vfs::Vfs& vfs, const std::string& flow_dir,
                         const flow::FlowStats& stats,
                         const vfs::Credentials& creds = {});
+/// The same, on a flow directory the caller has resolved.
+[[nodiscard]] Status write_flow_stats(vfs::Vfs& vfs,
+                                      const vfs::Vfs::Resolved& flow_dir,
+                                      const flow::FlowStats& stats,
+                                      const vfs::Credentials& creds = {});
 
 }  // namespace yanc::netfs

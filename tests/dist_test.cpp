@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <set>
 
 #include "yanc/dist/replicated.hpp"
@@ -522,6 +523,75 @@ TEST(AntiEntropy, LossyLinkDivergenceHealed) {
   EXPECT_GT(fs1->repairs_applied(), 0u);
 }
 
+// Two eventual replicas: /.t/f holds "old" on both, then a rewrite to
+// "new" on node 0 never reaches node 1.  `change` then acts on node 0's
+// copy with an op that changes a copy rather than replacing it; node 1
+// applies that op to its stale copy.  Two anti-entropy rounds must leave
+// `path` reading `want` on both replicas.
+void stale_copy_converges(
+    const std::function<void(ReplicatedYancFs&, vfs::NodeId dir)>& change,
+    const std::string& path, const std::string& want) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  bool lose = false;
+  cluster.transport().set_fault_filter(
+      [&lose](Transport::NodeId, Transport::NodeId,
+              std::vector<std::uint8_t>&) {
+        Transport::LinkFate fate;
+        fate.drop = lose;
+        return fate;
+      });
+  auto dir = fs0->mkdir(fs0->root(), ".t", 0755, {});
+  ASSERT_TRUE(dir.ok());
+  auto f = fs0->create(*dir, "f", 0644, {});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(fs0->replace(*f, "old", {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_EQ(read_at(*cluster.fs(1), "/.t/f"), "old");
+
+  lose = true;
+  ASSERT_TRUE(fs0->replace(*f, "new", {}).ok());
+  scheduler.run_until_idle();
+  lose = false;
+  ASSERT_EQ(read_at(*cluster.fs(1), "/.t/f"), "old");
+
+  change(*fs0, *dir);
+  scheduler.run_until_idle();
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  for (std::size_t node = 0; node < cluster.size(); ++node)
+    EXPECT_EQ(read_at(*cluster.fs(node), path), want) << "node " << node;
+  EXPECT_EQ(fs0->root_digest(), cluster.fs(1)->root_digest());
+}
+
+// A rename carries no content: applied to a stale copy, it must not give
+// that copy the rename's version, or the digests agree while the bytes
+// differ and no round ever repairs them.
+TEST(AntiEntropy, StaleRenameConverges) {
+  stale_copy_converges(
+      [](ReplicatedYancFs& fs, vfs::NodeId dir) {
+        ASSERT_FALSE(fs.rename(dir, "f", dir, "g", {}));
+      },
+      "/.t/g", "new");
+}
+
+// Its twin: a write at an offset changes a copy, and on a stale copy
+// yields bytes the writer never held.
+TEST(AntiEntropy, StalePartialWriteConverges) {
+  stale_copy_converges(
+      [](ReplicatedYancFs& fs, vfs::NodeId dir) {
+        auto f = fs.lookup(dir, "f");
+        ASSERT_TRUE(f.ok());
+        ASSERT_TRUE(fs.write(*f, 1, "EW", {}).ok());
+      },
+      "/.t/f", "nEW");
+}
+
 // A lost rmdir must not let the other replica's snapshot resurrect the
 // directory: the tombstone wins on both sides.
 TEST(AntiEntropy, TombstonePreventsResurrection) {
@@ -955,8 +1025,8 @@ const T& pick(util::Rng& rng, const std::vector<T>& from) {
 /// deletes happen on a replica current on what they touch, so each
 /// out-ranks everything before it there, and nothing is ever written
 /// below a deleted path.  A rename moves a subtree every replica is
-/// current on: rename carries no content, so moving a stale copy would
-/// leave two equal versions with different bytes.
+/// current on: tombstones below the old name stay there, so a stale copy
+/// moved to the new name could carry back an entry deleted under the old.
 void lossy_step(Cluster& cluster, Model& model, util::Rng& rng,
                 std::uint64_t& serial) {
   std::vector<std::string> dirs, files, movable;

@@ -741,6 +741,151 @@ TEST(DriverAudit, AuditFollowsThePollsFlowModTrain) {
   }
 }
 
+// One switch under a driver that audits it every `audit_interval` polls,
+// stepped one poll at a time.  Members are declared in the order the
+// tests above build them locally, so the switch goes first on teardown.
+struct AuditRig {
+  explicit AuditRig(std::uint64_t audit_interval,
+                    ofp::Version version = ofp::Version::of10,
+                    std::uint8_t tables = 1) {
+    EXPECT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+    DriverOptions opts;
+    opts.version = version;
+    opts.audit_interval = audit_interval;
+    driver = std::make_unique<OfDriver>(vfs, opts);
+    sw::SwitchOptions sopts;
+    sopts.datapath_id = 0x42;
+    sopts.version = version;
+    sopts.n_tables = tables;
+    sw = std::make_unique<sw::Switch>("dp42", sopts, network);
+    sw->add_port(1, MacAddress::from_u64(1), "eth1");
+    sw->connect(driver->listener().connect());
+    run(8);
+  }
+
+  void run(int polls) {
+    for (int i = 0; i < polls; ++i) {
+      driver->poll();
+      sw->pump();
+      scheduler.run_until_idle();
+    }
+  }
+
+  /// Polls until the next audit is sent, then until its reply has been
+  /// mirrored and reconciled and the repairs it queued are applied.
+  void run_audit() {
+    const auto audits = audit_total->value();
+    while (audit_total->value() == audits) run(1);
+    run(3);
+  }
+
+  /// Commits `name` as a flow matching tp_dst `port`, output to port 1.
+  void commit(const std::string& name, std::uint16_t port,
+              std::uint8_t table_id = 0) {
+    FlowSpec spec;
+    spec.match.tp_dst = port;
+    spec.actions = {Action::output(1)};
+    spec.table_id = table_id;
+    EXPECT_FALSE(netfs::NetDir(vfs).switch_at("sw1").add_flow(name, spec));
+  }
+
+  std::shared_ptr<vfs::Vfs> vfs = std::make_shared<vfs::Vfs>();
+  obs::Counter* audit_total = vfs->metrics()->counter("driver/of/audit_total");
+  obs::Counter* repairs =
+      vfs->metrics()->counter("driver/of/audit_repair_total");
+  net::Scheduler scheduler;
+  net::Network network{scheduler};
+  std::unique_ptr<OfDriver> driver;
+  std::unique_ptr<sw::Switch> sw;
+};
+
+// An audit holds hardware to the committed snapshot: a match file
+// rewritten without a version bump is an edit in progress, so the audit
+// neither pushes it nor counts the committed entry as missing.  The
+// commit then pushes it.
+TEST(DriverAudit, HalfWrittenEditStaysOffHardware) {
+  AuditRig rig(32);
+  rig.commit("f", 22);
+  rig.run(4);
+  ASSERT_EQ(rig.sw->table().size(), 1u);
+  const auto repairs_before = rig.repairs->value();
+
+  const std::string flow = "/net/switches/sw1/flows/f";
+  ASSERT_FALSE(rig.vfs->write_file(flow + "/match.tp_dst", "80"));
+  rig.run_audit();
+  ASSERT_EQ(rig.sw->table().size(), 1u);
+  EXPECT_EQ(rig.sw->table().entries()[0].spec.match.tp_dst, 22);
+  EXPECT_EQ(rig.repairs->value() - repairs_before, 0u);
+
+  ASSERT_TRUE(netfs::commit_flow(*rig.vfs, flow).ok());
+  rig.run(4);
+  ASSERT_EQ(rig.sw->table().size(), 1u);
+  EXPECT_EQ(rig.sw->table().entries()[0].spec.match.tp_dst, 80);
+}
+
+// An audit of flows the driver pushed reads each one's version file and
+// nothing else of it; with the reply's counter mirror that stays within
+// a dozen VFS operations per flow.
+TEST(DriverAudit, PushedFlowsCostTheirVersionRead) {
+  constexpr int kFlows = 40;
+  AuditRig rig(64);
+  for (int i = 0; i < kFlows; ++i)
+    rig.commit(std::to_string(i), static_cast<std::uint16_t>(1000 + i));
+  rig.run(4);
+  ASSERT_EQ(rig.sw->table().size(), static_cast<std::size_t>(kFlows));
+  const auto repairs_before = rig.repairs->value();
+
+  const auto ops_before = rig.vfs->counters().total.load();
+  rig.run_audit();
+  const auto ops = rig.vfs->counters().total.load() - ops_before;
+  EXPECT_LE(ops, 12u * kFlows) << ops << " VFS ops for " << kFlows
+                               << " flows";
+  EXPECT_EQ(rig.repairs->value() - repairs_before, 0u);
+}
+
+// The version-only comparison still repairs: an entry that vanished from
+// hardware is pushed again, and one no flow owns is deleted.
+TEST(DriverAudit, RepairsVanishedEntryAndRemovesAlien) {
+  AuditRig rig(32);
+  rig.commit("a", 22);
+  rig.commit("b", 80);
+  rig.run(4);
+  ASSERT_EQ(rig.sw->table().size(), 2u);
+  const auto repairs_before = rig.repairs->value();
+
+  flow::Match vanished;
+  vanished.tp_dst = 22;
+  ASSERT_EQ(rig.sw->mutable_table()
+                .remove(vanished, flow::kDefaultPriority, /*strict=*/true)
+                .size(),
+            1u);
+  FlowSpec alien;
+  alien.match.tp_dst = 443;
+  alien.actions = {Action::output(1)};
+  rig.sw->mutable_table().add(alien, 0, 0);
+
+  rig.run_audit();
+  std::vector<int> ports;
+  for (const auto& entry : rig.sw->table().entries())
+    ports.push_back(*entry.spec.match.tp_dst);
+  std::sort(ports.begin(), ports.end());
+  EXPECT_EQ(ports, (std::vector<int>{22, 80}));
+  EXPECT_EQ(rig.repairs->value() - repairs_before, 2u);
+}
+
+// A reply entry is identified by the table the switch reports it in, so
+// a committed flow in table 1 is found there: no re-push, no delete.
+TEST(DriverAudit, FlowOutsideTableZeroNeedsNoRepair) {
+  AuditRig rig(32, ofp::Version::of13, 2);
+  rig.commit("t1", 22, 1);
+  rig.run(4);
+  ASSERT_EQ(rig.sw->table(1).size(), 1u);
+  const auto repairs_before = rig.repairs->value();
+  rig.run_audit();
+  EXPECT_EQ(rig.sw->table(1).size(), 1u);
+  EXPECT_EQ(rig.repairs->value() - repairs_before, 0u);
+}
+
 // --- failure domains (docs/ROBUSTNESS.md) --------------------------------------
 
 // A switch that stops answering keepalives is declared dead: status=down,
