@@ -525,6 +525,11 @@ bool ReplicatedYancFs::apply(const Op& op) {
       Version version{op.ts, op.origin};
       const Version local = version_of(op.path);
       if (local > version) return done(false);
+      // A replace brings the whole content.  A write at an offset or a
+      // truncate yields the origin's bytes only on the origin's copy (the
+      // op's base); another copy is left as it is, bytes and version, so
+      // its digest differs and the next round pulls the origin's copy.
+      if (op.kind != Op::Kind::replace && local != op.base) return done(false);
       auto node = resolve_local(op.path);
       if (!node) return done(false);
       bool ok;
@@ -534,18 +539,17 @@ bool ReplicatedYancFs::apply(const Op& op) {
         ok = replace(*node, op.data, root_creds).ok();
       else
         ok = !truncate(*node, op.offset, root_creds);
-      // A replace brings the whole content.  A write at an offset or a
-      // truncate yields the origin's bytes only on the origin's copy (the
-      // op's base); on another copy this replica keeps its own version,
-      // so its digest differs and the next round pulls the origin's copy.
-      if (ok && (op.kind == Op::Kind::replace || local == op.base))
+      if (ok) {
         set_version(op.path, version);
+        reannounce_commit(op.path, version);
+      }
       return done(ok);
     }
     case Op::Kind::unlink: {
       auto parent = resolve_local(dir);
       if (!parent) return done(false);
       auto ec = unlink(*parent, leaf, root_creds);
+      if (!ec) reannounce_commit(op.path, Version{op.ts, op.origin});
       return done(!ec || ec == make_error_code(Errc::not_found));
     }
     case Op::Kind::rmdir: {
@@ -961,6 +965,7 @@ void ReplicatedYancFs::merge_listing(const Listing& listing,
     if (existed && !(newest_in_subtree(path) > version)) {
       remove_subtree_local(std::string(path));
       count_repair();
+      reannounce_commit(path, version);
     }
   }
   // Then creations and content.  An entry is dead when a tombstone at its
@@ -1040,6 +1045,7 @@ NodeId ReplicatedYancFs::merge_entry_local(NodeId parent,
       count_repair();
     }
     set_version(path, version);  // dirs/symlinks: version only
+    if (type == kFile) reannounce_commit(path, version);
     return *node;
   }
   // Missing locally: recreate it.
@@ -1062,7 +1068,28 @@ NodeId ReplicatedYancFs::merge_entry_local(NodeId parent,
   // the digests then keep differing until that newer write arrives.
   set_version(path, version);
   count_repair();
+  if (type == kFile) reannounce_commit(path, version);
   return *created;
+}
+
+void ReplicatedYancFs::reannounce_commit(std::string_view path,
+                                         Version change) {
+  const auto slash = path.rfind('/');
+  if (slash == std::string_view::npos) return;
+  const std::string_view dir = path.substr(0, slash);
+  if (path.substr(slash + 1) == netfs::kCommitFile) return;
+  // Cheap refusals first: the trie knows whether a commit point sits
+  // beside `path` and which write it holds, without touching the tree.
+  const Known* known = known_.find(dir);
+  if (!known) return;
+  auto commit = known->children.find(netfs::kCommitFile);
+  if (commit == known->children.end() || !commit->second->exists ||
+      !(change < commit->second->version))
+    return;
+  auto node = resolve_local(std::string(dir) + '/' + netfs::kCommitFile);
+  if (!node) return;
+  MutationScope scope(*this);
+  emit_node_event_locked(*node, vfs::event::modified);
 }
 
 // --- mutating overrides -------------------------------------------------------
@@ -1107,11 +1134,21 @@ Result<std::uint64_t> ReplicatedYancFs::write(NodeId node,
   if (r && !applying_remote_) {
     if (auto path = path_of(node)) {
       Op op;
-      op.kind = Op::Kind::write;
       op.path = *path;
-      op.base = version_of(op.path);
-      op.offset = offset;
       op.data = data;
+      // A write that leaves the file holding exactly `data` yields those
+      // bytes on any copy, so it travels as a replace; any other lands
+      // only on the copy it was made to (its base).
+      bool whole = false;
+      if (offset == 0)
+        if (auto st = getattr(node)) whole = st->size == data.size();
+      if (whole) {
+        op.kind = Op::Kind::replace;
+      } else {
+        op.kind = Op::Kind::write;
+        op.base = version_of(op.path);
+        op.offset = offset;
+      }
       emit(std::move(op));
     }
   }
@@ -1124,10 +1161,15 @@ Status ReplicatedYancFs::truncate(NodeId node, std::uint64_t size,
   if (!ec && !applying_remote_) {
     if (auto path = path_of(node)) {
       Op op;
-      op.kind = Op::Kind::truncate;
       op.path = *path;
-      op.base = version_of(op.path);
-      op.offset = size;
+      // Truncating to nothing empties any copy: a replace, as for write.
+      if (size == 0) {
+        op.kind = Op::Kind::replace;
+      } else {
+        op.kind = Op::Kind::truncate;
+        op.base = version_of(op.path);
+        op.offset = size;
+      }
       emit(std::move(op));
     }
   }

@@ -240,6 +240,15 @@ class ReplicatedYancFs : public netfs::YancFs {
                                 Version local, Version version,
                                 std::string_view data);
   void count_repair();
+  /// A flow directory's `version` file is its commit point (§3.4): its
+  /// watchers read the directory when it changes.  Called after a remote
+  /// change at `path` (an applied op or an anti-entropy repair) whose
+  /// version is `change`.  When a `version` file beside `path` holds a
+  /// newer write, the change belongs to a commit this replica already
+  /// shows, which was torn until now (the change's op was lost or
+  /// overtaken): the commit is announced again, as a modified event on
+  /// that file with no write and nothing sent.
+  void reannounce_commit(std::string_view path, Version change);
 
   ReplicaOptions options_;
   Transport* transport_ = nullptr;

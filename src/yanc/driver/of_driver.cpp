@@ -5,7 +5,9 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
+#include "yanc/netfs/schema.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/util/log.hpp"
 #include "yanc/util/strings.hpp"
@@ -680,9 +682,15 @@ Result<vfs::Vfs::Resolved> OfDriver::resolve_flows(const Connection& conn) {
   return vfs_->resolve(conn.path + "/flows", Credentials::root());
 }
 
+std::uint64_t OfDriver::read_version(const vfs::Vfs::Resolved& dir) {
+  auto text = vfs_->read_file(dir, netfs::kCommitFile);
+  if (!text) return 0;
+  return parse_u64(trim(*text)).value_or(0);
+}
+
 void OfDriver::watch_flow(Connection& conn, const std::string& flow_name,
                           const vfs::Vfs::Resolved& dir) {
-  auto version = vfs_->resolve(dir, "version", Credentials::root());
+  auto version = vfs_->resolve(dir, netfs::kCommitFile, Credentials::root());
   if (!version) return;
   NodeId node = add_watch(
       *version, vfs::event::modified,
@@ -703,15 +711,24 @@ bool OfDriver::push_flow(Connection& conn, const std::string& flow_name,
                             spec.error().message());
     return false;
   }
-  if (spec->version == 0 || spec->version <= state.pushed_version)
-    return false;  // not committed / already on hardware (§3.4)
+  // Not committed, or not newer than hardware's entry (§3.4).  At the
+  // pushed version a directory that reads otherwise still counts: a
+  // replica that showed the commit before one of its fields landed
+  // announces the commit again once the field is in, and only then is
+  // the snapshot whole (docs/ROBUSTNESS.md "Replica links").
+  if (spec->version == 0 || spec->version < state.pushed_version ||
+      (spec->version == state.pushed_version && *spec == state.pushed))
+    return false;
+  send_flow(conn, flow_name, std::move(*spec), retries);
+  return true;
+}
 
+void OfDriver::send_flow(Connection& conn, const std::string& flow_name,
+                         FlowSpec spec, std::uint32_t retries) {
+  auto& state = conn.flows.at(flow_name);
   // If the identity (match, priority, table) changed, the old hardware
   // entry must go first; OpenFlow add only replaces identical identities.
-  if (state.pushed_version > 0 &&
-      (state.pushed.match != spec->match ||
-       state.pushed.priority != spec->priority ||
-       state.pushed.table_id != spec->table_id)) {
+  if (state.pushed_version > 0 && identity(state.pushed) != identity(spec)) {
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = state.pushed;
@@ -720,7 +737,7 @@ bool OfDriver::push_flow(Connection& conn, const std::string& flow_name,
 
   ofp::FlowMod add;
   add.command = ofp::FlowMod::Command::add;
-  add.spec = *spec;
+  add.spec = spec;
   add.flags = ofp::kFlagSendFlowRemoved;
   send_flow_mod(conn, add);
   ++conn.egress.counter_delta;
@@ -730,10 +747,9 @@ bool OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   conn.egress.flows.push_back(flow_name);
   conn.egress.retries = std::max(conn.egress.retries, retries);
 
-  state.pushed_version = spec->version;
+  state.pushed_version = spec.version;
   state.pushed_tick = tick_;
-  state.pushed = *spec;
-  return true;
+  state.pushed = std::move(spec);
 }
 
 std::size_t OfDriver::drain_fs_events() {
@@ -949,7 +965,8 @@ std::size_t OfDriver::rescan_flows(Connection& conn) {
       // while events were being lost, leaving our version watch armed on
       // a dead inode.  Compare nodes and re-arm when they differ.
       if (dir) {
-        auto version = vfs_->resolve(*dir, "version", Credentials::root());
+        auto version = vfs_->resolve(*dir, netfs::kCommitFile,
+                                      Credentials::root());
         if (version && version->node == it->second.version_node) {
           pushed += push_flow(conn, e.name, *dir);
           continue;
@@ -1031,14 +1048,21 @@ void OfDriver::retry_request(Connection& conn,
   conn.egress.traces.insert(conn.egress.traces.end(), request.traces.begin(),
                             request.traces.end());
   // The lost barrier vouched for every commit on its train: re-push them
-  // all, gathered into one new train at flush.
+  // all, gathered into one new train at flush.  While a flow's version
+  // file still reads the version pushed, what goes again is the committed
+  // spec the driver holds, not the fields as they read now (an edit may
+  // be under way); a newer commit is read whole.
   auto flows = resolve_flows(conn);
   for (const auto& flow_name : request.flows) {
     auto it = conn.flows.find(flow_name);
     if (it == conn.flows.end()) continue;  // deleted; audit covers it
-    it->second.pushed_version = 0;         // force the re-send
+    const auto pushed = std::exchange(it->second.pushed_version, 0);
     if (!flows) continue;
-    if (auto dir = vfs_->resolve(*flows, flow_name, Credentials::root()))
+    auto dir = vfs_->resolve(*flows, flow_name, Credentials::root());
+    if (!dir) continue;
+    if (pushed > 0 && read_version(*dir) == pushed)
+      send_flow(conn, flow_name, it->second.pushed, retries);
+    else
       push_flow(conn, flow_name, *dir, retries);
   }
   // The retry count rides the next train even if push_flow skipped work.
@@ -1191,14 +1215,12 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
   for (const auto& e : *names) {
     auto dir = vfs_->resolve(*flows, e.name, Credentials::root());
     if (!dir) continue;
-    auto text = vfs_->read_file(*dir, "version");
-    if (!text) continue;
-    auto version = parse_u64(trim(*text));
-    if (!version || *version == 0) continue;  // uncommitted: not expected
+    const std::uint64_t version = read_version(*dir);
+    if (version == 0) continue;  // uncommitted: not expected
     auto it = conn.flows.find(e.name);
     Result<FlowSpec> read = Errc::not_found;
     const FlowSpec* spec = nullptr;
-    if (it != conn.flows.end() && it->second.pushed_version == *version) {
+    if (it != conn.flows.end() && it->second.pushed_version == version) {
       spec = &it->second.pushed;
     } else {
       read = netfs::read_flow(*vfs_, *dir);
@@ -1214,7 +1236,11 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
         it->second.pushed_tick > conn.last_audit_tick)
       continue;
     // Committed in the FS, absent from hardware: a flow_mod died on the
-    // wire after its barrier survived.  Re-push from the record.
+    // wire after its barrier survived.  Re-send the spec just compared —
+    // the committed one the driver holds, or the directory as read — and
+    // not the directory's fields again, which may hold an edit the commit
+    // point has not reached.  An entry of the flow's old identity is
+    // unclaimed, so the loop below deletes it.
     metrics_.audit_repair_total->add();
     metrics_.resync_total->add();
     if (it == conn.flows.end()) {
@@ -1223,7 +1249,7 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
       if (it == conn.flows.end()) continue;
     }
     it->second.pushed_version = 0;
-    push_flow(conn, e.name, *dir);
+    send_flow(conn, e.name, *spec, 0);
   }
 
   // Hardware entries no FS flow claims: stale state from a previous life

@@ -170,9 +170,18 @@ class OfDriver {
   /// `dir`, unless hardware already has it; returns whether it queued one.
   bool push_flow(Connection& conn, const std::string& flow_name,
                  const vfs::Vfs::Resolved& dir, std::uint32_t retries = 0);
+  /// Queues `spec` as the hardware entry of `flow_name`, a flow the driver
+  /// holds state for: a delete first when it replaces a pushed entry of
+  /// another identity, then the add the burst's barrier covers.  Records
+  /// `spec` as pushed.
+  void send_flow(Connection& conn, const std::string& flow_name,
+                 flow::FlowSpec spec, std::uint32_t retries);
   /// The switch's flows/ directory; every caller that walks several flows
   /// names each from it with one walk step.
   Result<vfs::Vfs::Resolved> resolve_flows(const Connection& conn);
+  /// What the version file of the flow directory `dir` reads: its commit
+  /// point.  0 when uncommitted or unreadable.
+  std::uint64_t read_version(const vfs::Vfs::Resolved& dir);
   /// Sends packet_out/<name>, resolved as `dir`, and consumes it;
   /// `send_node` is its send file, whose watch goes with it.
   void send_packet_out_dir(Connection& conn, const vfs::Vfs::Resolved& dir,

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "yanc/netfs/schema.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/util/strings.hpp"
 
@@ -129,12 +130,12 @@ Status write_or_remove(Vfs& vfs, const Vfs::Resolved& dir, const char* name,
 Result<std::uint64_t> bump_version(Vfs& vfs, const Vfs::Resolved& dir,
                                    const Credentials& creds) {
   std::uint64_t current = 0;
-  if (auto t = read_field(vfs, dir, "version", creds)) {
+  if (auto t = read_field(vfs, dir, kCommitFile, creds)) {
     auto v = parse_u64(*t);
     if (v) current = *v;
   }
   std::uint64_t next = current + 1;
-  if (auto ec = vfs.write_file(dir, "version", std::to_string(next), creds);
+  if (auto ec = vfs.write_file(dir, kCommitFile, std::to_string(next), creds);
       ec)
     return ec;
   return next;
@@ -174,7 +175,7 @@ Result<FlowSpec> read_flow_impl(const FieldReader& field) {
     if (!v) return v.error();
     spec.goto_table = *v;
   }
-  if (auto t = field("version")) {
+  if (auto t = field(kCommitFile)) {
     auto v = parse_u64(*t);
     if (!v) return v.error();
     spec.version = *v;
@@ -410,13 +411,6 @@ Result<FlowStats> read_flow_stats(Vfs& vfs, const std::string& dir,
   if (b)
     if (auto v = parse_u64(*b)) stats.bytes = *v;
   return stats;
-}
-
-Status write_flow_stats(Vfs& vfs, const std::string& dir,
-                        const FlowStats& stats, const Credentials& creds) {
-  auto flow = vfs.resolve(dir, creds);
-  if (!flow) return flow.error();
-  return write_flow_stats(vfs, *flow, stats, creds);
 }
 
 Status write_flow_stats(Vfs& vfs, const Vfs::Resolved& flow,

@@ -49,12 +49,9 @@ Result<flow::FlowStats> read_flow_stats(vfs::Vfs& vfs,
                                         const std::string& flow_dir,
                                         const vfs::Credentials& creds = {});
 
-/// Writes the flow's counters/ directory (driver-side stats sync); a
-/// counter file that already holds its value is not written.
-[[nodiscard]] Status write_flow_stats(vfs::Vfs& vfs, const std::string& flow_dir,
-                        const flow::FlowStats& stats,
-                        const vfs::Credentials& creds = {});
-/// The same, on a flow directory the caller has resolved.
+/// Writes the counters/ directory of the flow directory the caller has
+/// resolved (driver-side stats sync); a counter file that already holds
+/// its value is not written.
 [[nodiscard]] Status write_flow_stats(vfs::Vfs& vfs,
                                       const vfs::Vfs::Resolved& flow_dir,
                                       const flow::FlowStats& stats,

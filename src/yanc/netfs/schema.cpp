@@ -138,7 +138,7 @@ const ObjectSpec kFlow{
             {"cookie", FieldType::hex64, "0"},
             {"table_id", FieldType::u8, "0"},
             {"goto_table", FieldType::u8, nullptr},
-            {"version", FieldType::u64, "0"},
+            {kCommitFile, FieldType::u64, "0"},
             {"match.in_port", FieldType::u16, nullptr},
             {"match.dl_src", FieldType::mac, nullptr},
             {"match.dl_dst", FieldType::mac, nullptr},

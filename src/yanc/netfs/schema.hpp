@@ -89,6 +89,11 @@ struct ObjectSpec {
   bool symlink_allowed(std::string_view name) const;
 };
 
+/// The flow file whose write commits the flow (§3.4): the driver pushes
+/// a flow when it changes, and a replica announces a commit again when
+/// it completes one it showed torn.
+inline constexpr char kCommitFile[] = "version";
+
 /// The spec of the yanc FS root — also the spec of every view (§4.2).
 const ObjectSpec& root_spec();
 const ObjectSpec& switch_spec();

@@ -9,6 +9,7 @@
 //      byte-identical to the replicated flows/ directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "yanc/cluster/harness.hpp"
@@ -91,6 +92,68 @@ TEST(ClusterTest, CommittedFlowReachesOwnedSwitchFromAnyNode) {
   auto fs = h.fs_flows(*h.owner_of(1), 1);
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_EQ(h.hw_flows(1), fs);
+}
+
+// A commit whose match op the owner does not receive in order: the owner
+// shows the commit's version without the match file and pushes the torn
+// spec, a match-all entry.  Once the match file lands — the lost op by
+// anti-entropy, the late one by delivery — the owner's replica announces
+// the commit again and hardware takes the committed spec; the audit that
+// follows has nothing to repair.
+TEST(ClusterTest, TornCommitReachesHardwareWhenItsFieldLands) {
+  for (const bool lost : {true, false}) {
+    SCOPED_TRACE(lost ? "match op lost" : "match op late");
+    Harness h(HarnessOptions{.nodes = 3, .switches = 1});
+    h.settle();
+    ASSERT_TRUE(h.owner_of(1).has_value());
+    const std::size_t owner = *h.owner_of(1);
+    const std::size_t writer = (owner + 1) % 3;
+    const std::string field = "/torn/match.tp_dst";
+    bool armed = true;
+    h.transport().set_fault_filter(
+        [&](dist::Transport::NodeId, dist::Transport::NodeId to,
+            std::vector<std::uint8_t>& bytes) {
+          dist::Transport::LinkFate fate;
+          if (armed && to == owner &&
+              std::search(bytes.begin(), bytes.end(), field.begin(),
+                          field.end()) != bytes.end()) {
+            if (lost)
+              fate.drop = true;
+            else
+              fate.extra_delay = std::chrono::milliseconds(20);
+          }
+          return fate;
+        });
+    ASSERT_FALSE(h.commit_flow(writer, 1, "torn", make_spec(4242)));
+    const auto committed = h.fs_flows(writer, 1);
+    ASSERT_EQ(committed.size(), 1u);
+    if (lost) {
+      h.settle(2);
+    } else {
+      // Drive the owner by hand so the delayed op stays in flight.
+      for (int i = 0; i < 8; ++i) {
+        h.scheduler().run_for(std::chrono::microseconds(500));
+        h.driver(owner).poll();
+        h.switch_at(1).pump();
+      }
+      h.scheduler().run_for(std::chrono::microseconds(500));
+    }
+    const auto torn = h.hw_flows(1);
+    ASSERT_EQ(torn.size(), 1u);
+    ASSERT_NE(torn, committed);  // the owner pushed what it showed
+
+    armed = false;
+    if (lost) h.anti_entropy();
+    h.settle(1);
+    EXPECT_EQ(h.hw_flows(1), committed);
+    auto& repairs =
+        *h.vfs(owner)->metrics()->counter("driver/of/audit_repair_total");
+    const auto repairs_before = repairs.value();
+    h.settle(5);  // 20 polls: at least one audit
+    EXPECT_EQ(h.hw_flows(1), committed);
+    EXPECT_EQ(h.fs_flows(owner, 1), committed);
+    EXPECT_EQ(repairs.value(), repairs_before);
+  }
 }
 
 // --- failover (the smoke_cluster_failover ctest entry) ------------------------

@@ -590,6 +590,121 @@ TEST(AntiEntropy, StalePartialWriteConverges) {
         ASSERT_TRUE(fs.write(*f, 1, "EW", {}).ok());
       },
       "/.t/f", "nEW");
+
+  // Three replicas: the rewrite to "new" reaches neither peer and the
+  // write at an offset reaches node 1 only, then the origin goes down.
+  // Nodes 1 and 2 hold the same version, so they must hold the same
+  // bytes: node 1 refused a write its copy was not the base of.  Once the
+  // origin is back, two rounds bring both to its bytes.
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 3,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  std::set<Transport::NodeId> lose_to;
+  cluster.transport().set_fault_filter(
+      [&lose_to](Transport::NodeId, Transport::NodeId to,
+                 std::vector<std::uint8_t>&) {
+        Transport::LinkFate fate;
+        fate.drop = lose_to.count(to) > 0;
+        return fate;
+      });
+  auto dir = fs0->mkdir(fs0->root(), ".t", 0755, {});
+  ASSERT_TRUE(dir.ok());
+  auto f = fs0->create(*dir, "f", 0644, {});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(fs0->replace(*f, "old", {}).ok());
+  scheduler.run_until_idle();
+  lose_to = {1, 2};
+  ASSERT_TRUE(fs0->replace(*f, "new", {}).ok());
+  scheduler.run_until_idle();
+  lose_to = {2};
+  ASSERT_TRUE(fs0->write(*f, 1, "EW", {}).ok());
+  scheduler.run_until_idle();
+  lose_to.clear();
+
+  cluster.transport().leave(0);
+  for (int round = 0; round < 2; ++round) {
+    cluster.fs(1)->send_anti_entropy();
+    cluster.fs(2)->send_anti_entropy();
+    scheduler.run_until_idle();
+  }
+  EXPECT_EQ(read_at(*cluster.fs(1), "/.t/f"), "old");
+  EXPECT_EQ(read_at(*cluster.fs(2), "/.t/f"), "old");
+  EXPECT_EQ(cluster.fs(1)->root_digest(), cluster.fs(2)->root_digest());
+
+  fs0->rejoin_cluster();
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  for (std::size_t node = 0; node < cluster.size(); ++node)
+    EXPECT_EQ(read_at(*cluster.fs(node), "/.t/f"), "nEW") << "node " << node;
+}
+
+// A flow's version file is its commit point.  A field whose op was lost
+// reaches a replica through anti-entropy after the commit it belongs to:
+// that replica showed the commit torn, so it announces the commit again,
+// a modified event on `version` with the file unchanged.  A field written
+// after the commit is an edit in progress and announces nothing.
+TEST(AntiEntropy, LateFieldReannouncesItsCommit) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  ASSERT_TRUE(fs0->mkdir(*resolve(*fs0, "/switches"), "sw1", 0755, {}).ok());
+  ASSERT_TRUE(
+      fs0->mkdir(*resolve(*fs0, "/switches/sw1/flows"), "f1", 0755, {}).ok());
+  const std::string flow = "/switches/sw1/flows/f1";
+  auto flow0 = resolve(*fs0, flow);
+  ASSERT_TRUE(flow0.ok());
+  auto field = fs0->create(*flow0, "match.tp_dst", 0644, {});
+  ASSERT_TRUE(field.ok());
+  ASSERT_TRUE(fs0->replace(*field, "22", {}).ok());
+  auto version = resolve(*fs0, flow + "/version");
+  ASSERT_TRUE(version.ok());
+  ASSERT_TRUE(fs0->replace(*version, "1", {}).ok());
+  scheduler.run_until_idle();
+
+  auto queue = std::make_shared<vfs::WatchQueue>();
+  auto version1 = resolve(*fs1, flow + "/version");
+  ASSERT_TRUE(version1.ok());
+  ASSERT_TRUE(fs1->watch(*version1, vfs::event::modified, queue).ok());
+
+  // Commit 2 rewrites the match; its field op is lost, its version op
+  // is not.
+  drop_all(cluster);
+  ASSERT_TRUE(fs0->replace(*field, "80", {}).ok());
+  scheduler.run_until_idle();
+  heal_links(cluster);
+  ASSERT_TRUE(fs0->replace(*version, "2", {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_EQ(read_at(*fs1, flow + "/version"), "2");
+  ASSERT_EQ(read_at(*fs1, flow + "/match.tp_dst"), "22");  // torn
+  ASSERT_EQ(queue->drain().size(), 1u);  // the commit itself
+
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  EXPECT_EQ(read_at(*fs1, flow + "/match.tp_dst"), "80");
+  EXPECT_EQ(read_at(*fs1, flow + "/version"), "2");
+  EXPECT_EQ(queue->drain().size(), 1u);  // announced again
+
+  // An edit after commit 2, lost and then repaired, is newer than the
+  // commit point: nothing is announced.
+  drop_all(cluster);
+  ASSERT_TRUE(fs0->replace(*field, "443", {}).ok());
+  scheduler.run_until_idle();
+  heal_links(cluster);
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  EXPECT_EQ(read_at(*fs1, flow + "/match.tp_dst"), "443");
+  EXPECT_TRUE(queue->drain().empty());
 }
 
 // A lost rmdir must not let the other replica's snapshot resurrect the

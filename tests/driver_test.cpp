@@ -801,8 +801,9 @@ struct AuditRig {
 
 // An audit holds hardware to the committed snapshot: a match file
 // rewritten without a version bump is an edit in progress, so the audit
-// neither pushes it nor counts the committed entry as missing.  The
-// commit then pushes it.
+// neither pushes it nor counts the committed entry as missing.  When the
+// entry vanishes while the edit is pending, the repair restores the
+// committed match, not the edit.  The commit then pushes the edit.
 TEST(DriverAudit, HalfWrittenEditStaysOffHardware) {
   AuditRig rig(32);
   rig.commit("f", 22);
@@ -817,10 +818,68 @@ TEST(DriverAudit, HalfWrittenEditStaysOffHardware) {
   EXPECT_EQ(rig.sw->table().entries()[0].spec.match.tp_dst, 22);
   EXPECT_EQ(rig.repairs->value() - repairs_before, 0u);
 
+  flow::Match committed;
+  committed.tp_dst = 22;
+  ASSERT_EQ(rig.sw->mutable_table()
+                .remove(committed, flow::kDefaultPriority, /*strict=*/true)
+                .size(),
+            1u);
+  rig.run_audit();
+  ASSERT_EQ(rig.sw->table().size(), 1u);
+  EXPECT_EQ(rig.sw->table().entries()[0].spec.match.tp_dst, 22);
+  EXPECT_EQ(rig.repairs->value() - repairs_before, 1u);
+
   ASSERT_TRUE(netfs::commit_flow(*rig.vfs, flow).ok());
   rig.run(4);
   ASSERT_EQ(rig.sw->table().size(), 1u);
   EXPECT_EQ(rig.sw->table().entries()[0].spec.match.tp_dst, 80);
+}
+
+// A retried commit train re-sends what it vouched for: while the flow's
+// version file still reads the version pushed, that is the committed spec
+// the driver holds, not a field edited since without a commit.
+TEST(DriverAudit, RetryResendsTheCommittedSpec) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+  net::Scheduler scheduler;
+  net::Network network(scheduler);
+  DriverOptions opts;
+  opts.request_timeout = 4;
+  opts.audit_interval = 0;  // the retry alone restores the entry
+  OfDriver driver(vfs, opts);
+  auto injector = std::make_shared<faults::Injector>(1);
+  driver.listener().set_fault_hook_factory(
+      faults::channel_hook_factory(injector));
+  sw::SwitchOptions sopts;
+  sopts.datapath_id = 0x42;
+  sw::Switch s("dp42", sopts, network);
+  s.add_port(1, MacAddress::from_u64(1), "eth1");
+  s.connect(driver.listener().connect());
+  auto run = [&](int polls) {
+    for (int i = 0; i < polls; ++i) {
+      driver.poll();
+      s.pump();
+      scheduler.run_until_idle();
+    }
+  };
+  run(8);
+
+  // The commit's train dies on the wire; an edit follows without a commit.
+  faults::FaultPlan blackout;
+  blackout.drop = 1.0;
+  injector->set_plan(faults::Scope::channel, blackout);
+  FlowSpec spec;
+  spec.match.tp_dst = 22;
+  spec.actions = {Action::output(1)};
+  ASSERT_FALSE(netfs::NetDir(vfs).switch_at("sw1").add_flow("f", spec));
+  run(1);
+  ASSERT_FALSE(vfs->write_file("/net/switches/sw1/flows/f/match.tp_dst", "80"));
+  injector->set_plan(faults::Scope::channel, faults::FaultPlan{});
+  run(12);
+
+  EXPECT_GT(vfs->metrics()->counter("driver/of/retry_total")->value(), 0u);
+  ASSERT_EQ(s.table().size(), 1u);
+  EXPECT_EQ(s.table().entries()[0].spec.match.tp_dst, 22);
 }
 
 // An audit of flows the driver pushed reads each one's version file and

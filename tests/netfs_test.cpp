@@ -416,7 +416,9 @@ TEST_F(FlowIoTest, DefaultsWhenFilesAbsent) {
 
 TEST_F(FlowIoTest, StatsRoundTrip) {
   ASSERT_FALSE(vfs->mkdir(flow_dir));
-  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {123, 45678}));
+  auto dir = vfs->resolve(flow_dir, Credentials::root());
+  ASSERT_TRUE(dir.ok());
+  ASSERT_FALSE(write_flow_stats(*vfs, *dir, {123, 45678}));
   auto stats = read_flow_stats(*vfs, flow_dir);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->packets, 123u);
@@ -428,7 +430,9 @@ TEST_F(FlowIoTest, StatsRoundTrip) {
 // did move is still written.
 TEST_F(FlowIoTest, RepeatedStatsLeaveCountersAlone) {
   ASSERT_FALSE(vfs->mkdir(flow_dir));
-  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {123, 45678}));
+  auto dir = vfs->resolve(flow_dir, Credentials::root());
+  ASSERT_TRUE(dir.ok());
+  ASSERT_FALSE(write_flow_stats(*vfs, *dir, {123, 45678}));
   const std::string packets = flow_dir + "/counters/packets";
   const std::string bytes = flow_dir + "/counters/bytes";
   const auto packets_version = vfs->stat(packets)->version;
@@ -439,12 +443,12 @@ TEST_F(FlowIoTest, RepeatedStatsLeaveCountersAlone) {
   ASSERT_TRUE(watch_packets.ok());
   ASSERT_TRUE(watch_bytes.ok());
 
-  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {123, 45678}));
+  ASSERT_FALSE(write_flow_stats(*vfs, *dir, {123, 45678}));
   EXPECT_EQ(vfs->stat(packets)->version, packets_version);
   EXPECT_EQ(vfs->stat(bytes)->version, bytes_version);
   EXPECT_TRUE(q->drain().empty());
 
-  ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {124, 45678}));
+  ASSERT_FALSE(write_flow_stats(*vfs, *dir, {124, 45678}));
   EXPECT_GT(vfs->stat(packets)->version, packets_version);
   EXPECT_EQ(vfs->stat(bytes)->version, bytes_version);
   EXPECT_EQ(q->drain().size(), 1u);
