@@ -3,7 +3,8 @@
 // pool (one write, M references).
 //
 // Expected shape: the FS path grows ~linearly in M x payload (every app's
-// buffer gets mkdir + 6 file writes including the payload copy); the
+// buffer gets mkdir + 6 file writes including the payload copy, and each
+// app reads the 5 files it uses back and removes the directory); the
 // zero-copy path is ~flat in M and independent of payload size.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 
 #include "yanc/fast/packet_pool.hpp"
 #include "yanc/fast/ring.hpp"
+#include "yanc/netfs/handles.hpp"
 #include "yanc/netfs/yancfs.hpp"
 
 using namespace yanc;
@@ -32,29 +34,24 @@ void BM_FanOut_FsEvents(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(1));
   auto v = std::make_shared<vfs::Vfs>();
   (void)netfs::mount_yanc_fs(*v);
+  netfs::NetDir net(v);
+  std::vector<netfs::EventBufferHandle> buffers;
   for (int a = 0; a < apps; ++a)
-    (void)v->mkdir("/net/events/app" + std::to_string(a));
+    buffers.push_back(*net.open_events("app" + std::to_string(a)));
   auto frame = payload(bytes);
-  std::string data(reinterpret_cast<const char*>(frame.data()),
-                   frame.size());
+  netfs::PacketInInfo pkt;
+  pkt.datapath = "sw1";
+  pkt.in_port = 3;
+  pkt.reason = "no_match";
+  pkt.total_len = static_cast<std::uint16_t>(bytes);
+  pkt.data.assign(frame.begin(), frame.end());
 
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    std::string name = "pkt_" + std::to_string(seq++);
-    for (int a = 0; a < apps; ++a) {
-      std::string dir = "/net/events/app" + std::to_string(a) + "/" + name;
-      (void)v->mkdir(dir);
-      (void)v->write_file(dir + "/datapath", "sw1");
-      (void)v->write_file(dir + "/in_port", "3");
-      (void)v->write_file(dir + "/reason", "no_match");
-      (void)v->write_file(dir + "/data", data);
-    }
+    pkt.name = "pkt_" + std::to_string(seq++);
+    (void)netfs::deliver_packet_in(*v, "/net/events", pkt);
     // Consumers read + remove (the app side of the buffer protocol).
-    for (int a = 0; a < apps; ++a) {
-      std::string dir = "/net/events/app" + std::to_string(a) + "/" + name;
-      benchmark::DoNotOptimize(v->read_file(dir + "/data"));
-      (void)v->remove_all(dir);
-    }
+    for (auto& buffer : buffers) benchmark::DoNotOptimize(buffer.drain());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes) * apps);

@@ -105,16 +105,17 @@ void BM_EventFilterThroughSlice(benchmark::State& state) {
                               MacAddress::from_u64(1),
                               *Ipv4Address::parse("10.0.0.1"),
                               *Ipv4Address::parse("10.0.0.2"), 1, 22, {});
-  std::string data(reinterpret_cast<const char*>(frame.data()),
-                   frame.size());
+  netfs::PacketInInfo pkt;
+  pkt.datapath = "sw1";
+  pkt.in_port = 1;
+  pkt.reason = "no_match";
+  pkt.total_len = static_cast<std::uint16_t>(frame.size());
+  pkt.data.assign(frame.begin(), frame.end());
   std::uint64_t i = 0;
   for (auto _ : state) {
-    std::string dir =
-        "/net/events/slicer-layer0/pkt_" + std::to_string(i++);
-    (void)stack.vfs->mkdir(dir);
-    (void)stack.vfs->write_file(dir + "/datapath", "sw1");
-    (void)stack.vfs->write_file(dir + "/in_port", "1");
-    (void)stack.vfs->write_file(dir + "/data", data);
+    // The driver's delivery into the slicer's parent buffer.
+    pkt.name = "pkt_" + std::to_string(i++);
+    (void)netfs::deliver_packet_in(*stack.vfs, "/net/events", pkt);
     (void)slicer.poll();
     (void)buf->drain();
   }

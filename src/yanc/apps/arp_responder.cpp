@@ -51,15 +51,13 @@ Result<std::size_t> ArpResponder::poll() {
                                 parsed->arp->sender_mac,
                                 parsed->arp->sender_ip);
     // Answer out of the port the request came in on.
-    std::string dir = options_.net_root + "/switches/" + pkt.datapath +
-                      "/packet_out/arp_" + std::to_string(next_out_++);
-    if (vfs_->mkdir(dir)) continue;
-    (void)vfs_->write_file(dir + "/out", std::to_string(pkt.in_port));
-    (void)vfs_->write_file(
-        dir + "/data",
-        std::string_view(reinterpret_cast<const char*>(reply.data()),
-                         reply.size()));
-    (void)vfs_->write_file(dir + "/send", "1");
+    if (netfs::write_packet_out(
+            *vfs_, options_.net_root + "/switches/" + pkt.datapath,
+            "arp_" + std::to_string(next_out_++), 0,
+            std::to_string(pkt.in_port),
+            std::string_view(reinterpret_cast<const char*>(reply.data()),
+                             reply.size())))
+      continue;
     ++replies_;
     ++handled;
   }

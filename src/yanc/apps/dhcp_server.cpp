@@ -141,15 +141,11 @@ Status DhcpServer::reply(const netfs::PacketInInfo& pkt,
   auto frame = net::build_udp(request.chaddr, options_.server_mac,
                               options_.server_ip, addr, 67, 68, payload);
 
-  std::string dir = options_.net_root + "/switches/" + pkt.datapath +
-                    "/packet_out/dhcp_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  (void)vfs_->write_file(dir + "/out", std::to_string(pkt.in_port));
-  (void)vfs_->write_file(
-      dir + "/data",
+  return netfs::write_packet_out(
+      *vfs_, options_.net_root + "/switches/" + pkt.datapath,
+      "dhcp_" + std::to_string(next_out_++), 0, std::to_string(pkt.in_port),
       std::string_view(reinterpret_cast<const char*>(frame.data()),
                        frame.size()));
-  return vfs_->write_file(dir + "/send", "1");
 }
 
 Status DhcpServer::record_host(const MacAddress& mac, Ipv4Address ip) {

@@ -44,14 +44,17 @@ Result<std::size_t> LearningSwitch::poll() {
     if (!parsed->dl_src.is_multicast())
       table[parsed->dl_src.to_u64()] = pkt.in_port;
 
-    if (parsed->dl_dst.is_broadcast() || parsed->dl_dst.is_multicast()) {
-      (void)flood(pkt.datapath, pkt.in_port, pkt.data);
-      ++handled;
-      continue;
-    }
-    auto known = table.find(parsed->dl_dst.to_u64());
+    std::string switch_dir =
+        options_.net_root + "/switches/" + pkt.datapath;
+    std::string request = "l2_" + std::to_string(next_out_++);
+    auto known = parsed->dl_dst.is_multicast()
+                     ? table.end()
+                     : table.find(parsed->dl_dst.to_u64());
     if (known == table.end()) {
-      (void)flood(pkt.datapath, pkt.in_port, pkt.data);
+      // The switch's flood action leaves out the request's in_port.
+      ++floods_;
+      (void)netfs::write_packet_out(*vfs_, std::move(switch_dir), request,
+                                    pkt.in_port, "flood", pkt.data);
       ++handled;
       continue;
     }
@@ -61,45 +64,15 @@ Result<std::size_t> LearningSwitch::poll() {
     spec.priority = options_.flow_priority;
     spec.idle_timeout = options_.flow_idle_timeout;
     spec.actions = {Action::output(known->second)};
-    std::string flow_dir = options_.net_root + "/switches/" + pkt.datapath +
-                           "/flows/l2_" + std::to_string(next_flow_++);
-    if (!netfs::write_flow(*vfs_, flow_dir, spec)) ++installed_;
-    (void)packet_out(pkt.datapath, known->second, pkt.data);
+    if (!netfs::write_flow(*vfs_, switch_dir + "/flows/l2_" +
+                                      std::to_string(next_flow_++),
+                           spec))
+      ++installed_;
+    (void)netfs::write_packet_out(*vfs_, std::move(switch_dir), request, 0,
+                                  std::to_string(known->second), pkt.data);
     ++handled;
   }
   return handled;
-}
-
-Status LearningSwitch::flood(const std::string& datapath,
-                             std::uint16_t in_port, const std::string& data) {
-  ++floods_;
-  (void)in_port;  // the switch's flood action already excludes the ingress
-  auto dir = new_packet_out(datapath);
-  if (!dir) return dir.error();
-  (void)vfs_->write_file(*dir, "in_port", std::to_string(in_port));
-  (void)vfs_->write_file(*dir, "out", "flood");
-  (void)vfs_->write_file(*dir, "data", data);
-  return vfs_->write_file(*dir, "send", "1");
-}
-
-Status LearningSwitch::packet_out(const std::string& datapath,
-                                  std::uint16_t out_port,
-                                  const std::string& data) {
-  auto dir = new_packet_out(datapath);
-  if (!dir) return dir.error();
-  (void)vfs_->write_file(*dir, "out", std::to_string(out_port));
-  (void)vfs_->write_file(*dir, "data", data);
-  return vfs_->write_file(*dir, "send", "1");
-}
-
-Result<vfs::Vfs::Resolved> LearningSwitch::new_packet_out(
-    const std::string& datapath) {
-  std::string name = "l2_" + std::to_string(next_out_++);
-  auto outbox = vfs_->resolve(
-      options_.net_root + "/switches/" + datapath + "/packet_out", {});
-  if (!outbox) return outbox.error();
-  if (auto ec = vfs_->mkdir(*outbox, name); ec) return ec;
-  return vfs_->resolve(*outbox, name, {});
 }
 
 }  // namespace yanc::apps

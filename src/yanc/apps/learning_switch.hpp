@@ -34,14 +34,6 @@ class LearningSwitch {
   std::size_t table_size() const;
 
  private:
-  Status flood(const std::string& datapath, std::uint16_t in_port,
-               const std::string& data);
-  Status packet_out(const std::string& datapath, std::uint16_t out_port,
-                    const std::string& data);
-  /// Makes the next packet_out/l2_<n> directory of `datapath` and
-  /// returns it resolved, for the field writes that fill it.
-  Result<vfs::Vfs::Resolved> new_packet_out(const std::string& datapath);
-
   std::shared_ptr<vfs::Vfs> vfs_;
   LearningSwitchOptions options_;
   std::optional<netfs::EventBufferHandle> events_;

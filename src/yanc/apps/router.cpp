@@ -183,14 +183,9 @@ Status RouterDaemon::flood_edges(const topo::Graph& graph,
 
 Status RouterDaemon::packet_out(const std::string& switch_name,
                                 std::uint16_t port, const std::string& data) {
-  std::string dir = options_.net_root + "/switches/" + switch_name +
-                    "/packet_out/rt_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  if (auto ec = vfs_->write_file(dir + "/out", std::to_string(port)); ec)
-    return ec;
-  if (!data.empty())
-    if (auto ec = vfs_->write_file(dir + "/data", data); ec) return ec;
-  return vfs_->write_file(dir + "/send", "1");
+  return netfs::write_packet_out(
+      *vfs_, options_.net_root + "/switches/" + switch_name,
+      "rt_" + std::to_string(next_out_++), 0, std::to_string(port), data);
 }
 
 }  // namespace yanc::apps

@@ -654,17 +654,23 @@ bool ReplicatedYancFs::Known::drop_versions(Version newer) {
   return dropped;
 }
 
-void ReplicatedYancFs::Known::take_versions(
-    std::string& path, std::vector<std::pair<std::string, Version>>& out) {
+void ReplicatedYancFs::Known::take_history(
+    std::string& path, std::vector<std::pair<std::string, Version>>& versions,
+    std::vector<std::pair<std::string, Version>>& tombstones) {
   if (version != Version{}) {
-    out.emplace_back(path, version);
+    versions.emplace_back(path, version);
     version = {};
   }
   const std::size_t len = path.size();
   for (auto& [name, below] : children) {
     path += '/';
     path += name;
-    below->take_versions(path, out);
+    if (below->tombstone) {
+      tombstones.emplace_back(path, *below->tombstone);
+      below->tombstone.reset();
+      below->tomb_hash = 0;
+    }
+    below->take_history(path, versions, tombstones);
     path.resize(len);
   }
 }
@@ -731,20 +737,23 @@ void ReplicatedYancFs::note_version(const Op& op) {
       record_tombstone(op.path, version);
       break;
     case Op::Kind::rename: {
-      // Content knowledge follows the subtree to its new name; the old
-      // name gets a tombstone so stale copies of it stay dead.  The new
-      // name takes the rename's version only over the copy the origin
-      // renamed (the op's base): a stale copy keeps the version it had,
-      // so the digests differ until anti-entropy pulls the origin's copy.
+      // Content knowledge, and the deletions below the old name, follow
+      // the subtree to its new name, so a stale copy moved there cannot
+      // carry back an entry deleted under the old; the old name gets a
+      // tombstone so stale copies of it stay dead.  The new name takes
+      // the rename's version only over the copy the origin renamed (the
+      // op's base): a stale copy keeps the version it had, so the digests
+      // differ until anti-entropy pulls the origin's copy.
       const bool renamed_base = version_of(op.path) == op.base;
-      std::vector<std::pair<std::string, Version>> moved;
+      std::vector<std::pair<std::string, Version>> moved, buried;
       update(op.path, [&](Known& from) {
         std::string dest = op.aux;
-        from.take_versions(dest, moved);
+        from.take_history(dest, moved, buried);
         from.rebuild();
       });
       record_tombstone(op.path, version);
       for (auto& [path, v] : moved) raise(path, v);
+      for (auto& [path, v] : buried) record_tombstone(path, v);
       if (renamed_base) raise(op.aux, version);
       break;
     }

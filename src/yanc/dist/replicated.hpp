@@ -188,10 +188,13 @@ class ReplicatedYancFs : public netfs::YancFs {
     /// Erases the versions in this subtree that `newer` out-ranks; true
     /// when any went.
     bool drop_versions(Version newer);
-    /// Moves every version in this subtree into `out`, keyed by its path
-    /// with `path` as this node's (extended and restored in place).
-    void take_versions(std::string& path,
-                       std::vector<std::pair<std::string, Version>>& out);
+    /// Moves every version in this subtree into `versions`, and every
+    /// tombstone strictly below this node into `tombstones`, each keyed by
+    /// its path with `path` as this node's (extended and restored in
+    /// place).
+    void take_history(std::string& path,
+                      std::vector<std::pair<std::string, Version>>& versions,
+                      std::vector<std::pair<std::string, Version>>& tombstones);
     Version newest() const;
   };
   /// Applies `change` to the trie node of `path` (created when missing),

@@ -806,9 +806,8 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
               WatchContext{WatchContext::Kind::pktout_send, &conn,
                            event.name});
         // The app may have set send=1 before this watch existed.
-        if (auto flag = vfs_->read_file(*dir, "send");
-            flag && trim(*flag) == "1")
-          send_packet_out_dir(conn, *dir, event.name, send_node);
+        if (auto request = netfs::read_packet_out(*vfs_, *dir))
+          send_packet_out(conn, std::move(*request), event.name, send_node);
       }
       return true;
     case WatchContext::Kind::pktout_send: {
@@ -816,9 +815,8 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
       auto dir = vfs_->resolve(conn.path + "/packet_out/" + ctx.name,
                                Credentials::root());
       if (!dir) return true;
-      if (auto flag = vfs_->read_file(*dir, "send");
-          flag && trim(*flag) == "1")
-        send_packet_out_dir(conn, *dir, ctx.name, event.node);
+      if (auto request = netfs::read_packet_out(*vfs_, *dir))
+        send_packet_out(conn, std::move(*request), ctx.name, event.node);
       return true;
     }
   }
@@ -1264,21 +1262,13 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
   }
 }
 
-void OfDriver::send_packet_out_dir(Connection& conn,
-                                   const vfs::Vfs::Resolved& dir,
-                                   const std::string& name, NodeId send_node) {
+void OfDriver::send_packet_out(Connection& conn,
+                               netfs::PacketOutRequest request,
+                               const std::string& name, NodeId send_node) {
   ofp::PacketOut po;
-  if (auto in = vfs_->read_file(dir, "in_port"))
-    po.in_port =
-        static_cast<std::uint16_t>(parse_u64(trim(*in)).value_or(0));
-  if (auto out = vfs_->read_file(dir, "out")) {
-    for (const auto& tok : split_nonempty(trim(*out), ' ')) {
-      auto action = flow::parse_action("out", tok);
-      if (action) po.actions.push_back(*action);
-    }
-  }
-  if (auto data = vfs_->read_file(dir, "data"))
-    po.data.assign(data->begin(), data->end());
+  po.in_port = request.in_port;
+  po.actions = std::move(request.outputs);
+  po.data.assign(request.data.begin(), request.data.end());
   send(conn, po);
   bump_counter(conn, "packet_outs");
 
@@ -1301,39 +1291,22 @@ void OfDriver::on_packet_in(Connection& conn, const ofp::PacketIn& pi,
                        handoff ? obs::Tracer::now_ns() - handoff.ts_ns : 0);
   obs::TraceScope trace_scope(trace_span.ref());
   bump_counter(conn, "packet_ins");
-  std::string events_dir = options_.net_root + "/events";
-  auto events = vfs_->resolve(events_dir, Credentials::root());
-  if (!events) return;
-  auto apps = vfs_->readdir(*events);
-  if (!apps) return;
-  // Concurrent delivery to every interested application (§3.5): each app's
-  // private buffer receives its own copy.
   char seq[24];
   std::snprintf(seq, sizeof seq, "pkt_%010llu",
                 static_cast<unsigned long long>(next_pkt_seq_++));
-  for (const auto& app : *apps) {
-    if (app.type != vfs::FileType::directory) continue;
-    auto buffer = vfs_->resolve(*events, app.name, Credentials::root());
-    if (!buffer || vfs_->mkdir(*buffer, seq)) continue;
-    auto pkt = vfs_->resolve(*buffer, seq, Credentials::root());
-    if (!pkt) continue;
-    (void)vfs_->write_file(*pkt, "datapath", conn.name);
-    (void)vfs_->write_file(*pkt, "in_port", std::to_string(pi.in_port));
-    (void)vfs_->write_file(*pkt, "reason",
-                           pi.reason == ofp::PacketIn::Reason::no_match
-                               ? "no_match"
-                               : "action");
-    (void)vfs_->write_file(*pkt, "buffer_id", std::to_string(pi.buffer_id));
-    (void)vfs_->write_file(*pkt, "total_len", std::to_string(pi.total_len));
-    (void)vfs_->write_file(
-        *pkt, "data",
-        std::string_view(reinterpret_cast<const char*>(pi.data.data()),
-                         pi.data.size()));
-    // Each app drains its buffer on its own thread; hand the context over
-    // keyed by the pkt directory's path (the only identity that crosses).
-    if (obs::TraceRef ref = trace_span.ref())
-      obs::tracer().path_put(events_dir + "/" + app.name + "/" + seq, ref);
-  }
+  netfs::PacketInInfo& pkt = packet_in_;
+  pkt.name = seq;
+  pkt.datapath = conn.name;
+  pkt.in_port = pi.in_port;
+  pkt.reason =
+      pi.reason == ofp::PacketIn::Reason::no_match ? "no_match" : "action";
+  pkt.buffer_id = pi.buffer_id;
+  pkt.total_len = pi.total_len;
+  pkt.data.assign(reinterpret_cast<const char*>(pi.data.data()),
+                  pi.data.size());
+  pkt.trace = trace_span.ref();
+  (void)netfs::deliver_packet_in(*vfs_, options_.net_root + "/events", pkt,
+                                 Credentials::root());
 }
 
 void OfDriver::on_port_status(Connection& conn, const ofp::PortStatus& ps) {
@@ -1362,7 +1335,8 @@ void OfDriver::on_port_status(Connection& conn, const ofp::PortStatus& ps) {
 void OfDriver::on_flow_removed(Connection& conn, const ofp::FlowRemoved& fr) {
   bump_counter(conn, "flow_expirations");
   for (auto& [name, state] : conn.flows) {
-    if (state.pushed.match == fr.match &&
+    // A flow never pushed has nothing on hardware to expire.
+    if (state.pushed_version > 0 && state.pushed.match == fr.match &&
         state.pushed.priority == fr.priority) {
       // Hardware dropped the entry, so nothing of the flow is on it: forget
       // the flow without a delete, then mirror the expiry into the FS.

@@ -30,6 +30,7 @@
 
 #include "yanc/net/channel.hpp"
 #include "yanc/netfs/flowio.hpp"
+#include "yanc/netfs/handles.hpp"
 #include "yanc/ofp/codec.hpp"
 
 namespace yanc::driver {
@@ -182,10 +183,10 @@ class OfDriver {
   /// What the version file of the flow directory `dir` reads: its commit
   /// point.  0 when uncommitted or unreadable.
   std::uint64_t read_version(const vfs::Vfs::Resolved& dir);
-  /// Sends packet_out/<name>, resolved as `dir`, and consumes it;
-  /// `send_node` is its send file, whose watch goes with it.
-  void send_packet_out_dir(Connection& conn, const vfs::Vfs::Resolved& dir,
-                           const std::string& name, vfs::NodeId send_node);
+  /// Sends `request`, read from packet_out/<name>, and consumes that
+  /// directory; `send_node` is its send file, whose watch goes with it.
+  void send_packet_out(Connection& conn, netfs::PacketOutRequest request,
+                       const std::string& name, vfs::NodeId send_node);
   /// Adds `delta` to the switch's counters/<name> file.
   void bump_counter(Connection& conn, std::string_view name,
                     std::uint64_t delta = 1);
@@ -277,6 +278,9 @@ class OfDriver {
   std::map<vfs::NodeId, WatchContext> watch_contexts_;
   std::uint64_t next_switch_index_ = 1;
   std::uint64_t next_pkt_seq_ = 1;
+  // The packet-in on_packet_in delivers, kept across calls so that
+  // copying a frame into it reuses its buffer.
+  netfs::PacketInInfo packet_in_;
   /// Poll counter; every liveness/retry deadline is expressed in it.
   std::uint64_t tick_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "yanc/netfs/handles.hpp"
 #include "yanc/util/strings.hpp"
 
 namespace yanc::driver {
@@ -143,28 +144,22 @@ std::size_t TextDriver::sync_flows(Connection& conn) {
 
 void TextDriver::deliver_packet_in(Connection& conn, std::uint16_t port,
                                    const std::string& hex_data) {
+  netfs::PacketInInfo pkt;
   // Hex decode the frame.
-  std::string data;
   for (std::size_t i = 0; i + 1 < hex_data.size(); i += 2) {
     auto byte = parse_hex_u64(hex_data.substr(i, 2));
     if (!byte) return;
-    data.push_back(static_cast<char>(*byte));
+    pkt.data.push_back(static_cast<char>(*byte));
   }
-  std::string events_dir = options_.net_root + "/events";
-  auto apps = vfs_->readdir(events_dir);
-  if (!apps) return;
   char seq[24];
   std::snprintf(seq, sizeof seq, "xpkt_%09llu",
                 static_cast<unsigned long long>(next_pkt_++));
-  for (const auto& app : *apps) {
-    if (app.type != vfs::FileType::directory) continue;
-    std::string dir = events_dir + "/" + app.name + "/" + seq;
-    if (vfs_->mkdir(dir)) continue;
-    (void)vfs_->write_file(dir + "/datapath", conn.name);
-    (void)vfs_->write_file(dir + "/in_port", std::to_string(port));
-    (void)vfs_->write_file(dir + "/reason", "no_match");
-    (void)vfs_->write_file(dir + "/data", data);
-  }
+  pkt.name = seq;
+  pkt.datapath = conn.name;
+  pkt.in_port = port;
+  pkt.reason = "no_match";
+  pkt.total_len = static_cast<std::uint16_t>(pkt.data.size());
+  (void)netfs::deliver_packet_in(*vfs_, options_.net_root + "/events", pkt);
 }
 
 }  // namespace yanc::driver

@@ -387,4 +387,76 @@ Result<std::shared_ptr<vfs::WatchHandle>> EventBufferHandle::watch(
   return vfs_->watch(path_, vfs::event::created, std::move(queue), creds_);
 }
 
+// --- Packet-in delivery and packet-out requests ------------------------------
+
+std::size_t deliver_packet_in(Vfs& vfs, const std::string& events_dir,
+                              const PacketInInfo& pkt,
+                              const Credentials& creds) {
+  auto events = vfs.resolve(events_dir, creds);
+  if (!events) return 0;
+  auto apps = vfs.readdir(*events, creds);
+  if (!apps) return 0;
+  // Concurrent delivery to every interested application: each app's
+  // private buffer receives its own copy.
+  std::size_t reached = 0;
+  for (const auto& app : *apps) {
+    if (app.type != vfs::FileType::directory) continue;
+    auto buffer = vfs.resolve(*events, app.name, creds);
+    if (!buffer || vfs.mkdir(*buffer, pkt.name, 0755, creds)) continue;
+    auto dir = vfs.resolve(*buffer, pkt.name, creds);
+    if (!dir) continue;
+    (void)vfs.write_file(*dir, "datapath", pkt.datapath, creds);
+    (void)vfs.write_file(*dir, "in_port", std::to_string(pkt.in_port), creds);
+    (void)vfs.write_file(*dir, "reason", pkt.reason, creds);
+    (void)vfs.write_file(*dir, "buffer_id", std::to_string(pkt.buffer_id),
+                         creds);
+    (void)vfs.write_file(*dir, "total_len", std::to_string(pkt.total_len),
+                         creds);
+    (void)vfs.write_file(*dir, "data", pkt.data, creds);
+    // Each app drains its buffer on its own thread; hand the context over
+    // keyed by the pkt directory's path (the only identity that crosses).
+    if (pkt.trace)
+      obs::tracer().path_put(events_dir + "/" + app.name + "/" + pkt.name,
+                             pkt.trace);
+    ++reached;
+  }
+  return reached;
+}
+
+Status write_packet_out(Vfs& vfs, std::string switch_dir,
+                        std::string_view name, std::uint16_t in_port,
+                        std::string_view out, std::string_view data,
+                        const Credentials& creds) {
+  auto outbox = vfs.resolve(switch_dir.append("/packet_out"), creds);
+  if (!outbox) return outbox.error();
+  if (auto ec = vfs.mkdir(*outbox, name, 0755, creds); ec) return ec;
+  auto dir = vfs.resolve(*outbox, name, creds);
+  if (!dir) return dir.error();
+  // mkdir wrote in_port=0 already.
+  if (in_port != 0) {
+    auto ec = vfs.write_file(*dir, "in_port", std::to_string(in_port), creds);
+    if (ec) return ec;
+  }
+  if (auto ec = vfs.write_file(*dir, "out", out, creds); ec) return ec;
+  if (auto ec = vfs.write_file(*dir, "data", data, creds); ec) return ec;
+  return vfs.write_file(*dir, "send", "1", creds);
+}
+
+std::optional<PacketOutRequest> read_packet_out(Vfs& vfs,
+                                                const Vfs::Resolved& dir,
+                                                const Credentials& creds) {
+  auto send = vfs.read_file(dir, "send", creds);
+  if (!send || trim(*send) != "1") return std::nullopt;
+  PacketOutRequest request;
+  if (auto v = read_u64_file(vfs, dir, "in_port", creds))
+    request.in_port = static_cast<std::uint16_t>(*v);
+  if (auto out = vfs.read_file(dir, "out", creds))
+    for (const auto& tok : split_nonempty(trim(*out), ' '))
+      if (auto action = flow::parse_action("out", tok))
+        request.outputs.push_back(*action);
+  if (auto data = vfs.read_file(dir, "data", creds))
+    request.data = std::move(*data);
+  return request;
+}
+
 }  // namespace yanc::netfs

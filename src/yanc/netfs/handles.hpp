@@ -9,7 +9,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "yanc/flow/flowspec.hpp"
@@ -32,6 +34,7 @@ struct PacketInInfo {
   std::uint16_t in_port = 0;
   std::string reason;    // "no_match" | "action"
   std::uint32_t buffer_id = 0;
+  std::uint16_t total_len = 0;  // written on delivery; read() leaves it 0
   std::string data;      // raw frame bytes
 
   // Causal context the driver handed over with this pkt_* directory
@@ -41,6 +44,39 @@ struct PacketInInfo {
   obs::TraceRef trace;
   std::uint64_t trace_queue_ns = 0;
 };
+
+/// Delivers `pkt` to every application buffer under `events_dir` (§3.5):
+/// makes <app>/<pkt.name> in each and writes its six fields, then hands
+/// `pkt.trace` to that buffer's reader (EventBufferHandle::read).  A
+/// buffer whose directory cannot be made is skipped.  Returns the number
+/// of buffers reached.
+std::size_t deliver_packet_in(vfs::Vfs& vfs, const std::string& events_dir,
+                              const PacketInInfo& pkt,
+                              const vfs::Credentials& creds = {});
+
+/// One packet-out request (packet_out/<name>/) whose send flag is set.
+struct PacketOutRequest {
+  std::uint16_t in_port = 0;          // 0: none
+  std::vector<flow::Action> outputs;  // the `out` file's ports
+  std::string data;                   // raw frame bytes
+};
+
+/// Makes the request <switch_dir>/packet_out/<name>: writes in_port
+/// (when nonzero), `out` (one or more output ports, by number or by
+/// reserved name such as "flood"), `data`, and send=1 last, so the driver
+/// never sends a half-written request.  A failed field write is returned
+/// and leaves send unwritten.
+[[nodiscard]] Status write_packet_out(vfs::Vfs& vfs, std::string switch_dir,
+                                      std::string_view name,
+                                      std::uint16_t in_port,
+                                      std::string_view out,
+                                      std::string_view data,
+                                      const vfs::Credentials& creds = {});
+
+/// Reads the packet-out request `dir`; nullopt until its send file reads 1.
+std::optional<PacketOutRequest> read_packet_out(
+    vfs::Vfs& vfs, const vfs::Vfs::Resolved& dir,
+    const vfs::Credentials& creds = {});
 
 class NetDir {
  public:

@@ -87,30 +87,6 @@ std::string histogram_row(const Histogram& h, std::string_view suffix) {
 
 }  // namespace
 
-void Registry::export_entry(const std::string& name, const Entry& entry,
-                            std::vector<ExportedValue>& out) {
-  switch (entry.kind) {
-    case MetricKind::counter:
-      out.push_back({name, std::to_string(entry.counter->value())});
-      break;
-    case MetricKind::gauge:
-      out.push_back({name, std::to_string(entry.gauge->value())});
-      break;
-    case MetricKind::histogram:
-      for (std::string_view suffix : kHistogramRows)
-        out.push_back({name + std::string(suffix),
-                       histogram_row(*entry.histogram, suffix)});
-      break;
-  }
-}
-
-std::vector<ExportedValue> Registry::export_values() const {
-  std::vector<ExportedValue> out;
-  dbg::LockGuard lock(mu_);
-  for (const auto& [name, entry] : entries_) export_entry(name, entry, out);
-  return out;
-}
-
 std::vector<std::string> Registry::export_paths() const {
   std::vector<std::string> out;
   dbg::LockGuard lock(mu_);

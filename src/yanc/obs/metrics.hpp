@@ -118,12 +118,6 @@ class Histogram {
 
 enum class MetricKind : std::uint8_t { counter, gauge, histogram };
 
-/// One exported (path, value) pair — what /yanc/.stats turns into a file.
-struct ExportedValue {
-  std::string path;  // e.g. "vfs/lookup_total", "vfs/op_ns_p99"
-  std::string value;
-};
-
 /// Named metric storage.  Handles returned by counter()/gauge()/histogram()
 /// stay valid (and stable in memory) for the registry's lifetime.
 class Registry {
@@ -148,13 +142,10 @@ class Registry {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// Flat export of every metric: counters and gauges one row each,
-  /// histograms expanded to _count/_p50/_p90/_p99/_sum rows.  Sorted by
-  /// path.
-  std::vector<ExportedValue> export_values() const;
-
-  /// Export paths only (values are formatted on demand by value_of) —
-  /// this is what /yanc/.stats builds its directory tree from.
+  /// Every exported path, in metric-name order: counters and gauges one
+  /// each, histograms expanded to _count/_p50/_p90/_p99/_sum rows.  Values
+  /// are formatted on demand by value_of; this is what /yanc/.stats
+  /// builds its directory tree from.
   std::vector<std::string> export_paths() const;
 
   /// Current formatted value of one exported path ("vfs/op_ns_p99"),
@@ -171,8 +162,6 @@ class Registry {
   template <typename T>
   T* find_or_create(std::string_view name, MetricKind kind,
                     std::deque<T>& storage, T* Entry::*slot);
-  static void export_entry(const std::string& name, const Entry& entry,
-                           std::vector<ExportedValue>& out);
 
   mutable dbg::Mutex<dbg::Rank::obs_metrics> mu_;
   std::map<std::string, Entry, std::less<>> entries_;

@@ -26,15 +26,11 @@ Status DiscoveryDaemon::send_probes() {
       // LLDP chassis/port identify the *sender* so the receiver learns the
       // remote end of the link.
       auto frame = net::build_lldp(sw_name, port_name);
-      std::string dir = sw.path() + "/packet_out/lldp_" +
-                        std::to_string(next_probe_++);
-      if (auto ec = vfs_->mkdir(dir); ec) continue;
-      (void)vfs_->write_file(dir + "/out", port_name);
-      (void)vfs_->write_file(
-          dir + "/data",
+      (void)netfs::write_packet_out(
+          *vfs_, sw.path(), "lldp_" + std::to_string(next_probe_++), 0,
+          port_name,
           std::string_view(reinterpret_cast<const char*>(frame.data()),
                            frame.size()));
-      (void)vfs_->write_file(dir + "/send", "1");
     }
   }
   return ok_status();

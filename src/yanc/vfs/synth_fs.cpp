@@ -157,24 +157,21 @@ Result<Stat> SynthFs::getattr(NodeId id) {
   Stat st;
   st.ino = id;
   st.nlink = 1;
-  FileRef ref;
-  {
-    dbg::LockGuard lock(mu_);
-    auto it = nodes_.find(id);
-    if (it == nodes_.end()) return Errc::not_found;
-    const Node& node = it->second;
-    st.type = node.type;
-    st.version = node.version;
-    st.mtime_ns = refresh_tick_;
-    if (node.type == FileType::directory) {
-      st.mode = 0555;
-      st.size = node.children.size();
-      return st;
-    }
+  dbg::LockGuard lock(mu_);
+  auto it = nodes_.find(id);
+  if (it == nodes_.end()) return Errc::not_found;
+  const Node& node = it->second;
+  st.type = node.type;
+  st.version = node.version;
+  st.mtime_ns = refresh_tick_;
+  if (node.type == FileType::directory) {
+    st.mode = 0555;
+    st.size = node.children.size();
+  } else {
+    // A file's content exists only when it is read, so it reports size
+    // 0, as a procfs file does, and stat renders nothing.
     st.mode = node.write ? 0644 : 0444;
-    ref = ref_locked(node);
   }
-  st.size = ref.content().size();
   return st;
 }
 

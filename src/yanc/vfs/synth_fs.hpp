@@ -21,8 +21,10 @@
 // Every other operation has one answer: namespace mutations are EPERM,
 // a write to a file without a writer is EACCES, a write to a directory
 // EISDIR.  Modes follow from the table: directories 0555, files 0444, or
-// 0644 when they have a writer.  Declared nodes are never removed; a list
-// directory's entries come and go with its callback.
+// 0644 when they have a writer.  A file reports size 0, as a procfs file
+// does: its content exists only when it is read, so stat renders nothing.
+// Declared nodes are never removed; a list directory's entries come and
+// go with its callback.
 //
 // Locking: the `synth_fs` rank guards the node table only.  No callback
 // and no watch emit runs under it, so a callback may take any lock (the

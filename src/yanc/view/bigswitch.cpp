@@ -203,24 +203,14 @@ std::size_t BigSwitch::forward_events() {
   if (!parent_events_) return 0;
   auto pending = parent_events_->drain();
   if (!pending) return 0;
-  auto view_apps = vfs_->readdir(view_root_ + "/events");
-  if (!view_apps) return 0;
-
   std::size_t forwarded = 0;
-  for (const auto& pkt : *pending) {
+  for (auto& pkt : *pending) {
     std::uint16_t vport =
         virtual_port(topo::PortRef{pkt.datapath, pkt.in_port});
     if (vport == 0) continue;  // not an edge port of this big switch
-    for (const auto& app : *view_apps) {
-      if (app.type != vfs::FileType::directory) continue;
-      std::string dir = view_root_ + "/events/" + app.name + "/" + pkt.name;
-      if (vfs_->mkdir(dir)) continue;
-      (void)vfs_->write_file(dir + "/datapath", config_.switch_name);
-      (void)vfs_->write_file(dir + "/in_port", std::to_string(vport));
-      (void)vfs_->write_file(dir + "/reason", pkt.reason);
-      (void)vfs_->write_file(dir + "/data", pkt.data);
-      ++forwarded;
-    }
+    pkt.datapath = config_.switch_name;
+    pkt.in_port = vport;
+    forwarded += netfs::deliver_packet_in(*vfs_, view_root_ + "/events", pkt);
   }
   return forwarded;
 }

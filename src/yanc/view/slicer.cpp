@@ -168,10 +168,6 @@ std::size_t Slicer::forward_events() {
   auto pending = parent_events_->drain();
   if (!pending) return 0;
   std::size_t forwarded = 0;
-
-  auto view_apps = vfs_->readdir(view_root_ + "/events");
-  if (!view_apps) return 0;
-
   for (const auto& pkt : *pending) {
     if (!switch_in_slice(pkt.datapath) ||
         !port_in_slice(pkt.datapath, pkt.in_port))
@@ -181,21 +177,7 @@ std::size_t Slicer::forward_events() {
     auto parsed = net::parse_frame(frame);
     if (!parsed) continue;
     if (!config_.predicate.matches(parsed->fields(pkt.in_port))) continue;
-
-    for (const auto& app : *view_apps) {
-      if (app.type != vfs::FileType::directory) continue;
-      std::string dir =
-          view_root_ + "/events/" + app.name + "/" + pkt.name;
-      if (vfs_->mkdir(dir)) continue;
-      (void)vfs_->write_file(dir + "/datapath", pkt.datapath);
-      (void)vfs_->write_file(dir + "/in_port",
-                             std::to_string(pkt.in_port));
-      (void)vfs_->write_file(dir + "/reason", pkt.reason);
-      (void)vfs_->write_file(dir + "/buffer_id",
-                             std::to_string(pkt.buffer_id));
-      (void)vfs_->write_file(dir + "/data", pkt.data);
-      ++forwarded;
-    }
+    forwarded += netfs::deliver_packet_in(*vfs_, view_root_ + "/events", pkt);
   }
   return forwarded;
 }

@@ -4,6 +4,7 @@
 // controller node appearing on another.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <set>
@@ -642,6 +643,49 @@ TEST(AntiEntropy, StalePartialWriteConverges) {
     EXPECT_EQ(read_at(*cluster.fs(node), "/.t/f"), "nEW") << "node " << node;
 }
 
+// A rename moves the deletions below the old name with the subtree: a
+// replica that missed one must not get the deleted entry back through
+// the new name, nor give it back to the replica that deleted it.
+TEST(AntiEntropy, RenameCarriesMissedDeletion) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  bool lose = false;
+  cluster.transport().set_fault_filter(
+      [&lose](Transport::NodeId, Transport::NodeId,
+              std::vector<std::uint8_t>&) {
+        Transport::LinkFate fate;
+        fate.drop = lose;
+        return fate;
+      });
+  auto top = fs0->mkdir(fs0->root(), ".t", 0755, {});
+  ASSERT_TRUE(top.ok());
+  auto d = fs0->mkdir(*top, "d", 0755, {});
+  ASSERT_TRUE(d.ok());
+  ASSERT_TRUE(fs0->create(*d, "x", 0644, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_TRUE(resolve(*cluster.fs(1), "/.t/d/x").ok());
+
+  lose = true;
+  ASSERT_FALSE(fs0->unlink(*d, "x", {}));
+  scheduler.run_until_idle();
+  lose = false;
+  ASSERT_FALSE(fs0->rename(*top, "d", *top, "e", {}));
+  scheduler.run_until_idle();
+  for (int round = 0; round < 2; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+  for (std::size_t node = 0; node < cluster.size(); ++node) {
+    EXPECT_TRUE(resolve(*cluster.fs(node), "/.t/e").ok()) << "node " << node;
+    EXPECT_FALSE(resolve(*cluster.fs(node), "/.t/e/x").ok())
+        << "node " << node;
+  }
+  EXPECT_EQ(fs0->root_digest(), cluster.fs(1)->root_digest());
+}
+
 // A flow's version file is its commit point.  A field whose op was lost
 // reaches a replica through anti-entropy after the commit it belongs to:
 // that replica showed the commit torn, so it announces the commit again,
@@ -1136,12 +1180,10 @@ const T& pick(util::Rng& rng, const std::vector<T>& from) {
   return from[rng.below(from.size())];
 }
 
-/// One random op of a lossy history the model can predict: writes and
-/// deletes happen on a replica current on what they touch, so each
-/// out-ranks everything before it there, and nothing is ever written
-/// below a deleted path.  A rename moves a subtree every replica is
-/// current on: tombstones below the old name stay there, so a stale copy
-/// moved to the new name could carry back an entry deleted under the old.
+/// One random op of a lossy history the model can predict: writes,
+/// deletes and renames happen on a replica current on what they touch, so
+/// each out-ranks everything before it there, and nothing is ever written
+/// below a deleted path.
 void lossy_step(Cluster& cluster, Model& model, util::Rng& rng,
                 std::uint64_t& serial) {
   std::vector<std::string> dirs, files, movable;
@@ -1197,14 +1239,16 @@ void lossy_step(Cluster& cluster, Model& model, util::Rng& rng,
       std::vector<std::string> into;
       for (const auto& dir : dirs)
         if (dir != from && !dir.starts_with(from + "/")) into.push_back(dir);
-      if (into.empty() ||
-          current_at(cluster, model, from).size() != cluster.size())
-        return;
+      if (into.empty()) return;
       const std::string& dir = pick(rng, into);
       const std::string to = dir + "/" + name;
       auto have = having_dir(cluster, dir);
-      if (have.empty()) return;
-      auto& fs = *cluster.fs(pick(rng, have));
+      std::vector<std::size_t> able;
+      for (std::size_t node : current_at(cluster, model, from))
+        if (std::find(have.begin(), have.end(), node) != have.end())
+          able.push_back(node);
+      if (able.empty()) return;
+      auto& fs = *cluster.fs(pick(rng, able));
       auto [parent, leaf] = parent_of(fs, from);
       auto [to_parent, to_leaf] = parent_of(fs, to);
       ASSERT_FALSE(fs.rename(*parent, leaf, *to_parent, to_leaf, {}));

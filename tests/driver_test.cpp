@@ -240,6 +240,33 @@ TEST_P(DriverTest, PacketOutThroughFilesystem) {
   EXPECT_EQ(*net().switch_at("sw1").read_field("counters/packet_outs"), "1");
 }
 
+// in_port is the one field only a flood request writes: the switch's
+// flood leaves that port out.
+TEST_P(DriverTest, FloodPacketOutSkipsIngressPort) {
+  auto s = make_switch(0x42);  // ports 1..3
+  settle({s.get()});
+  std::vector<std::unique_ptr<net::Host>> hosts;
+  for (std::uint16_t p = 1; p <= 3; ++p) {
+    hosts.push_back(std::make_unique<net::Host>(
+        "h", MacAddress::from_u64(0x0a0000000000ull + p),
+        Ipv4Address(0x0a000000u + p), network));
+    ASSERT_TRUE(network.add_link(*s, p, *hosts.back(), 0).ok());
+  }
+
+  auto frame = net::build_ethernet(hosts[1]->mac(), MacAddress{}, 0x1234,
+                                   {1, 2});
+  ASSERT_FALSE(netfs::write_packet_out(
+      *vfs, "/net/switches/sw1", "req1", 2, "flood",
+      std::string_view(reinterpret_cast<const char*>(frame.data()),
+                       frame.size())));
+  settle({s.get()});
+
+  EXPECT_EQ(hosts[0]->frames_received(), 1u);
+  EXPECT_EQ(hosts[1]->frames_received(), 0u);
+  EXPECT_EQ(hosts[2]->frames_received(), 1u);
+  EXPECT_FALSE(vfs->stat("/net/switches/sw1/packet_out/req1").ok());
+}
+
 TEST_P(DriverTest, PortDownWriteBecomesPortMod) {
   auto s = make_switch(0x42);
   settle({s.get()});
@@ -288,6 +315,32 @@ TEST_P(DriverTest, HardwareExpiryRemovesFlowDirectory) {
   // The switch already dropped the entry: mirroring the expiry into the
   // FS must not send it a delete.
   EXPECT_EQ(s->flow_mods_received(), mods_before);
+}
+
+// A flow the driver never pushed has nothing on hardware: an expiry whose
+// match and priority equal its default spec (match-all, priority 32768)
+// must leave its directory, and the uncommitted edit in it, alone.
+TEST_P(DriverTest, ExpiryLeavesUnpushedFlowAlone) {
+  auto s = make_switch(0x42);
+  settle({s.get()});
+  auto sw = net().switch_at("sw1");
+  FlowSpec draft;
+  draft.actions = {Action::output(2)};
+  ASSERT_FALSE(sw.add_flow("a_draft", draft, false));
+  FlowSpec live;
+  live.hard_timeout = 1;
+  live.actions = {Action::output(1)};
+  ASSERT_FALSE(sw.add_flow("z_live", live));
+  settle({s.get()});
+  ASSERT_EQ(s->table().size(), 1u);
+
+  scheduler.schedule_after(std::chrono::seconds(2), [] {});
+  scheduler.run_until_idle();
+  s->expire_flows();
+  settle({s.get()});
+  EXPECT_EQ(s->table().size(), 0u);
+  EXPECT_FALSE(sw.flow_at("z_live").exists());
+  EXPECT_TRUE(sw.flow_at("a_draft").exists());
 }
 
 TEST_P(DriverTest, StatsSyncFillsCounters) {

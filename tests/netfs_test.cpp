@@ -616,6 +616,121 @@ TEST_F(HandlesTest, EventBufferWatch) {
   EXPECT_EQ(e->name, "pkt_1");
 }
 
+// --- packet-in delivery and packet-out requests (§3.5) ----------------------
+
+TEST_F(HandlesTest, DeliveredPacketInDrainsWithEveryField) {
+  NetDir n = net();
+  auto router = n.open_events("router");
+  auto monitor = n.open_events("monitor");
+  ASSERT_TRUE(router.ok() && monitor.ok());
+
+  PacketInInfo pkt;
+  pkt.name = "pkt_0000000007";
+  pkt.datapath = "sw1";
+  pkt.in_port = 3;
+  pkt.reason = "action";
+  pkt.buffer_id = 0xffffffffu;
+  pkt.total_len = 1500;
+  pkt.data = std::string("\x00\x01frame", 7);
+  EXPECT_EQ(deliver_packet_in(*vfs, "/net/events", pkt), 2u);
+  EXPECT_EQ(*vfs->read_file("/net/events/router/pkt_0000000007/total_len"),
+            "1500");
+
+  for (auto* buf : {&*router, &*monitor}) {
+    auto events = buf->drain();
+    ASSERT_TRUE(events.ok());
+    ASSERT_EQ(events->size(), 1u) << buf->path();
+    const auto& got = (*events)[0];
+    EXPECT_EQ(got.name, pkt.name);
+    EXPECT_EQ(got.datapath, "sw1");
+    EXPECT_EQ(got.in_port, 3);
+    EXPECT_EQ(got.reason, "action");
+    EXPECT_EQ(got.buffer_id, 0xffffffffu);
+    EXPECT_EQ(got.data, pkt.data);
+    EXPECT_TRUE(buf->pending()->empty());
+  }
+}
+
+TEST(PacketInDelivery, SkipsEntriesThatAreNotBuffers) {
+  auto vfs = std::make_shared<Vfs>();
+  ASSERT_FALSE(vfs->mkdir("/events"));
+  ASSERT_FALSE(vfs->mkdir("/events/app"));
+  ASSERT_FALSE(vfs->write_file("/events/README", "not a buffer"));
+  PacketInInfo pkt;
+  pkt.name = "pkt_1";
+  pkt.datapath = "sw1";
+  EXPECT_EQ(deliver_packet_in(*vfs, "/events", pkt), 1u);
+  EXPECT_EQ(*vfs->read_file("/events/README"), "not a buffer");
+  EXPECT_EQ(*vfs->read_file("/events/app/pkt_1/datapath"), "sw1");
+  EXPECT_EQ(deliver_packet_in(*vfs, "/missing", pkt), 0u);
+}
+
+TEST_F(HandlesTest, PacketOutRoundTrip) {
+  ASSERT_FALSE(net().add_switch("sw1"));
+  const std::string frame("\x0a\x00frame", 7);
+  ASSERT_FALSE(
+      write_packet_out(*vfs, "/net/switches/sw1", "req", 2, "3", frame));
+  auto dir = vfs->resolve("/net/switches/sw1/packet_out/req", {});
+  ASSERT_TRUE(dir.ok());
+  auto request = read_packet_out(*vfs, *dir);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->in_port, 2);
+  EXPECT_EQ(request->outputs, std::vector<flow::Action>{flow::Action::output(3)});
+  EXPECT_EQ(request->data, frame);
+}
+
+TEST_F(HandlesTest, PacketOutReadsNothingBeforeSend) {
+  ASSERT_FALSE(net().add_switch("sw1"));
+  const std::string path = "/net/switches/sw1/packet_out/req";
+  ASSERT_FALSE(vfs->mkdir(path));
+  ASSERT_FALSE(vfs->write_file(path + "/out", "1 flood"));
+  ASSERT_FALSE(vfs->write_file(path + "/data", "frame"));
+  auto dir = vfs->resolve(path, {});
+  ASSERT_TRUE(dir.ok());
+  EXPECT_FALSE(read_packet_out(*vfs, *dir).has_value());
+
+  ASSERT_FALSE(vfs->write_file(path + "/send", "1"));
+  auto request = read_packet_out(*vfs, *dir);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_EQ(request->in_port, 0);
+  EXPECT_EQ(request->outputs,
+            (std::vector<flow::Action>{flow::Action::output(1),
+                                       flow::Action::flood()}));
+  EXPECT_EQ(request->data, "frame");
+}
+
+// A YancFs that watches each directory it makes from the moment mkdir
+// returns, before anything else is written into it.
+class WatchEveryNewDir : public YancFs {
+ public:
+  Result<vfs::NodeId> mkdir(vfs::NodeId parent, const std::string& name,
+                            std::uint32_t mode,
+                            const vfs::Credentials& creds) override {
+    auto made = YancFs::mkdir(parent, name, mode, creds);
+    if (made) (void)watch(*made, vfs::event::modified, queue);
+    return made;
+  }
+
+  vfs::WatchQueuePtr queue = std::make_shared<vfs::WatchQueue>();
+};
+
+// The driver sends a request once `send` reads 1, so send goes last.
+TEST(PacketOutRequest, SendIsWrittenLast) {
+  auto vfs = std::make_shared<Vfs>();
+  auto fs = std::make_shared<WatchEveryNewDir>();
+  ASSERT_FALSE(vfs->mkdir("/net"));
+  ASSERT_FALSE(vfs->mount("/net", fs));
+  ASSERT_FALSE(vfs->mkdir("/net/switches/sw1"));
+  fs->queue->drain();
+
+  ASSERT_FALSE(
+      write_packet_out(*vfs, "/net/switches/sw1", "req", 2, "1", "frame"));
+  std::vector<std::string> order;
+  for (const auto& event : fs->queue->drain()) order.push_back(event.name);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"in_port", "out", "data", "send"}));
+}
+
 // --- validate_field unit coverage (parameterized) ----------------------------
 
 struct FieldCase {

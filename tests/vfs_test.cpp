@@ -1626,8 +1626,9 @@ TEST_F(NamespaceTest, CarriesCredentials) {
 // --- SynthFs through the Vfs -------------------------------------------------
 
 // A path walk learns a file's type from its walk step, so reading a
-// synthetic file renders it once; stat renders it to report a size.
-TEST(SynthFsVfsTest, ReadFileRendersOnceStatRendersForSize) {
+// synthetic file renders it once; stat reports size 0, as procfs does,
+// and renders nothing.
+TEST(SynthFsVfsTest, ReadFileRendersOnceStatRendersNothing) {
   Vfs vfs;
   ASSERT_FALSE(vfs.mkdir("/synth"));
   int file_renders = 0;
@@ -1655,14 +1656,14 @@ TEST(SynthFsVfsTest, ReadFileRendersOnceStatRendersForSize) {
 
   auto st = vfs.stat("/synth/dir/value");
   ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->size, 3u);
-  EXPECT_EQ(file_renders, 2);
+  EXPECT_EQ(st->size, 0u);
+  EXPECT_EQ(file_renders, 1);
   auto entry = vfs.stat("/synth/by-id/9");
   ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->size, 7u);
-  EXPECT_EQ(entry_renders, 2);
+  EXPECT_EQ(entry->size, 0u);
+  EXPECT_EQ(entry_renders, 1);
   EXPECT_EQ(vfs.read_file("/synth/by-id/8").error(), err(Errc::not_found));
-  EXPECT_EQ(entry_renders, 2);
+  EXPECT_EQ(entry_renders, 1);
 }
 
 // --- Differential resolver test ---------------------------------------------

@@ -4,6 +4,7 @@
 
 #include "yanc/net/packet.hpp"
 #include "yanc/netfs/yancfs.hpp"
+#include "yanc/obs/tracer.hpp"
 #include "yanc/view/bigswitch.hpp"
 #include "yanc/view/slicer.hpp"
 
@@ -163,6 +164,39 @@ TEST_F(SlicerTest, EventsFilteredIntoView) {
   ASSERT_TRUE(events.ok());
   ASSERT_EQ(events->size(), 1u);  // only the ssh packet crossed
   EXPECT_EQ((*events)[0].datapath, "sw1");
+}
+
+// A forwarded packet-in keeps its trace: the view's application claims
+// the context the driver handed to the slicer's parent buffer.
+TEST_F(SlicerTest, ForwardedPacketInKeepsItsTrace) {
+  Slicer slicer(vfs, "/net", ssh_slice());
+  ASSERT_FALSE(slicer.init());
+  netfs::NetDir view(vfs, "/net/views/ssh");
+  auto app_buf = view.open_events("tenant-app");
+  ASSERT_TRUE(app_buf.ok());
+
+  obs::tracer().clear();
+  obs::tracer().start();
+  auto frame = net::build_tcp(MacAddress::from_u64(2),
+                              MacAddress::from_u64(1),
+                              *Ipv4Address::parse("10.0.0.1"),
+                              *Ipv4Address::parse("10.0.0.2"), 1234, 22, {});
+  netfs::PacketInInfo pkt;
+  pkt.name = "pkt_1";
+  pkt.datapath = "sw1";
+  pkt.in_port = 1;
+  pkt.data.assign(frame.begin(), frame.end());
+  pkt.trace = obs::tracer().mint("test", "packet_in");
+  ASSERT_TRUE(pkt.trace);
+  EXPECT_EQ(netfs::deliver_packet_in(*vfs, "/net/events", pkt), 1u);
+  ASSERT_TRUE(slicer.poll().ok());
+  auto events = app_buf->drain();
+  obs::tracer().stop();
+  obs::tracer().clear();
+
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 1u);
+  EXPECT_EQ((*events)[0].trace.trace_id, pkt.trace.trace_id);
 }
 
 TEST_F(SlicerTest, SlicesStack) {
