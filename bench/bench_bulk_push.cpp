@@ -17,6 +17,7 @@
 #include "yanc/netfs/flowio.hpp"
 #include "yanc/netfs/yancfs.hpp"
 #include "yanc/sw/switch.hpp"
+#include "yanc/util/strings.hpp"
 
 using namespace yanc;
 
@@ -78,7 +79,7 @@ void BM_BulkPush_Libyanc(benchmark::State& state) {
       fast::FlowBatch batch;
       batch.switch_name = "sw" + std::to_string(s);
       for (int f = 0; f < kFlowsPerSwitch; ++f)
-        batch.entries.emplace_back("f" + std::to_string(f), sample_flow(f));
+        batch.entries.emplace_back(numbered("f", f), sample_flow(f));
       (void)channel.submit(std::move(batch));
     }
     auto stats = fast::drain_flow_channel(

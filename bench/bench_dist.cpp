@@ -23,6 +23,7 @@
 #include "yanc/netfs/flowio.hpp"
 #include "yanc/netfs/handles.hpp"
 #include "yanc/netfs/yancfs.hpp"
+#include "yanc/util/strings.hpp"
 
 using namespace yanc;
 
@@ -156,7 +157,7 @@ void BM_ClusterFailover(benchmark::State& state) {
     h.settle();
     auto owner = h.owner_of(1);
     for (int i = 0; i < 8; ++i)
-      (void)h.commit_flow(*owner, 1, "f" + std::to_string(i),
+      (void)h.commit_flow(*owner, 1, numbered("f", i),
                           sample_flow(i));
     h.settle(4);
     const auto t0 = h.scheduler().clock().now_ns();

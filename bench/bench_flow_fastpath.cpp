@@ -25,6 +25,7 @@
 #include "yanc/fast/syscall_model.hpp"
 #include "yanc/netfs/handles.hpp"
 #include "yanc/netfs/yancfs.hpp"
+#include "yanc/util/strings.hpp"
 
 using namespace yanc;
 
@@ -99,7 +100,7 @@ void BM_Libyanc_Fastpath(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     (void)channel.submit(
-        fast::FlowBatch{"sw1", {{"f" + std::to_string(i), sample_flow(i)}}});
+        fast::FlowBatch{"sw1", {{numbered("f", i), sample_flow(i)}}});
     auto stats = fast::drain_flow_channel(
         channel, ofp::Version::of10,
         [&](const std::string&, std::vector<std::uint8_t> bytes) {
@@ -124,7 +125,7 @@ void BM_Libyanc_Batched(benchmark::State& state) {
     fast::FlowBatch batch;
     batch.switch_name = "sw1";
     for (int f = 0; f < batch_size; ++f) {
-      batch.entries.emplace_back("f" + std::to_string(i), sample_flow(i));
+      batch.entries.emplace_back(numbered("f", i), sample_flow(i));
       ++i;
     }
     (void)channel.submit(std::move(batch));
@@ -147,7 +148,7 @@ void BM_Libyanc_WithMirror(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     (void)channel.submit(
-        fast::FlowBatch{"sw1", {{"f" + std::to_string(i), sample_flow(i)}}});
+        fast::FlowBatch{"sw1", {{numbered("f", i), sample_flow(i)}}});
     auto stats = fast::drain_flow_channel(
         channel, ofp::Version::of10,
         [](const std::string&, std::vector<std::uint8_t>) {}, v.get());

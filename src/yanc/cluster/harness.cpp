@@ -64,7 +64,7 @@ Harness::Harness(HarnessOptions options)
     // switches concurrently would otherwise both pick "sw1" and LWW-merge
     // the trees.  Failover adoption is unaffected — the reconnect path
     // matches directories by the id file, not the name.
-    dopts.switch_name_prefix = "n" + std::to_string(i) + "-sw";
+    dopts.switch_name_prefix = numbered("n", i) + "-sw";
     // Recovery timers sized so resync completes within a settle().
     dopts.keepalive_interval = 8;
     dopts.keepalive_timeout = 64;

@@ -42,6 +42,8 @@ struct OfDriver::Connection {
   std::uint64_t dpid = 0;
   std::string name;  // directory name under switches/
   std::string path;  // absolute switch directory path
+  // The switch's counters/ directory, resolved once (bump_counter).
+  std::optional<vfs::Vfs::Resolved> counters;
   std::uint32_t next_xid = 1;
 
   // Per-switch watch shard: this connection's slice of the file system's
@@ -633,6 +635,9 @@ vfs::NodeId OfDriver::add_watch(const vfs::Vfs::Resolved& target,
 
 void OfDriver::create_switch_tree(Connection& conn,
                                   const std::vector<ofp::PortDesc>& ports) {
+  if (auto counters = vfs_->resolve(conn.path + "/counters",
+                                    Credentials::root()))
+    conn.counters = std::move(*counters);
   for (const auto& port : ports) create_port_dir(conn, port);
 
   // Watch flows/ for new and deleted flow directories, packet_out/ for
@@ -1459,12 +1464,24 @@ void OfDriver::ping_switches() {
 
 void OfDriver::bump_counter(Connection& conn, std::string_view name,
                             std::uint64_t delta) {
-  auto counters = vfs_->resolve(conn.path + "/counters", Credentials::root());
-  if (!counters) return;
-  std::uint64_t value = 0;
-  if (auto current = vfs_->read_file(*counters, name))
-    value = parse_u64(trim(*current)).value_or(0);
-  (void)vfs_->write_file(*counters, name, std::to_string(value + delta));
+  // The handle follows its directory.  A write that finds no directory
+  // (counters/ was removed, or never resolved) resolves the path again
+  // once, for the directory that now holds the name.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (!conn.counters || attempt > 0) {
+      auto counters =
+          vfs_->resolve(conn.path + "/counters", Credentials::root());
+      if (!counters) return;
+      conn.counters = std::move(*counters);
+    }
+    std::uint64_t value = 0;
+    if (auto current = vfs_->read_file(*conn.counters, name))
+      value = parse_u64(trim(*current)).value_or(0);
+    if (vfs_->write_file(*conn.counters, name,
+                         std::to_string(value + delta)) !=
+        make_error_code(Errc::not_found))
+      return;
+  }
 }
 
 }  // namespace yanc::driver

@@ -279,7 +279,7 @@ void Switch::handle_stats(const ofp::StatsRequest& sr, std::uint32_t xid) {
       reply.manufacturer = options_.manufacturer;
       reply.hw_desc = options_.hw_desc;
       reply.sw_desc = options_.sw_desc;
-      reply.serial = "0";
+      reply.serial.assign(1, '0');
       reply.dp_desc = name();
       break;
     case ofp::StatsKind::flow:

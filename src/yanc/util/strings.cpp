@@ -95,6 +95,12 @@ std::string to_hex(std::uint64_t v, int width_bytes) {
   return out;
 }
 
+std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 namespace {
 
 bool set_match(std::string_view set, char c, std::size_t* consumed) {

@@ -36,6 +36,11 @@ Result<std::uint64_t> parse_hex_u64(std::string_view s);
 /// Lower-case hex without prefix, zero-padded to width*2 chars.
 std::string to_hex(std::uint64_t v, int width_bytes);
 
+/// `prefix` followed by `n` in decimal ("f" and 7 give "f7"), the name of
+/// one of a run of numbered objects.  Built by appending: GCC 12 reports a
+/// false -Wrestrict at -O3 for `"f" + std::to_string(n)` in some loops.
+std::string numbered(std::string_view prefix, std::uint64_t n);
+
 /// Shell-style glob match supporting '*', '?' and '[set]'.  Used by the
 /// find/grep utilities (§5.4) and by watch filters.
 bool glob_match(std::string_view pattern, std::string_view text);

@@ -47,13 +47,17 @@ MemFs::MutationScope::~MutationScope() {
   fs_.emitting_actions_.clear();
 }
 
-void MemFs::queue_event_locked(NodeId node, std::uint32_t mask,
-                               std::string name, std::uint32_t cookie) {
-  pending_actions_.push_back(PendingAction{
-      PendingAction::Kind::emit, Event{mask, node, std::move(name), cookie}});
+void MemFs::queue_event_locked(NodeId node, const Inode& ino,
+                               std::uint32_t mask, std::string_view name,
+                               std::uint32_t cookie) {
+  if (ino.watches == 0) return;
+  pending_actions_.push_back(
+      PendingAction{PendingAction::Kind::emit,
+                    Event{mask, node, std::string(name), cookie}});
 }
 
-void MemFs::queue_drop_locked(NodeId node) {
+void MemFs::queue_drop_locked(NodeId node, const Inode& ino) {
+  if (ino.watches == 0) return;
   pending_actions_.push_back(
       PendingAction{PendingAction::Kind::drop, Event{0, node, {}, 0}});
 }
@@ -124,7 +128,7 @@ Result<NodeId> MemFs::add_child_locked(NodeId parent, const std::string& name,
   Inode* child = find(*id);
   child->parent_hint = parent;
   child->name_hint = name;
-  queue_event_locked(parent, event::created, name);
+  queue_event_locked(parent, *dir, event::created, name);
   return id;
 }
 
@@ -134,10 +138,31 @@ void MemFs::touch_locked(Inode& node) {
 }
 
 void MemFs::emit_node_event_locked(NodeId node, std::uint32_t mask) {
-  queue_event_locked(node, mask);
   const Inode* ino = find(node);
-  if (ino && ino->parent_hint != kInvalidNode)
-    queue_event_locked(ino->parent_hint, mask, ino->name_hint);
+  if (!ino) return;
+  queue_event_locked(node, *ino, mask);
+  if (ino->parent_hint == kInvalidNode) return;
+  if (const Inode* parent = find(ino->parent_hint))
+    queue_event_locked(ino->parent_hint, *parent, mask, ino->name_hint);
+}
+
+std::size_t MemFs::modified_events_locked(NodeId node, const Inode& ino,
+                                          Event (&out)[2]) const {
+  std::size_t n = 0;
+  if (ino.watches != 0) out[n++] = Event{event::modified, node, {}, 0};
+  if (ino.parent_hint == kInvalidNode) return n;
+  const Inode* parent = find(ino.parent_hint);
+  if (parent && parent->watches != 0)
+    out[n++] = Event{event::modified, ino.parent_hint, ino.name_hint, 0};
+  return n;
+}
+
+void MemFs::emit_unlocked(Event (&events)[2], std::size_t n) {
+  if (n == 0) return;
+  dbg::LockGuard order(emit_mu_);
+  for (std::size_t i = 0; i < n; ++i)
+    watches_.emit(events[i].node, events[i].mask, events[i].name,
+                  events[i].cookie);
 }
 
 Result<NodeId> MemFs::lookup_locked(NodeId parent,
@@ -278,7 +303,7 @@ Status MemFs::link(NodeId node, NodeId parent, const std::string& name,
   ++target->nlink;
   target->ctime_ns = now_ns();
   touch_locked(*dir);
-  queue_event_locked(parent, event::created, name);
+  queue_event_locked(parent, *dir, event::created, name);
   return ok_status();
 }
 
@@ -295,7 +320,7 @@ void MemFs::destroy_subtree_locked(NodeId node) {
   if (ino->type == FileType::regular)
     bytes_used_.fetch_sub(ino->data.size(), std::memory_order_relaxed);
   emit_node_event_locked(node, event::delete_self);
-  queue_drop_locked(node);
+  queue_drop_locked(node, *ino);
   on_remove_node(node);
   inodes_.erase(node);
 }
@@ -320,12 +345,12 @@ Status MemFs::unlink_locked(NodeId parent, const std::string& name,
   NodeId victim = it->second;
   dir->children.erase(it);
   touch_locked(*dir);
-  queue_event_locked(parent, event::deleted, name);
+  queue_event_locked(parent, *dir, event::deleted, name);
   if (target) {
     if (--target->nlink == 0) {
       bytes_used_.fetch_sub(target->data.size(), std::memory_order_relaxed);
-      queue_event_locked(victim, event::delete_self);
-      queue_drop_locked(victim);
+      queue_event_locked(victim, *target, event::delete_self);
+      queue_drop_locked(victim, *target);
       on_remove_node(victim);
       inodes_.erase(victim);
     } else {
@@ -368,7 +393,7 @@ Status MemFs::rmdir_locked(NodeId parent, const std::string& name,
   dir->children.erase(it);
   --dir->nlink;
   touch_locked(*dir);
-  queue_event_locked(parent, event::deleted, name);
+  queue_event_locked(parent, *dir, event::deleted, name);
   destroy_subtree_locked(victim);
   return ok_status();
 }
@@ -431,8 +456,8 @@ Status MemFs::rename_locked(NodeId old_parent, const std::string& old_name,
         if (--existing->nlink == 0) {
           bytes_used_.fetch_sub(existing->data.size(),
                                 std::memory_order_relaxed);
-          queue_event_locked(dst_it->second, event::delete_self);
-          queue_drop_locked(dst_it->second);
+          queue_event_locked(dst_it->second, *existing, event::delete_self);
+          queue_drop_locked(dst_it->second, *existing);
           on_remove_node(dst_it->second);
           inodes_.erase(dst_it->second);
         }
@@ -458,9 +483,10 @@ Status MemFs::rename_locked(NodeId old_parent, const std::string& old_name,
   if (old_parent != new_parent) touch_locked(*dst_dir);
 
   std::uint32_t cookie = next_cookie_++;
-  queue_event_locked(old_parent, event::moved_from, old_name, cookie);
-  queue_event_locked(new_parent, event::moved_to, new_name, cookie);
-  queue_event_locked(moving, event::move_self);
+  queue_event_locked(old_parent, *src_dir, event::moved_from, old_name,
+                     cookie);
+  queue_event_locked(new_parent, *dst_dir, event::moved_to, new_name, cookie);
+  queue_event_locked(moving, *node, event::move_self);
   return ok_status();
 }
 
@@ -563,18 +589,9 @@ Result<std::uint64_t> MemFs::write(NodeId node, std::uint64_t offset,
     }
     ino->data = std::move(content);
     touch_locked(*ino);
-    if (watches_.watched(node))
-      events[n_events++] = Event{event::modified, node, {}, 0};
-    if (ino->parent_hint != kInvalidNode && watches_.watched(ino->parent_hint))
-      events[n_events++] =
-          Event{event::modified, ino->parent_hint, ino->name_hint, 0};
+    n_events = modified_events_locked(node, *ino, events);
   }
-  if (n_events) {
-    dbg::LockGuard order(emit_mu_);
-    for (std::size_t i = 0; i < n_events; ++i)
-      watches_.emit(events[i].node, events[i].mask, events[i].name,
-                    events[i].cookie);
-  }
+  emit_unlocked(events, n_events);
   return static_cast<std::uint64_t>(data.size());
 }
 
@@ -614,18 +631,9 @@ Result<std::uint64_t> MemFs::replace(NodeId node, std::string_view data,
                             std::memory_order_relaxed);
     ino->data = std::move(content);
     touch_locked(*ino);
-    if (watches_.watched(node))
-      events[n_events++] = Event{event::modified, node, {}, 0};
-    if (ino->parent_hint != kInvalidNode && watches_.watched(ino->parent_hint))
-      events[n_events++] =
-          Event{event::modified, ino->parent_hint, ino->name_hint, 0};
+    n_events = modified_events_locked(node, *ino, events);
   }
-  if (n_events) {
-    dbg::LockGuard order(emit_mu_);
-    for (std::size_t i = 0; i < n_events; ++i)
-      watches_.emit(events[i].node, events[i].mask, events[i].name,
-                    events[i].cookie);
-  }
+  emit_unlocked(events, n_events);
   return static_cast<std::uint64_t>(data.size());
 }
 
@@ -768,15 +776,22 @@ Status MemFs::access(NodeId node, std::uint8_t want, const Credentials& creds) {
 
 Result<WatchRegistry::WatchId> MemFs::watch(NodeId node, std::uint32_t mask,
                                             WatchQueuePtr queue) {
-  dbg::SharedLock lock(mu_);
-  if (!find(node)) return Errc::not_found;
+  // Exclusive, as for a mutation: a mutation that saw no watch here
+  // queued no event, so the new watch gets none of its events.
+  dbg::UniqueLock lock(mu_);
+  Inode* ino = find(node);
+  if (!ino) return Errc::not_found;
   if (!queue || mask == 0) return Errc::invalid_argument;
+  ++ino->watches;
   return watches_.add(node, mask, std::move(queue));
 }
 
 void MemFs::unwatch(WatchRegistry::WatchId id) {
-  dbg::SharedLock lock(mu_);
-  watches_.remove(id);
+  dbg::UniqueLock lock(mu_);
+  // A removed node has no count left to lower; node ids are never reused,
+  // so no other node's count is touched.
+  const NodeId node = watches_.remove(id);
+  if (Inode* ino = find(node)) --ino->watches;
 }
 
 std::size_t MemFs::inode_count() const {

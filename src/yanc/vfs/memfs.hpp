@@ -16,7 +16,8 @@
 //     files proceed in parallel with each other and with all readers.
 //   * watch emission — mutations queue events while locked and fan them
 //     out after unlock (emit_mu_ keeps fan-out in operation order), so no
-//     consumer queue is ever touched under the filesystem lock.
+//     consumer queue is ever touched under the filesystem lock.  Only a
+//     node with a watch gets an event: each inode counts its watches.
 // The libyanc fastpath (yanc::fast) still bypasses all of this, and the
 // benchmarks measure the difference (EXP-2).
 #pragma once
@@ -127,6 +128,9 @@ class MemFs : public Filesystem {
     Uid uid = 0;
     Gid gid = 0;
     std::uint32_t nlink = 0;
+    // Watches registered on this node: written by watch/unwatch under mu_
+    // exclusive, so a mutation reads it under either hold of mu_.
+    std::uint32_t watches = 0;
     std::uint64_t version = 0;
     std::uint64_t mtime_ns = 0;
     std::uint64_t ctime_ns = 0;
@@ -226,14 +230,25 @@ class MemFs : public Filesystem {
   void destroy_subtree_locked(NodeId node);
   void touch_locked(Inode& node);
   std::uint64_t now_ns() { return tick_.fetch_add(1, std::memory_order_relaxed) + 1; }
-  /// Queues an event for post-unlock delivery (requires mu_ exclusive).
-  void queue_event_locked(NodeId node, std::uint32_t mask,
-                          std::string name = {}, std::uint32_t cookie = 0);
-  /// Queues a deferred WatchRegistry::drop_node (requires mu_ exclusive).
-  void queue_drop_locked(NodeId node);
+  /// Queues an event on `node`, whose inode is `ino`, for post-unlock
+  /// delivery, if the node has a watch: no queue would get it otherwise
+  /// (requires mu_ exclusive).
+  void queue_event_locked(NodeId node, const Inode& ino, std::uint32_t mask,
+                          std::string_view name = {},
+                          std::uint32_t cookie = 0);
+  /// Queues a deferred WatchRegistry::drop_node of `node`, whose inode is
+  /// `ino`, if it has a watch (requires mu_ exclusive).
+  void queue_drop_locked(NodeId node, const Inode& ino);
   /// Queues an event on the node and, when a parent hint exists, a matching
   /// named event on the parent directory (inotify delivers both).
   void emit_node_event_locked(NodeId node, std::uint32_t mask);
+  /// The modified events a content change of `node` owes, into `out`: on
+  /// the node and, named, on its parent, each only if watched.  Requires
+  /// mu_ in either mode; returns how many it wrote.
+  std::size_t modified_events_locked(NodeId node, const Inode& ino,
+                                     Event (&out)[2]) const;
+  /// Fans out events built under a shared hold of mu_, after it dropped.
+  void emit_unlocked(Event (&events)[2], std::size_t n);
 
   // Unlocked-entry helpers so subclass overrides can reuse base behaviour.
   Result<NodeId> mkdir_locked(NodeId parent, const std::string& name,

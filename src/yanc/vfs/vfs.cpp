@@ -40,11 +40,10 @@ class OpTimer {
   obs::Histogram* histogram_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 };
-}  // namespace
 
-std::string normalize_path(std::string_view path) {
-  std::string out;
-  out.reserve(path.size() + 1);
+/// Appends `path` in normal form (normalize_path) to `out`.
+void append_normal(std::string_view path, std::string& out) {
+  const std::size_t start = out.size();
   std::size_t pos = 0;
   while (pos < path.size()) {
     std::size_t end = path.find('/', pos);
@@ -56,47 +55,63 @@ std::string normalize_path(std::string_view path) {
     }
     pos = end + 1;
   }
-  if (out.empty()) out = "/";
+  if (out.size() == start) out += '/';
+}
+
+/// The mount filter bit, of `bits`, for a path `len` bytes long whose last
+/// component is `last`: FNV-1a over both, folded.
+std::size_t mount_filter_bit(std::string_view last, std::size_t len,
+                             std::size_t bits) {
+  std::uint64_t h = 0xcbf29ce484222325ull ^ len;
+  for (unsigned char c : last) h = (h ^ c) * 0x100000001b3ull;
+  return static_cast<std::size_t>(h ^ (h >> 32)) % bits;
+}
+}  // namespace
+
+std::string normalize_path(std::string_view path) {
+  std::string out;
+  out.reserve(path.size() + 1);
+  append_normal(path, out);
   return out;
 }
 
-Vfs::Vfs() : metrics_(std::make_shared<obs::Registry>()) {
-  mounts_.emplace("/", Mount{std::make_shared<MemFs>(), MountOptions{}});
-  obs_.lookup_total = metrics_->counter("vfs/lookup_total");
-  obs_.read_total = metrics_->counter("vfs/read_total");
-  obs_.write_total = metrics_->counter("vfs/write_total");
-  obs_.metadata_total = metrics_->counter("vfs/metadata_total");
+Vfs::Vfs()
+    : root_fs_(std::make_shared<MemFs>()),
+      metrics_(std::make_shared<obs::Registry>()) {
+  mounts_.emplace("/", Mount{root_fs_, MountOptions{}});
+  auto total = [&](OpKind kind, const char* name) {
+    obs_.op_total[static_cast<std::size_t>(kind)] = metrics_->counter(name);
+  };
+  total(OpKind::lookup, "vfs/lookup_total");
+  total(OpKind::read, "vfs/read_total");
+  total(OpKind::write, "vfs/write_total");
+  total(OpKind::metadata, "vfs/metadata_total");
   obs_.op_ns = metrics_->histogram("vfs/op_ns");
 }
 
 void Vfs::count_op(OpKind kind, std::uint64_t n) {
-  counters_.total.fetch_add(n, std::memory_order_relaxed);
-  switch (kind) {
-    case OpKind::read:
-      counters_.reads.fetch_add(n, std::memory_order_relaxed);
-      obs_.read_total->add(n);
-      break;
-    case OpKind::write:
-      counters_.writes.fetch_add(n, std::memory_order_relaxed);
-      obs_.write_total->add(n);
-      break;
-    case OpKind::metadata:
-      counters_.metadata.fetch_add(n, std::memory_order_relaxed);
-      obs_.metadata_total->add(n);
-      break;
-    case OpKind::lookup:
-      counters_.lookups.fetch_add(n, std::memory_order_relaxed);
-      obs_.lookup_total->add(n);
-      break;
+  obs_.op_total[static_cast<std::size_t>(kind)]->add(n);
+}
+
+OpCounters Vfs::counters() const {
+  std::array<std::uint64_t, 4> n{};
+  for (std::size_t i = 0; i < n.size(); ++i) {
+    const std::uint64_t now = obs_.op_total[i]->value();
+    const std::uint64_t base = counter_base_[i].load(std::memory_order_relaxed);
+    n[i] = now > base ? now - base : 0;  // a racing reset reads as zero
   }
+  auto at = [&](OpKind kind) { return n[static_cast<std::size_t>(kind)]; };
+  return OpCounters{{n[0] + n[1] + n[2] + n[3]},
+                    {at(OpKind::read)},
+                    {at(OpKind::write)},
+                    {at(OpKind::metadata)},
+                    {at(OpKind::lookup)}};
 }
 
 void Vfs::reset_counters() {
-  counters_.total = 0;
-  counters_.reads = 0;
-  counters_.writes = 0;
-  counters_.metadata = 0;
-  counters_.lookups = 0;
+  for (std::size_t i = 0; i < counter_base_.size(); ++i)
+    counter_base_[i].store(obs_.op_total[i]->value(),
+                           std::memory_order_relaxed);
 }
 
 Status Vfs::mount(const std::string& path, FilesystemPtr fs,
@@ -116,6 +131,7 @@ Status Vfs::mount(const std::string& path, FilesystemPtr fs,
   dbg::UniqueLock lock(mounts_mu_);
   auto [it, inserted] = mounts_.emplace(key, Mount{std::move(fs), options});
   if (!inserted) return make_error_code(Errc::busy);
+  refilter_mounts();
   return ok_status();
 }
 
@@ -137,6 +153,7 @@ Status Vfs::umount(const std::string& path) {
     if (starts_with(mount_path, prefix))
       return make_error_code(Errc::busy);
   mounts_.erase(it);
+  refilter_mounts();
   return ok_status();
 }
 
@@ -146,13 +163,43 @@ FilesystemPtr Vfs::mounted_at(const std::string& path) const {
   return it == mounts_.end() ? nullptr : it->second.fs;
 }
 
-bool Vfs::is_mount_point(const std::string& logical_path) const {
+bool Vfs::is_mount_point(std::string_view parent, std::string_view leaf) const {
+  const std::size_t len = parent.size() + 1 + leaf.size();
+  if (!may_be_mount(leaf, len)) return false;
+  std::string key;
+  key.reserve(len);
+  key += parent;
+  key += '/';
+  key += leaf;
   dbg::SharedLock lock(mounts_mu_);
-  return mounts_.count(logical_path) != 0;
+  return mounts_.count(key) != 0;
+}
+
+bool Vfs::may_be_mount(std::string_view last, std::size_t len) const noexcept {
+  const std::size_t bit = mount_filter_bit(last, len, kMountFilterWords * 64);
+  // Relaxed: a set bit only sends the step to the table, and taking
+  // mounts_mu_ orders it after the mount that set the bit.
+  return (mount_filter_[bit / 64].load(std::memory_order_relaxed) >>
+          (bit % 64)) & 1u;
+}
+
+void Vfs::refilter_mounts() {
+  std::array<std::uint64_t, kMountFilterWords> bits{};
+  for (const auto& [key, mount] : mounts_) {
+    if (key == "/") continue;
+    const std::size_t bit =
+        mount_filter_bit(std::string_view(key).substr(key.rfind('/') + 1),
+                         key.size(), kMountFilterWords * 64);
+    bits[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+  // Word by word: the bit of a key still in the table is set before and
+  // after each store, so no walk misses a mount that stays.
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    mount_filter_[i].store(bits[i], std::memory_order_relaxed);
 }
 
 struct Vfs::Frame {
-  std::uint32_t pin;          // index of this directory's fs in Walk::pins
+  std::uint32_t pin;          // 0: Walk::base's fs; i > 0: Walk::pins[i - 1]
   std::uint32_t logical_len;  // its logical path is Walk::logical[0, len)
   NodeId node;
   FileType type;
@@ -160,14 +207,19 @@ struct Vfs::Frame {
 };
 
 struct Vfs::Walk {
+  Walk() { stack.reserve(16); }
+
   std::vector<Frame> stack;
   // Logical (mount-table) path of the top frame ("" = /); each frame
   // keeps its length, so ".." truncates instead of rebuilding.
   std::string logical;
-  // Every filesystem entered, pinned once, so that a concurrent umount
-  // cannot free one mid-walk.
+  // The filesystem of stack[0], borrowed: root_fs_, which the Vfs keeps,
+  // or a directory handle's, which the caller's Resolved keeps.
+  const FilesystemPtr* base = nullptr;
+  // Every other filesystem entered, through a mount, pinned once, so that
+  // a concurrent umount cannot free one mid-walk.
   std::vector<FilesystemPtr> pins;
-  // Components looked up so far; resolve() counts them with one add.
+  // Components looked up so far; finish() counts them with one add.
   std::uint64_t lookups = 0;
   // Set when stack[0] is a directory handle's frame below its namespace
   // root, whose ancestors the walk does not know.  A step that would leave
@@ -176,17 +228,76 @@ struct Vfs::Walk {
   // stack[0], or "/target[/rest]", from the namespace root.
   bool detached = false;
   std::string escaped;
+  // Where find() puts a path, and a namespace root, that is not normal.
+  std::string path_buf;
+  std::string root_buf;
 
+  const FilesystemPtr& owner(const Frame& frame) const {
+    return frame.pin == 0 ? *base : pins[frame.pin - 1];
+  }
   std::uint32_t pin(const FilesystemPtr& fs) {
+    if (fs == *base) return 0;
     for (std::size_t i = 0; i < pins.size(); ++i)
-      if (pins[i] == fs) return static_cast<std::uint32_t>(i);
+      if (pins[i] == fs) return static_cast<std::uint32_t>(i + 1);
     pins.push_back(fs);
-    return static_cast<std::uint32_t>(pins.size() - 1);
+    return static_cast<std::uint32_t>(pins.size());
   }
   void truncate_to(std::size_t depth) {
     stack.resize(depth);
     logical.resize(stack.back().logical_len);
   }
+  /// Empties the walk for its next use: drops its pins, keeps the
+  /// capacity of its buffers.
+  void reset() {
+    stack.clear();
+    logical.clear();
+    base = nullptr;
+    pins.clear();
+    lookups = 0;
+    detached = false;
+    escaped.clear();
+  }
+};
+
+struct Vfs::Walks {
+  Walk walk;
+  // A directory-relative walk whose symlink leaves the directory is
+  // finished here; a call on two paths (rename, link) walks one in each.
+  Walk rewalk;
+};
+
+/// Lends Walks from the calling thread's idle list for one call and takes
+/// them back with their pins dropped and their buffers kept, so that on a
+/// warmed thread a resolution allocates nothing.  A call made from inside
+/// a filesystem while the thread holds a lease gets Walks of its own.
+class Vfs::WalkLease {
+ public:
+  WalkLease() {
+    auto& idle = idle_walks();
+    if (idle.empty()) {
+      walks_ = std::make_unique<Walks>();
+    } else {
+      walks_ = std::move(idle.back());
+      idle.pop_back();
+    }
+  }
+  ~WalkLease() {
+    walks_->walk.reset();
+    walks_->rewalk.reset();
+    idle_walks().push_back(std::move(walks_));
+  }
+  WalkLease(const WalkLease&) = delete;
+  WalkLease& operator=(const WalkLease&) = delete;
+
+  Walks& operator*() const noexcept { return *walks_; }
+  Walks* operator->() const noexcept { return walks_.get(); }
+
+ private:
+  static std::vector<std::unique_ptr<Walks>>& idle_walks() {
+    thread_local std::vector<std::unique_ptr<Walks>> idle;
+    return idle;
+  }
+  std::unique_ptr<Walks> walks_;
 };
 
 // Walks the components of `rest` (a normal path without its leading '/')
@@ -220,7 +331,7 @@ Status Vfs::walk(Walk& w, std::string_view rest, const Credentials& creds,
     }
 
     const Frame cur = w.stack.back();
-    Filesystem& fs = *w.pins[cur.pin];
+    Filesystem& fs = *w.owner(cur);
     auto step = fs.walk_step(cur.node, comp, creds);
     // A step refused for the directory itself looked nothing up.
     if (step || (step.error() != make_error_code(Errc::not_dir) &&
@@ -252,7 +363,8 @@ Status Vfs::walk(Walk& w, std::string_view rest, const Credentials& creds,
     w.logical += comp;
     Frame next{cur.pin, static_cast<std::uint32_t>(w.logical.size()),
                step->node, step->type, cur.read_only};
-    {
+    // Only a step the filter cannot rule out pays for the table's lock.
+    if (may_be_mount(comp, w.logical.size())) {
       dbg::SharedLock lock(mounts_mu_);
       auto mount_it = mounts_.find(w.logical);
       if (mount_it != mounts_.end()) {
@@ -288,7 +400,8 @@ bool is_normal(std::string_view path) {
 /// into `storage`.
 std::string_view normal_view(std::string_view path, std::string& storage) {
   if (is_normal(path)) return path;
-  storage = normalize_path(path);
+  storage.clear();
+  append_normal(path, storage);
   return storage;
 }
 
@@ -323,15 +436,25 @@ obs::TraceRef mint_ingress(std::string_view name, PathFn&& path) {
 Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
                                    const Credentials& creds, bool follow_final,
                                    std::string_view root) {
-  std::string path_storage;
-  std::string root_storage;
-  std::string_view norm = normal_view(path, path_storage);
-  std::string_view norm_root = normal_view(root, root_storage);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, follow_final, root);
+  if (!found) return found.error();
+  return found->keep();
+}
 
-  Walk w;
-  // Sized once, so that a walk of ordinary depth never regrows either.
-  w.stack.reserve(16);
-  w.logical.reserve(norm_root.size() + norm.size());
+Result<Vfs::Target> Vfs::find(Walk& w, std::string_view path,
+                              const Credentials& creds, bool follow_final,
+                              std::string_view root) {
+  return find_normal(w, normal_view(path, w.path_buf), creds, follow_final,
+                     root);
+}
+
+Result<Vfs::Target> Vfs::find_normal(Walk& w, std::string_view norm,
+                                     const Credentials& creds,
+                                     bool follow_final,
+                                     std::string_view root) {
+  w.reset();
+  std::string_view norm_root = normal_view(root, w.root_buf);
   int symlinks_left = kMaxSymlinkDepth;
   // Stage 1: anchor at the namespace root.
   Status ec = anchor(w, norm_root, creds, symlinks_left);
@@ -345,12 +468,10 @@ Result<Vfs::Resolved> Vfs::resolve(std::string_view path,
 
 Status Vfs::anchor(Walk& w, std::string_view norm_root,
                    const Credentials& creds, int& symlinks_left) {
-  {
-    dbg::SharedLock lock(mounts_mu_);
-    const Mount& m = mounts_.at("/");
-    w.stack.push_back(Frame{w.pin(m.fs), 0, m.fs->root(),
-                            FileType::directory, m.options.read_only});
-  }
+  // "/" holds the Vfs's own MemFs, mounted writable for good.
+  w.base = &root_fs_;
+  w.stack.push_back(
+      Frame{0, 0, root_fs_->root(), FileType::directory, false});
   if (norm_root.size() <= 1) return ok_status();
   if (auto ec = walk(w, norm_root.substr(1), creds, true, 1, symlinks_left);
       ec)
@@ -360,27 +481,35 @@ Status Vfs::anchor(Walk& w, std::string_view norm_root,
   return ok_status();
 }
 
-Result<Vfs::Resolved> Vfs::finish(Walk& w, Status ec,
-                                  std::uint32_t root_len) {
+Result<Vfs::Target> Vfs::finish(Walk& w, Status ec, std::uint32_t root_len) {
   // One add per resolution, whether it failed or not.
   if (w.lookups != 0) count_op(OpKind::lookup, w.lookups);
   if (ec) return ec;
   const Frame& top = w.stack.back();
-  return Resolved{std::move(w.pins[top.pin]), top.node, top.type,
-                  top.read_only, std::move(w.logical), root_len};
+  const FilesystemPtr& owner = w.owner(top);
+  return Target{owner.get(), &owner, top.node, top.type, top.read_only,
+                w.logical, root_len};
 }
 
 Result<Vfs::Resolved> Vfs::resolve(const Resolved& dir, std::string_view name,
                                    const Credentials& creds,
                                    bool follow_final) {
+  WalkLease lease;
+  auto found = find(*lease, dir, name, creds, follow_final);
+  if (!found) return found.error();
+  return found->keep();
+}
+
+Result<Vfs::Target> Vfs::find(Walks& ws, const Resolved& dir,
+                              std::string_view name, const Credentials& creds,
+                              bool follow_final) {
   if (!is_component(name)) return Errc::invalid_argument;
   // The walk resumes from dir's frame, as if it had just been pushed.
-  Walk w;
-  w.stack.reserve(2);
-  w.logical.reserve(dir.logical.size() + 1 + name.size());
+  Walk& w = ws.walk;
+  w.reset();
+  w.base = &dir.fs;
   w.logical = dir.logical;
-  w.stack.push_back(Frame{w.pin(dir.fs),
-                          static_cast<std::uint32_t>(dir.logical.size()),
+  w.stack.push_back(Frame{0, static_cast<std::uint32_t>(dir.logical.size()),
                           dir.node, dir.type, dir.read_only});
   // At the namespace root, ".." and absolute targets stop at dir's frame,
   // as they do in the path walk; below it they leave the frame.
@@ -393,8 +522,8 @@ Result<Vfs::Resolved> Vfs::resolve(const Resolved& dir, std::string_view name,
   // finishes it.  A ".." target gets there through dir's path, which must
   // still reach dir's node: a directory that moved gives not_found, and
   // one made later under its old name is never entered.
-  Walk p;
-  p.stack.reserve(16);
+  Walk& p = ws.rewalk;
+  p.reset();
   p.lookups = w.lookups;
   std::string_view root(dir.logical.data(), dir.root_len);
   ec = anchor(p, root.empty() ? std::string_view("/") : root, creds,
@@ -407,71 +536,73 @@ Result<Vfs::Resolved> Vfs::resolve(const Resolved& dir, std::string_view name,
     ec = walk(p, std::string_view(dir.logical).substr(dir.root_len + 1),
               creds, true, base_depth, symlinks_left);
     const Frame& top = p.stack.back();
-    if (!ec && (top.node != dir.node || p.pins[top.pin] != dir.fs))
+    if (!ec && (top.node != dir.node || p.owner(top) != dir.fs))
       ec = make_error_code(Errc::not_found);
   }
   if (!ec) ec = walk(p, rest, creds, follow_final, base_depth, symlinks_left);
   return finish(p, ec, dir.root_len);
 }
 
-Result<Vfs::Resolved> Vfs::resolve_parent(std::string_view path,
-                                          const Credentials& creds,
-                                          std::string* leaf,
-                                          std::string_view root) {
-  std::string path_storage;
-  std::string_view norm = normal_view(path, path_storage);
+Result<Vfs::Target> Vfs::find_parent(Walk& w, std::string_view path,
+                                     const Credentials& creds,
+                                     std::string_view* leaf,
+                                     std::string_view root) {
+  std::string_view norm = normal_view(path, w.path_buf);
   if (norm == "/") return Errc::busy;  // the root has no parent entry
   auto slash = norm.rfind('/');
-  leaf->assign(norm.substr(slash + 1));
+  *leaf = norm.substr(slash + 1);
   if (*leaf == "..") return Errc::invalid_argument;
-  return resolve(slash == 0 ? std::string_view("/") : norm.substr(0, slash),
-                 creds, true, root);
+  return find_normal(w, slash == 0 ? std::string_view("/")
+                                   : norm.substr(0, slash),
+                     creds, true, root);
 }
 
 Result<std::shared_ptr<FileHandle>> Vfs::open(std::string_view path, int flags,
                                               std::uint32_t mode,
                                               const Credentials& creds,
                                               const std::string& root) {
-  auto target = open_target(path, flags, mode, creds, root);
+  WalkLease lease;
+  auto target = open_target(*lease, path, flags, mode, creds, root);
   if (!target) return target.error();
-  return std::make_shared<FileHandle>(std::move(target->fs), target->node,
-                                      flags, creds);
+  return std::make_shared<FileHandle>(*target->owner, target->node, flags,
+                                      creds);
 }
 
-Result<Vfs::OpenTarget> Vfs::open_target(std::string_view path, int flags,
-                                         std::uint32_t mode,
+Result<Vfs::OpenTarget> Vfs::open_target(Walks& ws, std::string_view path,
+                                         int flags, std::uint32_t mode,
                                          const Credentials& creds,
-                                         const std::string& root) {
+                                         std::string_view root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (resolved) return open_found(*resolved, flags, creds);
-  if (resolved.error() != make_error_code(Errc::not_found) ||
+  auto found = find(ws.walk, path, creds, true, root);
+  if (found) return open_found(*found, flags, creds);
+  if (found.error() != make_error_code(Errc::not_found) ||
       !(flags & open_flags::create))
-    return resolved.error();
-  std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root);
+    return found.error();
+  // That walk is done with; the parent's reuses its buffers.
+  std::string_view leaf;
+  auto parent = find_parent(ws.walk, path, creds, &leaf, root);
   if (!parent) return parent.error();
   return create_in(*parent, leaf, mode, creds);
 }
 
-Result<Vfs::OpenTarget> Vfs::open_target(const Resolved& dir,
+Result<Vfs::OpenTarget> Vfs::open_target(Walks& ws, const Resolved& dir,
                                          std::string_view name, int flags,
                                          std::uint32_t mode,
                                          const Credentials& creds) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(dir, name, creds, true);
-  if (resolved) return open_found(*resolved, flags, creds);
-  if (resolved.error() != make_error_code(Errc::not_found) ||
+  auto found = find(ws, dir, name, creds, true);
+  if (found) return open_found(*found, flags, creds);
+  if (found.error() != make_error_code(Errc::not_found) ||
       !(flags & open_flags::create))
-    return resolved.error();
+    return found.error();
   // `dir` is the parent: no second walk.  A removed `dir` has no node, so
   // the create fails with not_found and makes nothing.
-  return create_in(dir, name, mode, creds);
+  return create_in(Target::of(dir), name, mode, creds);
 }
 
-Result<Vfs::OpenTarget> Vfs::open_found(Resolved& found, int flags,
+Result<Vfs::OpenTarget> Vfs::open_found(const Target& found, int flags,
                                         const Credentials& creds) {
   namespace of = open_flags;
   int acc = flags & of::accmode;
@@ -493,17 +624,17 @@ Result<Vfs::OpenTarget> Vfs::open_found(Resolved& found, int flags,
   if (flags & of::truncate)
     if (auto ec = found.fs->truncate(found.node, 0, creds); ec) return ec;
 
-  return OpenTarget{std::move(found.fs), found.node};
+  return OpenTarget{found.fs, found.owner, found.node};
 }
 
-Result<Vfs::OpenTarget> Vfs::create_in(const Resolved& parent,
+Result<Vfs::OpenTarget> Vfs::create_in(const Target& parent,
                                        std::string_view leaf,
                                        std::uint32_t mode,
                                        const Credentials& creds) {
   if (parent.read_only) return Errc::read_only;
   auto node = parent.fs->create(parent.node, std::string(leaf), mode, creds);
   if (!node) return node.error();
-  return OpenTarget{parent.fs, *node};
+  return OpenTarget{parent.fs, parent.owner, *node};
 }
 
 Result<std::string> Vfs::read_file(std::string_view path,
@@ -511,7 +642,8 @@ Result<std::string> Vfs::read_file(std::string_view path,
                                    const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::read);
-  auto target = resolve(path, creds, true, root);
+  WalkLease lease;
+  auto target = find(lease->walk, path, creds, true, root);
   if (!target) return target.error();
   return read_target(*target, creds);
 }
@@ -520,15 +652,16 @@ Result<std::string> Vfs::read_file(const Resolved& dir, std::string_view name,
                                    const Credentials& creds) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::read);
-  auto target = resolve(dir, name, creds, true);
+  WalkLease lease;
+  auto target = find(*lease, dir, name, creds, true);
   if (!target) return target.error();
   return read_target(*target, creds);
 }
 
-Result<std::string> Vfs::read_target(const Resolved& target,
+Result<std::string> Vfs::read_target(const Target& target,
                                      const Credentials& creds) {
   return target.fs->read(target.node, 0,
-                         std::numeric_limits<std::uint64_t>::max(), creds);
+                           std::numeric_limits<std::uint64_t>::max(), creds);
 }
 
 Status Vfs::write_file(std::string_view path, std::string_view data,
@@ -537,8 +670,10 @@ Status Vfs::write_file(std::string_view path, std::string_view data,
   count_op(OpKind::write);
   obs::TraceScope trace_scope(
       mint_ingress("write", [&] { return std::string(path); }));
-  auto target = open_target(path, open_flags::write_only | open_flags::create,
-                            0644, creds, root);
+  WalkLease lease;
+  auto target =
+      open_target(*lease, path, open_flags::write_only | open_flags::create,
+                  0644, creds, root);
   if (!target) return target.error();
   return write_target(*target, data, creds);
 }
@@ -549,7 +684,8 @@ Status Vfs::write_file(const Resolved& dir, std::string_view name,
   count_op(OpKind::write);
   obs::TraceScope trace_scope(
       mint_ingress("write", [&] { return path_in(dir, name); }));
-  auto target = open_target(dir, name,
+  WalkLease lease;
+  auto target = open_target(*lease, dir, name,
                             open_flags::write_only | open_flags::create, 0644,
                             creds);
   if (!target) return target.error();
@@ -569,7 +705,8 @@ Status Vfs::append_file(std::string_view path, std::string_view data,
                         const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  auto target = open_target(path,
+  WalkLease lease;
+  auto target = open_target(*lease, path,
                             open_flags::write_only | open_flags::create |
                                 open_flags::append,
                             0644, creds, root);
@@ -585,18 +722,20 @@ Result<Stat> Vfs::stat(std::string_view path, const Credentials& creds,
                        const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->getattr(resolved->node);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  return found->fs->getattr(found->node);
 }
 
 Result<Stat> Vfs::lstat(std::string_view path, const Credentials& creds,
                         const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, false, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->getattr(resolved->node);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, false, root);
+  if (!found) return found.error();
+  return found->fs->getattr(found->node);
 }
 
 Result<std::vector<DirEntry>> Vfs::readdir(std::string_view path,
@@ -604,7 +743,8 @@ Result<std::vector<DirEntry>> Vfs::readdir(std::string_view path,
                                            const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto target = resolve(path, creds, true, root);
+  WalkLease lease;
+  auto target = find(lease->walk, path, creds, true, root);
   if (!target) return target.error();
   return list_dir(*target, creds);
 }
@@ -614,7 +754,8 @@ Result<std::vector<DirEntry>> Vfs::readdir(const Resolved& dir,
                                            const Credentials& creds) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  auto target = resolve(dir, name, creds, true);
+  WalkLease lease;
+  auto target = find(*lease, dir, name, creds, true);
   if (!target) return target.error();
   return list_dir(*target, creds);
 }
@@ -623,10 +764,10 @@ Result<std::vector<DirEntry>> Vfs::readdir(const Resolved& dir,
                                            const Credentials& creds) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::metadata);
-  return list_dir(dir, creds);
+  return list_dir(Target::of(dir), creds);
 }
 
-Result<std::vector<DirEntry>> Vfs::list_dir(const Resolved& target,
+Result<std::vector<DirEntry>> Vfs::list_dir(const Target& target,
                                             const Credentials& creds) {
   if (auto ec = target.fs->access(target.node, 4, creds); ec) return ec;
   return target.fs->readdir(target.node);
@@ -642,8 +783,9 @@ Status Vfs::mkdir(std::string_view path, std::uint32_t mode,
   // survives onto the FLOW_MOD train.
   obs::TraceScope trace_scope(
       mint_ingress("mkdir", [&] { return std::string(path); }));
-  std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root);
+  WalkLease lease;
+  std::string_view leaf;
+  auto parent = find_parent(lease->walk, path, creds, &leaf, root);
   if (!parent) return parent.error();
   return mkdir_in(*parent, leaf, mode, creds);
 }
@@ -655,10 +797,10 @@ Status Vfs::mkdir(const Resolved& dir, std::string_view name,
   obs::TraceScope trace_scope(
       mint_ingress("mkdir", [&] { return path_in(dir, name); }));
   if (!is_component(name)) return make_error_code(Errc::invalid_argument);
-  return mkdir_in(dir, name, mode, creds);
+  return mkdir_in(Target::of(dir), name, mode, creds);
 }
 
-Status Vfs::mkdir_in(const Resolved& parent, std::string_view leaf,
+Status Vfs::mkdir_in(const Target& parent, std::string_view leaf,
                      std::uint32_t mode, const Credentials& creds) {
   if (parent.read_only) return make_error_code(Errc::read_only);
   auto node = parent.fs->mkdir(parent.node, std::string(leaf), mode, creds);
@@ -689,8 +831,9 @@ Status Vfs::unlink(std::string_view path, const Credentials& creds,
                    const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root);
+  WalkLease lease;
+  std::string_view leaf;
+  auto parent = find_parent(lease->walk, path, creds, &leaf, root);
   if (!parent) return parent.error();
   return unlink_in(*parent, leaf, creds);
 }
@@ -701,31 +844,31 @@ Status Vfs::unlink(const Resolved& dir, std::string_view name,
   count_op(OpKind::write);
   // Like the path unlink, which walks only to the parent: no lookup.
   if (!is_component(name)) return make_error_code(Errc::invalid_argument);
-  return unlink_in(dir, name, creds);
+  return unlink_in(Target::of(dir), name, creds);
 }
 
-Status Vfs::unlink_in(const Resolved& parent, std::string_view leaf,
+Status Vfs::unlink_in(const Target& parent, std::string_view leaf,
                       const Credentials& creds) {
   if (parent.read_only) return make_error_code(Errc::read_only);
-  std::string name(leaf);
   // Mount-point check on the *resolved* logical path: a lexical check
   // misses "/a/../mnt" and symlinked parents, which name the same entry.
-  if (is_mount_point(parent.logical + "/" + name))
+  if (is_mount_point(parent.logical, leaf))
     return make_error_code(Errc::busy);
-  return parent.fs->unlink(parent.node, name, creds);
+  return parent.fs->unlink(parent.node, std::string(leaf), creds);
 }
 
 Status Vfs::rmdir(std::string_view path, const Credentials& creds,
                   const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  std::string leaf;
-  auto parent = resolve_parent(path, creds, &leaf, root);
+  WalkLease lease;
+  std::string_view leaf;
+  auto parent = find_parent(lease->walk, path, creds, &leaf, root);
   if (!parent) return parent.error();
   if (parent->read_only) return make_error_code(Errc::read_only);
-  if (is_mount_point(parent->logical + "/" + leaf))
+  if (is_mount_point(parent->logical, leaf))
     return make_error_code(Errc::busy);
-  return parent->fs->rmdir(parent->node, leaf, creds);
+  return parent->fs->rmdir(parent->node, std::string(leaf), creds);
 }
 
 Status Vfs::remove_all(std::string_view path, const Credentials& creds,
@@ -754,31 +897,34 @@ Status Vfs::rename(std::string_view from, std::string_view to,
                    const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  std::string from_leaf, to_leaf;
-  auto from_parent = resolve_parent(from, creds, &from_leaf, root);
+  WalkLease lease;
+  std::string_view from_leaf, to_leaf;
+  auto from_parent = find_parent(lease->walk, from, creds, &from_leaf, root);
   if (!from_parent) return from_parent.error();
-  auto to_parent = resolve_parent(to, creds, &to_leaf, root);
+  auto to_parent = find_parent(lease->rewalk, to, creds, &to_leaf, root);
   if (!to_parent) return to_parent.error();
-  if (is_mount_point(from_parent->logical + "/" + from_leaf) ||
-      is_mount_point(to_parent->logical + "/" + to_leaf))
+  if (is_mount_point(from_parent->logical, from_leaf) ||
+      is_mount_point(to_parent->logical, to_leaf))
     return make_error_code(Errc::busy);
-  if (from_parent->fs.get() != to_parent->fs.get())
+  if (from_parent->fs != to_parent->fs)
     return make_error_code(Errc::cross_device);
   if (from_parent->read_only || to_parent->read_only)
     return make_error_code(Errc::read_only);
-  return from_parent->fs->rename(from_parent->node, from_leaf,
-                                 to_parent->node, to_leaf, creds);
+  return from_parent->fs->rename(from_parent->node, std::string(from_leaf),
+                                   to_parent->node, std::string(to_leaf),
+                                   creds);
 }
 
 Status Vfs::symlink(std::string_view target, std::string_view linkpath,
                     const Credentials& creds, const std::string& root) {
   count_op(OpKind::write);
-  std::string leaf;
-  auto parent = resolve_parent(linkpath, creds, &leaf, root);
+  WalkLease lease;
+  std::string_view leaf;
+  auto parent = find_parent(lease->walk, linkpath, creds, &leaf, root);
   if (!parent) return parent.error();
   if (parent->read_only) return make_error_code(Errc::read_only);
-  auto node =
-      parent->fs->symlink(parent->node, leaf, std::string(target), creds);
+  auto node = parent->fs->symlink(parent->node, std::string(leaf),
+                                    std::string(target), creds);
   return node ? ok_status() : node.error();
 }
 
@@ -786,61 +932,68 @@ Result<std::string> Vfs::readlink(std::string_view path,
                                   const Credentials& creds,
                                   const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, false, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->readlink(resolved->node);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, false, root);
+  if (!found) return found.error();
+  return found->fs->readlink(found->node);
 }
 
 Status Vfs::link(std::string_view existing, std::string_view linkpath,
                  const Credentials& creds, const std::string& root) {
   count_op(OpKind::write);
-  auto target = resolve(existing, creds, true, root);
+  WalkLease lease;
+  auto target = find(lease->walk, existing, creds, true, root);
   if (!target) return target.error();
-  std::string leaf;
-  auto parent = resolve_parent(linkpath, creds, &leaf, root);
+  std::string_view leaf;
+  auto parent = find_parent(lease->rewalk, linkpath, creds, &leaf, root);
   if (!parent) return parent.error();
-  if (parent->fs.get() != target->fs.get())
+  if (parent->fs != target->fs)
     return make_error_code(Errc::cross_device);
   if (parent->read_only) return make_error_code(Errc::read_only);
-  return parent->fs->link(target->node, parent->node, leaf, creds);
+  return parent->fs->link(target->node, parent->node, std::string(leaf),
+                            creds);
 }
 
 Status Vfs::chmod(std::string_view path, std::uint32_t mode,
                   const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  if (resolved->read_only) return make_error_code(Errc::read_only);
-  return resolved->fs->chmod(resolved->node, mode, creds);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  if (found->read_only) return make_error_code(Errc::read_only);
+  return found->fs->chmod(found->node, mode, creds);
 }
 
 Status Vfs::chown(std::string_view path, Uid uid, Gid gid,
                   const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  if (resolved->read_only) return make_error_code(Errc::read_only);
-  return resolved->fs->chown(resolved->node, uid, gid, creds);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  if (found->read_only) return make_error_code(Errc::read_only);
+  return found->fs->chown(found->node, uid, gid, creds);
 }
 
 Status Vfs::truncate(std::string_view path, std::uint64_t size,
                      const Credentials& creds, const std::string& root) {
   OpTimer timer(obs_.op_ns);
   count_op(OpKind::write);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  if (resolved->read_only) return make_error_code(Errc::read_only);
-  return resolved->fs->truncate(resolved->node, size, creds);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  if (found->read_only) return make_error_code(Errc::read_only);
+  return found->fs->truncate(found->node, size, creds);
 }
 
 Status Vfs::setxattr(std::string_view path, const std::string& name,
                      std::vector<std::uint8_t> value, const Credentials& creds,
                      const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  if (resolved->read_only) return make_error_code(Errc::read_only);
-  return resolved->fs->setxattr(resolved->node, name, std::move(value), creds);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  if (found->read_only) return make_error_code(Errc::read_only);
+  return found->fs->setxattr(found->node, name, std::move(value), creds);
 }
 
 Result<std::vector<std::uint8_t>> Vfs::getxattr(std::string_view path,
@@ -848,27 +1001,30 @@ Result<std::vector<std::uint8_t>> Vfs::getxattr(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->getxattr(resolved->node, name);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  return found->fs->getxattr(found->node, name);
 }
 
 Result<std::vector<std::string>> Vfs::listxattr(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->listxattr(resolved->node);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  return found->fs->listxattr(found->node);
 }
 
 Status Vfs::removexattr(std::string_view path, const std::string& name,
                         const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  if (resolved->read_only) return make_error_code(Errc::read_only);
-  return resolved->fs->removexattr(resolved->node, name, creds);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  if (found->read_only) return make_error_code(Errc::read_only);
+  return found->fs->removexattr(found->node, name, creds);
 }
 
 Status Vfs::set_acl(std::string_view path, const Acl& acl,
@@ -887,9 +1043,10 @@ Result<Acl> Vfs::get_acl(std::string_view path, const Credentials& creds,
 Status Vfs::access(std::string_view path, std::uint8_t want,
                    const Credentials& creds, const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  return resolved->fs->access(resolved->node, want, creds);
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  return found->fs->access(found->node, want, creds);
 }
 
 Result<std::shared_ptr<WatchHandle>> Vfs::watch(std::string_view path,
@@ -898,11 +1055,12 @@ Result<std::shared_ptr<WatchHandle>> Vfs::watch(std::string_view path,
                                                 const Credentials& creds,
                                                 const std::string& root) {
   count_op(OpKind::metadata);
-  auto resolved = resolve(path, creds, true, root);
-  if (!resolved) return resolved.error();
-  auto id = resolved->fs->watch(resolved->node, mask, std::move(queue));
+  WalkLease lease;
+  auto found = find(lease->walk, path, creds, true, root);
+  if (!found) return found.error();
+  auto id = found->fs->watch(found->node, mask, std::move(queue));
   if (!id) return id.error();
-  return std::make_shared<WatchHandle>(resolved->fs, *id);
+  return std::make_shared<WatchHandle>(*found->owner, *id);
 }
 
 // --- FileHandle -------------------------------------------------------------

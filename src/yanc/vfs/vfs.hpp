@@ -26,9 +26,11 @@
 //     the directory has moved it gives not_found.
 //   - accounting: every public call increments an op counter; this is the
 //     "system call" count that §8.1's performance argument is about, and
-//     the benchmarks report it (EXP-1/2/3).
+//     the benchmarks report it (EXP-1/2/3).  The counters are the
+//     vfs/*_total files under /yanc/.stats; counters() reads them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -46,7 +48,8 @@ struct MountOptions {
   bool read_only = false;
 };
 
-/// Cumulative operation counters (the simulated syscall count).
+/// Operation counts (the simulated syscall count) since the last
+/// Vfs::reset_counters(); Vfs::counters() fills one in.
 struct OpCounters {
   std::atomic<std::uint64_t> total{0};
   std::atomic<std::uint64_t> reads{0};
@@ -221,7 +224,10 @@ class Vfs {
                                              const Credentials& creds = {},
                                              const std::string& root = "/");
 
-  const OpCounters& counters() const noexcept { return counters_; }
+  /// The op counts since the last reset_counters(), read from the
+  /// vfs/*_total registry counters; `total` is the sum of the other four.
+  OpCounters counters() const;
+  /// Starts counters() from zero; the registry counters keep counting.
   void reset_counters();
 
   /// The metrics registry every subsystem working over this Vfs shares
@@ -239,14 +245,39 @@ class Vfs {
   };
   struct Frame;  // one directory on the resolver's walk stack
   struct Walk;   // the walk stack, its logical path and its pinned fs
-  /// The file an open acts on.
+  struct Walks;  // the walks of one resolution: at most two
+  class WalkLease;
+  /// What a resolution found, borrowed from the walk that found it or
+  /// from the Resolved a directory-relative call was given; valid while
+  /// that walk stays leased and that Resolved alive.  Resolved is the
+  /// owning copy a caller keeps.
+  struct Target {
+    Filesystem* fs;              // the filesystem `node` is in
+    const FilesystemPtr* owner;  // the pointer that keeps `fs` alive
+    NodeId node;
+    FileType type;
+    bool read_only;
+    std::string_view logical;  // as Resolved::logical
+    std::uint32_t root_len;
+    /// Borrows `r`: the directory of a call on a handle.
+    static Target of(const Resolved& r) noexcept {
+      return Target{r.fs.get(), &r.fs, r.node, r.type, r.read_only,
+                    r.logical, r.root_len};
+    }
+    /// The owning copy, for a caller that keeps it.
+    Resolved keep() const {
+      return Resolved{*owner, node, type, read_only, std::string(logical),
+                      root_len};
+    }
+  };
+  /// The file an open acts on, borrowed as a Target is.
   struct OpenTarget {
-    FilesystemPtr fs;
+    Filesystem* fs;
+    const FilesystemPtr* owner;
     NodeId node;
   };
 
-  /// Operation classes mirrored into both OpCounters (the syscall model
-  /// the benchmarks read) and the obs registry (the /yanc/.stats surface).
+  /// Operation classes, one vfs/*_total registry counter each.
   enum class OpKind { read, write, metadata, lookup };
 
   [[nodiscard]] Status walk(Walk& w, std::string_view rest,
@@ -257,55 +288,81 @@ class Vfs {
   [[nodiscard]] Status anchor(Walk& w, std::string_view norm_root,
                               const Credentials& creds, int& symlinks_left);
   /// Counts w's lookups and returns its top frame, or `ec`.
-  Result<Resolved> finish(Walk& w, Status ec, std::uint32_t root_len);
-  Result<Resolved> resolve_parent(std::string_view path,
-                                  const Credentials& creds, std::string* leaf,
-                                  std::string_view root);
+  Result<Target> finish(Walk& w, Status ec, std::uint32_t root_len);
+  /// Walks `path` (made normal in w's buffer if it is not) in `w`.
+  Result<Target> find(Walk& w, std::string_view path,
+                      const Credentials& creds, bool follow_final,
+                      std::string_view root);
+  /// find() of the normal path `norm`.
+  Result<Target> find_normal(Walk& w, std::string_view norm,
+                             const Credentials& creds, bool follow_final,
+                             std::string_view root);
+  /// The walk of resolve(dir, name): in ws.walk, and when a symlink's
+  /// target leaves `dir`, finished in ws.rewalk.
+  Result<Target> find(Walks& ws, const Resolved& dir, std::string_view name,
+                      const Credentials& creds, bool follow_final);
+  /// The directory holding `path`'s last component, which `leaf` is set
+  /// to view (into `path`, or into w's buffer).
+  Result<Target> find_parent(Walk& w, std::string_view path,
+                             const Credentials& creds, std::string_view* leaf,
+                             std::string_view root);
   /// open() without the handle: resolves `path`, creating, checking and
   /// truncating the file as `flags` ask, and counts as one metadata op.
   /// write_file and append_file act on the node it returns directly.
-  Result<OpenTarget> open_target(std::string_view path, int flags,
+  Result<OpenTarget> open_target(Walks& ws, std::string_view path, int flags,
                                  std::uint32_t mode, const Credentials& creds,
-                                 const std::string& root);
-  Result<OpenTarget> open_target(const Resolved& dir, std::string_view name,
-                                 int flags, std::uint32_t mode,
-                                 const Credentials& creds);
+                                 std::string_view root);
+  Result<OpenTarget> open_target(Walks& ws, const Resolved& dir,
+                                 std::string_view name, int flags,
+                                 std::uint32_t mode, const Credentials& creds);
   /// open_target's checks, and its truncation, on a file the walk found.
-  Result<OpenTarget> open_found(Resolved& found, int flags,
+  Result<OpenTarget> open_found(const Target& found, int flags,
                                 const Credentials& creds);
   /// open_target's O_CREAT of `leaf` in the directory `parent`.
-  Result<OpenTarget> create_in(const Resolved& parent, std::string_view leaf,
+  Result<OpenTarget> create_in(const Target& parent, std::string_view leaf,
                                std::uint32_t mode, const Credentials& creds);
   // The bodies that a call and its directory-relative twin share, on what
   // each has resolved; the public calls keep the timing and the counts.
-  Result<std::string> read_target(const Resolved& target,
+  Result<std::string> read_target(const Target& target,
                                   const Credentials& creds);
   [[nodiscard]] Status write_target(const OpenTarget& target,
                                     std::string_view data,
                                     const Credentials& creds);
-  Result<std::vector<DirEntry>> list_dir(const Resolved& target,
+  Result<std::vector<DirEntry>> list_dir(const Target& target,
                                          const Credentials& creds);
-  [[nodiscard]] Status mkdir_in(const Resolved& parent, std::string_view leaf,
+  [[nodiscard]] Status mkdir_in(const Target& parent, std::string_view leaf,
                                 std::uint32_t mode, const Credentials& creds);
-  [[nodiscard]] Status unlink_in(const Resolved& parent,
-                                 std::string_view leaf,
+  [[nodiscard]] Status unlink_in(const Target& parent, std::string_view leaf,
                                  const Credentials& creds);
-  bool is_mount_point(const std::string& logical_path) const;
-  /// Adds `n` operations of one class to both counter sets.
+  /// Whether the entry `leaf` of the directory whose logical path is
+  /// `parent` is a mount point.
+  bool is_mount_point(std::string_view parent, std::string_view leaf) const;
+  /// The mount filter's "maybe": false when no mount key other than "/"
+  /// ends in the component `last` and is `len` bytes long.  Reads no lock.
+  bool may_be_mount(std::string_view last, std::size_t len) const noexcept;
+  /// Recomputes the mount filter from mounts_ (mounts_mu_ exclusive).
+  void refilter_mounts();
+  /// Adds `n` operations of one class to its registry counter.
   void count_op(OpKind kind, std::uint64_t n = 1);
 
   mutable dbg::SharedMutex<dbg::Rank::vfs_mounts> mounts_mu_;
   std::map<std::string, Mount> mounts_;  // resolved logical path -> mount
+  // The filesystem mounted at "/", which no mount or umount replaces:
+  // every walk starts there without the mount table.
+  FilesystemPtr root_fs_;
+  // One bit per (last component, length) of the mount keys below "/";
+  // written under mounts_mu_ exclusive, read by walks without it.
+  static constexpr std::size_t kMountFilterWords = 4;
+  std::array<std::atomic<std::uint64_t>, kMountFilterWords> mount_filter_{};
 
-  OpCounters counters_;
   std::shared_ptr<obs::Registry> metrics_;
   struct ObsHandles {
-    obs::Counter* lookup_total;
-    obs::Counter* read_total;
-    obs::Counter* write_total;
-    obs::Counter* metadata_total;
+    // vfs/{read,write,metadata,lookup}_total, indexed by OpKind.
+    std::array<obs::Counter*, 4> op_total;
     obs::Histogram* op_ns;  // wall latency of public Vfs operations
   } obs_;
+  // What the op_total counters read at the last reset_counters().
+  std::array<std::atomic<std::uint64_t>, 4> counter_base_{};
 };
 
 /// An open file: stateful offset + O_* semantics over the stateless

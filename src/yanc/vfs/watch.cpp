@@ -155,17 +155,19 @@ WatchRegistry::WatchId WatchRegistry::add(NodeId node, std::uint32_t mask,
   return id;
 }
 
-void WatchRegistry::remove(WatchId id) {
+NodeId WatchRegistry::remove(WatchId id) {
   dbg::LockGuard lock(mu_);
   auto it = subs_.find(id);
-  if (it == subs_.end()) return;
-  auto node_it = by_node_.find(it->second.node);
+  if (it == subs_.end()) return kInvalidNode;
+  const NodeId node = it->second.node;
+  auto node_it = by_node_.find(node);
   if (node_it != by_node_.end()) {
     auto& ids = node_it->second;
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
     if (ids.empty()) by_node_.erase(node_it);
   }
   subs_.erase(it);
+  return node;
 }
 
 void WatchRegistry::drop_node(NodeId node) {
@@ -200,11 +202,6 @@ void WatchRegistry::emit(NodeId node, std::uint32_t mask,
     base.trace_ts_ns = obs::Tracer::now_ns();
   }
   for (auto& q : targets) q->push(base);
-}
-
-bool WatchRegistry::watched(NodeId node) const {
-  dbg::LockGuard lock(mu_);
-  return by_node_.count(node) != 0;
 }
 
 std::size_t WatchRegistry::watch_count() const {

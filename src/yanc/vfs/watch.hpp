@@ -138,16 +138,15 @@ class WatchRegistry {
   using WatchId = std::uint64_t;
 
   WatchId add(NodeId node, std::uint32_t mask, WatchQueuePtr queue);
-  void remove(WatchId id);
+  /// Removes the subscription `id`; returns the node it was on, or
+  /// kInvalidNode when there is none (removed, or dropped with its node).
+  NodeId remove(WatchId id);
   /// Drops every subscription on `node` (used when a node is destroyed).
   void drop_node(NodeId node);
 
   /// Fans the event out to every queue watching `node` whose mask matches.
   void emit(NodeId node, std::uint32_t mask, const std::string& name = {},
             std::uint32_t cookie = 0);
-
-  /// True if anyone watches this node (lets hot paths skip event building).
-  bool watched(NodeId node) const;
 
   std::size_t watch_count() const;
 

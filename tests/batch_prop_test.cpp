@@ -25,6 +25,7 @@
 
 #include "yanc/obs/metrics.hpp"
 #include "yanc/util/rng.hpp"
+#include "yanc/util/strings.hpp"
 #include "yanc/vfs/memfs.hpp"
 
 namespace yanc::vfs {
@@ -33,7 +34,7 @@ namespace {
 constexpr std::size_t kNames = 8;
 constexpr std::size_t kOps = 400;
 
-std::string name_for(std::size_t i) { return "f" + std::to_string(i); }
+std::string name_for(std::size_t i) { return numbered("f", i); }
 
 struct AppliedOps {
   // Per name, the op sequence actually applied: 'C'reate, 'W'rite, 'D'elete.

@@ -18,6 +18,7 @@
 #include "yanc/obs/metrics.hpp"
 #include "yanc/util/log.hpp"
 #include "yanc/util/rng.hpp"
+#include "yanc/util/strings.hpp"
 
 namespace yanc::cluster {
 namespace {
@@ -164,7 +165,7 @@ TEST(ClusterTest, NodeKillFailsOverAndResyncsCommittedFlows) {
   ASSERT_TRUE(h.owner_of(1).has_value());
   std::size_t old_owner = *h.owner_of(1);
   for (int i = 0; i < 5; ++i)
-    ASSERT_FALSE(h.commit_flow(old_owner, 1, "f" + std::to_string(i),
+    ASSERT_FALSE(h.commit_flow(old_owner, 1, numbered("f", i),
                                make_spec(static_cast<std::uint16_t>(100 + i))));
   h.settle();
   ASSERT_EQ(h.hw_flows(1).size(), 5u);
@@ -249,7 +250,7 @@ TEST(ClusterTest, ReviveLeavesEqualHonestDigests) {
   Harness h(HarnessOptions{.nodes = 3, .switches = 2});
   h.settle();
   for (std::uint16_t i = 0; i < 6; ++i)
-    ASSERT_FALSE(h.commit_flow(i % 3, 1 + i % 2, "f" + std::to_string(i),
+    ASSERT_FALSE(h.commit_flow(i % 3, 1 + i % 2, numbered("f", i),
                                make_spec(static_cast<std::uint16_t>(100 + i))));
   h.settle();
   const std::size_t victim = *h.owner_of(1);
@@ -397,7 +398,7 @@ TEST(ClusterChaos, ConvergesToOneFencedPrimaryWithNoLostFlows) {
       for (std::size_t n = 0; n < kNodes; ++n) {
         if (dead[n]) continue;
         if (!h.commit_flow(n, dpid,
-                           "c" + std::to_string(committed),
+                           numbered("c", committed),
                            make_spec(static_cast<std::uint16_t>(
                                1000 + committed)))) {
           ++committed;

@@ -14,6 +14,7 @@
 #include "yanc/netfs/yancfs.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/sw/switch.hpp"
+#include "yanc/util/strings.hpp"
 
 namespace yanc::driver {
 namespace {
@@ -132,7 +133,7 @@ TEST_P(DriverTest, CommitBurstShipsAsOneTrain) {
     spec.match.tp_dst = static_cast<std::uint16_t>(1000 + i);
     spec.actions = {Action::output(1)};
     ASSERT_FALSE(
-        net().switch_at("sw1").add_flow("b" + std::to_string(i), spec));
+        net().switch_at("sw1").add_flow(numbered("b", i), spec));
   }
   settle({s.get()});
 
@@ -527,7 +528,7 @@ TEST(DriverOverflowRecovery, RescanAfterQueueOverflow) {
     FlowSpec spec;
     spec.match.tp_dst = static_cast<std::uint16_t>(1000 + i);
     spec.actions = {Action::output(1)};
-    ASSERT_FALSE(net.switch_at("sw1").add_flow("f" + std::to_string(i),
+    ASSERT_FALSE(net.switch_at("sw1").add_flow(numbered("f", i),
                                                spec));
   }
   settle();
@@ -783,7 +784,7 @@ TEST(DriverAudit, AuditFollowsThePollsFlowModTrain) {
       FlowSpec spec;
       spec.match.tp_dst = static_cast<std::uint16_t>(1000 + i);
       spec.actions = {Action::output(1)};
-      ASSERT_FALSE(net.switch_at("sw1").add_flow("f" + std::to_string(i),
+      ASSERT_FALSE(net.switch_at("sw1").add_flow(numbered("f", i),
                                                  spec));
     }
     run(24);
@@ -1163,7 +1164,7 @@ TEST(DriverOverflowRecovery, RescanRearmsWatchesAndReconcilesDeletions) {
     noise.match.tp_dst = static_cast<std::uint16_t>(1000 + i);
     noise.actions = {Action::output(1)};
     ASSERT_FALSE(
-        net.switch_at("sw1").add_flow("n" + std::to_string(i), noise));
+        net.switch_at("sw1").add_flow(numbered("n", i), noise));
   }
   // Past the overflow, f_heir takes over f_gone's match under a new name.
   ASSERT_FALSE(net.switch_at("sw1").remove_flow("f_gone"));
@@ -1277,7 +1278,7 @@ void run_reconnect_resync_matrix(std::size_t max_batch) {
       spec.match.tp_dst = static_cast<std::uint16_t>(100 + i);
       spec.actions = {Action::output(1)};
       ASSERT_FALSE(
-          net.switch_at("sw1").add_flow("f" + std::to_string(i), spec));
+          net.switch_at("sw1").add_flow(numbered("f", i), spec));
     }
     run_rounds(s.get(), 30);
     ASSERT_EQ(s->table().size(), 5u);

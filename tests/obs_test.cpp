@@ -605,16 +605,87 @@ TEST(StatsFsTest, RefreshEmitsModifiedEventsForWatchers) {
   EXPECT_EQ(queue->drain().size(), steady - steady);  // empty after drain
 }
 
+// Vfs::counters() is computed from the vfs/*_total counters that
+// /yanc/.stats shows, so the two agree; reset_counters() restarts only
+// counters().
+TEST(StatsFsTest, VfsCountersAgreeWithStatsFiles) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  auto mounted = mount_stats_fs(*vfs);
+  ASSERT_TRUE(mounted.ok());
+  auto stats = *mounted;
+  // Read through the mounted filesystem itself: a Vfs call would count.
+  auto file = [&](const char* name) -> std::uint64_t {
+    auto dir = stats->lookup(stats->root(), "vfs");
+    auto node = dir ? stats->lookup(*dir, name) : dir;
+    if (!node) return ~std::uint64_t{0};
+    auto text = stats->read(*node, 0, 64, vfs::Credentials::root());
+    if (!text) return ~std::uint64_t{0};
+    return parse_u64(trim(*text)).value_or(~std::uint64_t{0});
+  };
+  struct Files {
+    std::uint64_t reads, writes, metadata, lookups;
+  };
+  auto files = [&] {
+    return Files{file("read_total"), file("write_total"),
+                 file("metadata_total"), file("lookup_total")};
+  };
+  auto mix = [&] {
+    ASSERT_FALSE(vfs->mkdir_p("/a/b"));
+    ASSERT_FALSE(vfs->write_file("/a/b/f", "x"));
+    ASSERT_TRUE(vfs->read_file("/a/b/f").ok());
+    ASSERT_TRUE(vfs->stat("/a/b").ok());
+    auto dir = vfs->resolve("/a/b", vfs::Credentials::root());
+    ASSERT_TRUE(dir.ok());
+    ASSERT_TRUE(vfs->read_file(*dir, "f").ok());
+    ASSERT_FALSE(vfs->write_file(*dir, "g", "y"));
+    ASSERT_TRUE(vfs->readdir(*dir).ok());
+    ASSERT_FALSE(vfs->rename("/a/b/g", "/a/b/h"));
+    EXPECT_FALSE(vfs->read_file("/a/missing").ok());
+  };
+  auto expect_counts = [&](const Files& since) {
+    const Files now = files();
+    const vfs::OpCounters c = vfs->counters();
+    EXPECT_EQ(c.reads.load(), now.reads - since.reads);
+    EXPECT_EQ(c.writes.load(), now.writes - since.writes);
+    EXPECT_EQ(c.metadata.load(), now.metadata - since.metadata);
+    EXPECT_EQ(c.lookups.load(), now.lookups - since.lookups);
+    EXPECT_EQ(c.total.load(), c.reads.load() + c.writes.load() +
+                                  c.metadata.load() + c.lookups.load());
+  };
+
+  mix();
+  expect_counts(Files{0, 0, 0, 0});
+  EXPECT_GT(vfs->counters().total.load(), 0u);
+
+  const Files at_reset = files();
+  vfs->reset_counters();
+  EXPECT_EQ(vfs->counters().total.load(), 0u);
+  const Files after_reset = files();
+  EXPECT_EQ(after_reset.reads, at_reset.reads);
+  EXPECT_EQ(after_reset.writes, at_reset.writes);
+  EXPECT_EQ(after_reset.metadata, at_reset.metadata);
+  EXPECT_EQ(after_reset.lookups, at_reset.lookups);
+
+  mix();
+  expect_counts(at_reset);
+  EXPECT_GT(vfs->counters().total.load(), 0u);
+}
+
 TEST(StatsFsTest, LockEdgeGraphExposedAsFile) {
   auto vfs = std::make_shared<vfs::Vfs>();
   ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+  // A mkdir under a watched directory fans its event out from MemFs,
+  // nesting watch_registry under vfs_emit.
+  ASSERT_FALSE(vfs->mkdir("/w"));
+  auto queue = std::make_shared<vfs::WatchQueue>();
+  auto watch = vfs->watch("/w", vfs::event::created, queue);
+  ASSERT_TRUE(watch.ok());
+  ASSERT_FALSE(vfs->mkdir("/w/d"));
   auto text = shell::cat(*vfs, "/yanc/.stats/dbg/lock_edges");
   ASSERT_TRUE(text.ok());
 #if YANC_DBG_LOCKS
-  // Mounting alone creates the mount point in MemFs, whose watch fan-out
-  // nests watch_registry under vfs_emit, so the dump already contains
-  // that edge, in the "<held> <acquired> <site> <site>" format
-  // yanc-analyze diffs.
+  // The dump holds that edge, in the "<held> <acquired> <site> <site>"
+  // format yanc-analyze diffs.
   EXPECT_NE(text->find("vfs_emit watch_registry "), std::string::npos);
 #else
   EXPECT_TRUE(text->empty());  // release builds record no graph

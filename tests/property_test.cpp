@@ -23,6 +23,7 @@
 #include "yanc/net/packet.hpp"
 #include "yanc/ofp/codec.hpp"
 #include "yanc/sw/flow_table.hpp"
+#include "yanc/util/strings.hpp"
 
 namespace yanc {
 namespace {
@@ -413,7 +414,7 @@ TEST_P(VfsTreeProperty, RandomTreeIsFullyReclaimed) {
   for (int op = 0; op < 300; ++op) {
     const std::string& parent = dirs[rng.u32(0, static_cast<std::uint32_t>(
                                                     dirs.size() - 1))];
-    std::string name = "n" + std::to_string(op);
+    std::string name = numbered("n", op);
     if (rng.chance(0.4)) {
       ASSERT_FALSE(vfs->mkdir(parent + "/" + name));
       dirs.push_back(parent + "/" + name);

@@ -13,6 +13,7 @@
 
 #include "yanc/obs/metrics.hpp"
 #include "yanc/obs/tracer.hpp"
+#include "yanc/util/strings.hpp"
 #include "yanc/vfs/memfs.hpp"
 #include "yanc/vfs/synth_fs.hpp"
 #include "yanc/vfs/vfs.hpp"
@@ -492,6 +493,52 @@ TEST_F(MemFsTest, DeleteSelfOnWatchedNode) {
   EXPECT_TRUE(e->is(event::delete_self));
 }
 
+// A mutation queues events only for the watches its node has when it runs.
+TEST_F(MemFsTest, WatchAddedAfterAMutationGetsNothingFromIt) {
+  auto early = std::make_shared<WatchQueue>();
+  ASSERT_TRUE(fs.watch(fs.root(), event::all, early).ok());
+  auto f = fs.create(fs.root(), "f", 0644, root);
+  ASSERT_TRUE(f.ok());
+  auto late = std::make_shared<WatchQueue>();
+  ASSERT_TRUE(fs.watch(fs.root(), event::all, late).ok());
+  EXPECT_EQ(early->size(), 1u);
+  EXPECT_FALSE(late->try_pop().has_value());
+
+  // The same for a node nobody watched during the write.
+  ASSERT_TRUE(fs.write(*f, 0, "x", root).ok());
+  auto on_file = std::make_shared<WatchQueue>();
+  ASSERT_TRUE(fs.watch(*f, event::all, on_file).ok());
+  EXPECT_FALSE(on_file->try_pop().has_value());
+  // Later mutations reach every watch.
+  ASSERT_TRUE(fs.write(*f, 0, "y", root).ok());
+  EXPECT_TRUE(on_file->try_pop().has_value());
+  EXPECT_TRUE(late->try_pop().has_value());
+}
+
+// Unwatching a removed node's watch lowers no other node's watch count.
+TEST_F(MemFsTest, WatchOfRemovedNodeDroppedLateLeavesOtherNodesWatched) {
+  auto gone = fs.create(fs.root(), "gone", 0644, root);
+  auto kept = fs.create(fs.root(), "kept", 0644, root);
+  ASSERT_TRUE(gone.ok() && kept.ok());
+  auto q = std::make_shared<WatchQueue>();
+  auto on_gone = fs.watch(*gone, event::all, q);
+  auto first = fs.watch(*kept, event::modified, q);
+  auto second = fs.watch(*kept, event::modified, q);
+  ASSERT_TRUE(on_gone.ok() && first.ok() && second.ok());
+  ASSERT_FALSE(fs.unlink(fs.root(), "gone", root));
+  (void)q->drain();
+  fs.unwatch(*on_gone);  // after its node went
+  fs.unwatch(*first);
+  ASSERT_TRUE(fs.write(*kept, 0, "x", root).ok());
+  auto e = q->try_pop();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->node, *kept);
+  EXPECT_FALSE(q->try_pop().has_value());  // one watch left, one event
+  fs.unwatch(*second);
+  ASSERT_TRUE(fs.write(*kept, 0, "y", root).ok());
+  EXPECT_FALSE(q->try_pop().has_value());
+}
+
 TEST(WatchQueueTest, OverflowCollapsesTail) {
   WatchQueue q(2);
   q.push({event::created, 1, "a", 0});
@@ -833,6 +880,32 @@ TEST_F(VfsTest, MountPointBusyRules) {
   EXPECT_FALSE(vfs->rmdir("/net"));
 }
 
+// The mount table is keyed on logical paths, not on the node a mount
+// covers: once the covered directory's parent moves, the old path, made
+// again, crosses into the mount, and the moved directory is plain.
+TEST_F(VfsTest, MountCrossingFollowsPathAfterParentRename) {
+  auto extra = std::make_shared<MemFs>();
+  ASSERT_TRUE(extra->create(extra->root(), "inside", 0644, root).ok());
+  ASSERT_FALSE(vfs->mkdir_p("/p/m"));
+  ASSERT_FALSE(vfs->mount("/p/m", extra));
+  ASSERT_FALSE(vfs->rename("/p", "/q"));
+  ASSERT_FALSE(vfs->mkdir_p("/p/m"));
+
+  auto mounted = vfs->resolve("/p/m", root);
+  ASSERT_TRUE(mounted.ok());
+  EXPECT_EQ(mounted->fs, extra);
+  EXPECT_EQ(mounted->node, extra->root());
+  EXPECT_EQ(mounted->logical, "/p/m");
+  EXPECT_TRUE(vfs->stat("/p/m/inside").ok());
+
+  auto moved = vfs->resolve("/q/m", root);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_NE(moved->fs, extra);
+  EXPECT_EQ(moved->type, FileType::directory);
+  EXPECT_EQ(moved->logical, "/q/m");
+  EXPECT_EQ(vfs->stat("/q/m/inside").error(), err(Errc::not_found));
+}
+
 TEST_F(VfsTest, UmountRefusedWithSubmount) {
   ASSERT_FALSE(vfs->mkdir("/a"));
   ASSERT_FALSE(vfs->mount("/a", std::make_shared<MemFs>()));
@@ -927,6 +1000,26 @@ TEST_F(VfsTest, WatchThroughVfsPath) {
   handle->reset();  // RAII unregister
   ASSERT_FALSE(vfs->write_file("/w/new2", "x"));
   EXPECT_FALSE(q->try_pop().has_value());
+}
+
+// A watch handle whose node was removed before the handle was dropped
+// leaves the watches of other nodes in place.
+TEST_F(VfsTest, WatchHandleDroppedAfterItsNodeWentLeavesOthersWatched) {
+  ASSERT_FALSE(vfs->mkdir_p("/a"));
+  ASSERT_FALSE(vfs->mkdir_p("/b"));
+  ASSERT_FALSE(vfs->write_file("/a/f", "x"));
+  auto q = std::make_shared<WatchQueue>();
+  auto on_file = vfs->watch("/a/f", event::all, q);
+  auto on_dir = vfs->watch("/b", event::created, q);
+  ASSERT_TRUE(on_file.ok() && on_dir.ok());
+  ASSERT_FALSE(vfs->unlink("/a/f"));
+  (void)q->drain();
+  on_file->reset();
+  ASSERT_FALSE(vfs->write_file("/b/g", "y"));
+  auto e = q->try_pop();
+  ASSERT_TRUE(e.has_value());
+  EXPECT_TRUE(e->is(event::created));
+  EXPECT_EQ(e->name, "g");
 }
 
 TEST_F(VfsTest, CountersTrackOps) {
@@ -1227,8 +1320,7 @@ TEST_F(VfsTest, MultiThreadedReadersAndMutators) {
     for (int i = 0; i < kIters; ++i) {
       std::string path =
           "/t/stable/f" + std::to_string((id * 7 + i) % kFiles);
-      std::string value =
-          "w" + std::to_string(id) + "_" + std::to_string(i);
+      std::string value = numbered(numbered("w", id) + "_", i);
       ASSERT_FALSE(vfs->write_file(path, value));
     }
   };
@@ -1535,7 +1627,7 @@ TEST_F(VfsTest, AtCallsRaceRemoveAndRecreate) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
-      const std::string mine = "f" + std::to_string(t);
+      const std::string mine = numbered("f", t);
       while (!done.load()) {
         auto dir = vfs->resolve("/d", Credentials::root());
         if (!dir) {

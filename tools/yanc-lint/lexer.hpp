@@ -109,9 +109,9 @@ inline LexedFile lex(std::string_view src) {
       std::size_t delim_start = i + 1;
       std::size_t paren = src.find('(', delim_start);
       if (paren == std::string_view::npos) return false;
-      std::string close =
-          ")" + std::string(src.substr(delim_start, paren - delim_start)) +
-          "\"";
+      std::string close(1, ')');
+      close += src.substr(delim_start, paren - delim_start);
+      close += '"';
       std::size_t end = src.find(close, paren + 1);
       int start_line = line;
       std::size_t stop =
